@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geom
 from .config import DiskConfiguration, contact_graph
 from .errors import (
     CoincidentCorner,
@@ -28,7 +29,6 @@ from .errors import (
     PointOnCurve,
 )
 from .geom import (
-    EPS_GEOM,
     Disk,
     DiskRelation,
     circle_intersections,
@@ -40,8 +40,12 @@ TWO_PI = 2 * math.pi
 BASE_STEP = TWO_PI / 512
 CORNER_WINDOW = 0.05
 CORNER_REFINE = 8
-MAX_REFINE_STEP = TWO_PI / 8192
-MIN_DISP = 10 * EPS_GEOM
+MAX_DENSITY = 16  # densest sampling step: BASE_STEP / 16 = 2*pi/8192
+
+
+def _min_disp() -> float:
+    """Smallest displacement a certificate accepts, from the current EPS_GEOM."""
+    return 10 * geom.EPS_GEOM
 
 
 # --- winding numbers -----------------------------------------------------------
@@ -50,7 +54,7 @@ MIN_DISP = 10 * EPS_GEOM
 def winding_number(samples: np.ndarray, z: complex) -> int:
     """Winding number of the closed sampled curve around z."""
     rel = np.asarray(samples) - z
-    if np.min(np.abs(rel)) <= EPS_GEOM:
+    if np.min(np.abs(rel)) <= geom.EPS_GEOM:
         raise PointOnCurve("query point lies on the curve")
     return _winding_of_closed(rel)
 
@@ -111,15 +115,16 @@ def _arc_offsets(span: float, refine_start: bool, refine_end: bool, density: int
     base step with x8 refinement inside the corner windows."""
     step = BASE_STEP / density
     n = max(4, int(math.ceil(span / step)))
-    pts = set(np.linspace(0.0, span, n, endpoint=False))
+    parts = [np.linspace(0.0, span, n, endpoint=False)]
     fine = step / CORNER_REFINE
     win = min(CORNER_WINDOW, span / 2)
     if refine_start:
-        pts.update(np.arange(0.0, win, fine))
+        parts.append(np.arange(0.0, win, fine))
     if refine_end:
-        pts.update(span - np.arange(fine, win, fine))
-    out = np.array(sorted(p for p in pts if 0.0 <= p < span - 1e-15))
-    return out
+        parts.append(span - np.arange(fine, win, fine))
+    pts = np.sort(np.concatenate(parts))
+    pts = pts[(pts >= 0.0) & (pts < span - 1e-15)]
+    return pts[np.diff(pts, prepend=-np.inf) > 0]  # drop equal neighbours
 
 
 # --- boundary complexes ----------------------------------------------------------
@@ -149,9 +154,6 @@ class BoundaryArc:
 class BoundaryCurve:
     pieces: list
 
-    def vertex_sequence(self):
-        return [p.vertex for p in self.pieces]
-
     def signature(self):
         return [(p.vertex, p.end.pair if p.end else None) for p in self.pieces]
 
@@ -162,7 +164,8 @@ class BoundaryComplex:
     curves: list
 
     def curve_samples(self, density: int = 1):
-        return [_sample_curve(self.config, c, density) for c in self.curves]
+        """Sample points of each curve."""
+        return [np.concatenate([pts for _v, _t, pts in _sample_curve(self.config, c, density)]) for c in self.curves]
 
 
 def _pair_corners(config, i, j):
@@ -243,7 +246,7 @@ def _free_arcs(disk, vertex, intervals, marks):
             arcs.append(BoundaryArc(vertex, t0, span, ref0, ref1))
         return arcs
     events = sorted(((a0 % TWO_PI, (a1 - a0) % TWO_PI, s, e) for a0, a1, s, e in intervals))
-    if sum(iv[1] for iv in events) >= TWO_PI - EPS_GEOM:
+    if sum(iv[1] for iv in events) >= TWO_PI - geom.EPS_GEOM:
         raise DegenerateContact(f"disk {vertex} has no free boundary")
     # disjoint cyclically ordered intervals tile the circle together with
     # their end-to-next-start gaps; an overlap makes a gap wrap a full turn
@@ -272,16 +275,18 @@ def _free_arcs(disk, vertex, intervals, marks):
 
 
 def _sample_curve(config, curve: BoundaryCurve, density: int = 1):
-    """(points, vertices, thetas) arrays for one traced curve."""
-    pts, verts, thetas = [], [], []
+    """(vertex, thetas, points) of each piece of one traced curve."""
     for piece in curve.pieces:
         disk = config.disks[piece.vertex]
-        offs = _arc_offsets(piece.da, piece.start is not None, piece.end is not None, density)
-        ang = piece.a0 + offs
-        pts.append(disk.center + disk.radius * np.exp(1j * ang))
-        verts.extend([piece.vertex] * len(offs))
-        thetas.append(ang)
-    return np.concatenate(pts), verts, np.concatenate(thetas)
+        ang = piece.a0 + _arc_offsets(piece.da, piece.start is not None, piece.end is not None, density)
+        yield piece.vertex, ang, disk.center + disk.radius * np.exp(1j * ang)
+
+
+def _curve_loop(config, curve: BoundaryCurve, vmaps, density: int) -> SampledLoopMap:
+    """One traced curve and its image, each piece mapped by its own vertex map."""
+    pieces = list(_sample_curve(config, curve, density))
+    src = np.concatenate([pts for _v, _t, pts in pieces])
+    return SampledLoopMap(src, np.concatenate([vmaps[v].eval_point(t) for v, t, _p in pieces]))
 
 
 # --- the faithful correspondence -------------------------------------------------
@@ -344,38 +349,20 @@ class FaithfulMap:
     complex_dst: BoundaryComplex
     vmaps: dict
     pairing: list  # (src curve index, dst curve index)
-    density: int = 1
 
-    def loops(self, density=None):
-        density = density or self.density
-        out = []
-        for si, _di in self.pairing:
-            pts, verts, thetas = _sample_curve(self.config, self.complex_src.curves[si], density)
-            dst = _eval_vmaps(self.vmaps, verts, thetas)
-            out.append(SampledLoopMap(pts, dst))
-        return out
+    def loops(self, density: int = 1):
+        return [_curve_loop(self.config, self.complex_src.curves[si], self.vmaps, density) for si, _di in self.pairing]
 
-    def min_displacement(self):
-        return min(float(np.min(np.abs(l.displacement()))) for l in self.loops())
-
-    def subset_loops(self, subset, density=None):
+    def subset_loops(self, subset, density: int = 1):
         """Sampled loops of the faithful map restricted to the union of the
         given vertex subset (uses the same vertex maps, so additivity
         identities are exact)."""
         sub = self.config.restricted(subset)
-        cx = boundary_complex(sub)
-        density = density or self.density
-        out = []
-        for curve in cx.curves:
-            pts, verts, thetas = _sample_curve(sub, curve, density)
-            dst = _eval_vmaps(self.vmaps, verts, thetas)
-            out.append(SampledLoopMap(pts, dst))
-        return out
+        return [_curve_loop(sub, curve, self.vmaps, density) for curve in boundary_complex(sub).curves]
 
-    def disk_loop(self, vertex, density=None) -> SampledLoopMap:
+    def disk_loop(self, vertex, density: int = 1) -> SampledLoopMap:
         """delta_v: the induced map on the full circle of one disk."""
         vm = self.vmaps[vertex]
-        density = density or self.density
         if not vm.nodes:
             th = np.arange(512 * density) * (TWO_PI / (512 * density))
         else:
@@ -388,12 +375,11 @@ class FaithfulMap:
         src = vm.disk.center + vm.disk.radius * np.exp(1j * th)
         return SampledLoopMap(src, vm.eval_point(th))
 
-    def eye_loop(self, i, j, density=None) -> SampledLoopMap:
+    def eye_loop(self, i, j, density: int = 1) -> SampledLoopMap:
         """epsilon_ij: the induced map on the eye boundary of pair {i, j}."""
         si, sj = sorted((i, j), key=str)
         a, b = self.config.disks[si], self.config.disks[sj]
         u, v = circle_intersections(a, b)
-        density = density or self.density
         a0 = a.angle_of(u)
         da = (a.angle_of(v) - a0) % TWO_PI
         b0 = b.angle_of(v)
@@ -403,17 +389,6 @@ class FaithfulMap:
         src = np.concatenate([a.center + a.radius * np.exp(1j * th_a), b.center + b.radius * np.exp(1j * th_b)])
         dst = np.concatenate([self.vmaps[si].eval_point(th_a), self.vmaps[sj].eval_point(th_b)])
         return SampledLoopMap(src, dst)
-
-
-def _eval_vmaps(vmaps, verts, thetas):
-    out = np.empty(len(thetas), dtype=complex)
-    groups = {}
-    for idx, v in enumerate(verts):
-        groups.setdefault(v, []).append(idx)
-    for v, idxs in groups.items():
-        sel = np.asarray(idxs)
-        out[sel] = vmaps[v].eval_point(thetas[sel])
-    return out
 
 
 def _match_curves(cx_src: BoundaryComplex, cx_dst: BoundaryComplex):
@@ -455,7 +430,7 @@ def _cyclic_equal(a, b):
     return False
 
 
-def build_faithful_map(config, config_tilde, *, pins=None, rng=None, n_random_pins=0, density=1) -> FaithfulMap:
+def build_faithful_map(config, config_tilde, *, pins=None, rng=None, n_random_pins=0) -> FaithfulMap:
     """Arc-proportional faithful correspondence between the union boundaries.
 
     pins: optional {vertex: [(z, z_tilde), ...]} extra point identifications
@@ -483,7 +458,7 @@ def build_faithful_map(config, config_tilde, *, pins=None, rng=None, n_random_pi
             if len(refs) != len(refs_t):
                 raise CombinatoricsMismatch(f"pair ({v},{w}) differs in contact type")
             for ref, ref_t in zip(refs, refs_t):
-                if abs(ref.point - ref_t.point) <= MIN_DISP:
+                if abs(ref.point - ref_t.point) <= _min_disp():
                     raise CoincidentCorner(f"corner of pair {ref.pair} is fixed")
                 nodes.append((d.angle_of(ref.point) % TWO_PI, dt.angle_of(ref_t.point) % TWO_PI))
         if pins and v in pins:
@@ -495,7 +470,7 @@ def build_faithful_map(config, config_tilde, *, pins=None, rng=None, n_random_pi
         if rng is not None and n_random_pins and nodes:
             vm = _randomize_vmap(vm, rng, n_random_pins)
         vmaps[v] = vm
-    return FaithfulMap(config, config_tilde, cx, cx_t, vmaps, pairing, density)
+    return FaithfulMap(config, config_tilde, cx, cx_t, vmaps, pairing)
 
 
 def _project(disk, z):
@@ -529,23 +504,25 @@ def _randomize_vmap(vm: VertexArcMap, rng, n_pins) -> VertexArcMap:
 # --- the index -------------------------------------------------------------------
 
 
-def robust_loop_index(builder, max_density: int = 16) -> int:
-    """loop_index over builder(density), doubling the sampling density while
-    the fixed-point-free certificate fails (up to the spec's densest grid)."""
+def _refine(index_at):
+    """index_at(density) at densities 1, 2, 4, ..., MAX_DENSITY, returning the
+    first result whose fixed-point-free certificate holds; NearFixedPoint from
+    the densest grid is re-raised.  A failed density's loops are freed before
+    the next density builds its own."""
     density = 1
     while True:
         try:
-            return loop_index(builder(density))
+            return index_at(density)
         except NearFixedPoint:
             density *= 2
-            if density > max_density:
+            if density > MAX_DENSITY:
                 raise
 
 
 def loop_index(loop: SampledLoopMap) -> int:
     disp = loop.displacement()
     rel = np.abs(disp)
-    if np.min(rel) <= MIN_DISP:
+    if np.min(rel) <= _min_disp():
         raise NearFixedPoint(f"min displacement {np.min(rel):.3g}")
     chord = np.abs(np.diff(loop.src, append=loop.src[:1])) + np.abs(np.diff(loop.dst, append=loop.dst[:1]))
     gap = np.minimum(rel, np.roll(rel, -1)) - chord
@@ -554,34 +531,17 @@ def loop_index(loop: SampledLoopMap) -> int:
     return _winding_of_closed(disp)
 
 
-def fixed_point_index(fmap) -> IndexReport:
-    """Per-curve displacement winding and the multiply-connected sum.
+def fixed_point_index(fmap: FaithfulMap) -> IndexReport:
+    """Per-curve displacement winding and the multiply-connected sum, refining
+    the sampling on NearFixedPoint up to the densest grid."""
 
-    Accepts a FaithfulMap (refining the sampling on NearFixedPoint up to the
-    spec's densest grid) or an explicit list of SampledLoopMap.
-    """
-    if isinstance(fmap, SampledLoopMap):
-        loops_fn = lambda density: [fmap]
-        max_density = 1
-    elif isinstance(fmap, FaithfulMap):
-        loops_fn = fmap.loops
-        max_density = int(BASE_STEP / MAX_REFINE_STEP)
-    else:
-        loops_list = list(fmap)
-        loops_fn = lambda density: loops_list
-        max_density = 1
-    density = 1
-    while True:
-        try:
-            loops = loops_fn(density)
-            per_curve = [loop_index(l) for l in loops]
-            break
-        except NearFixedPoint:
-            density *= 2
-            if density > max_density:
-                raise
-    min_disp = min(float(np.min(np.abs(l.displacement()))) for l in loops)
-    return IndexReport(int(sum(per_curve)), per_curve, min_disp)
+    def index_at(density):
+        loops = fmap.loops(density)
+        per_curve = [loop_index(l) for l in loops]
+        min_disp = min(float(np.min(np.abs(l.displacement()))) for l in loops)
+        return IndexReport(int(sum(per_curve)), per_curve, min_disp)
+
+    return _refine(index_at)
 
 
 def index_additivity(map_k: SampledLoopMap, map_l: SampledLoopMap):

@@ -305,6 +305,7 @@ def main(argv=None) -> int:
     _setup_logging()
     ap = build_parser()
     args = ap.parse_args(argv)
+    saved_eps = geom.EPS_GEOM
     if args.eps_geom is not None:
         geom.EPS_GEOM = args.eps_geom
     try:
@@ -312,6 +313,8 @@ def main(argv=None) -> int:
     except DiskrigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        geom.EPS_GEOM = saved_eps
 
 
 if __name__ == "__main__":

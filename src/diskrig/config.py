@@ -7,14 +7,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+from . import geom
 from .errors import ContainmentViolation, HypothesesViolated, NotTransverse
 from .geom import (
-    EPS_GEOM,
-    Arc,
     Disk,
     DiskRelation,
     Lens,
-    arc_between,
     circle_intersections,
     disk_relation,
     meets,
@@ -133,21 +131,21 @@ def is_general_position(config: DiskConfiguration, config_tilde: DiskConfigurati
         for j in config_tilde.labels:
             a, b = config.disks[i], config_tilde.disks[j]
             d = abs(a.center - b.center)
-            if abs(d - (a.radius + b.radius)) <= EPS_GEOM or abs(d - abs(a.radius - b.radius)) <= EPS_GEOM:
+            if abs(d - (a.radius + b.radius)) <= geom.EPS_GEOM or abs(d - abs(a.radius - b.radius)) <= geom.EPS_GEOM:
                 report.append(("tangential_cross_pair", i, j))
-            if d <= EPS_GEOM and abs(a.radius - b.radius) <= EPS_GEOM:
+            if d <= geom.EPS_GEOM and abs(a.radius - b.radius) <= geom.EPS_GEOM:
                 report.append(("coincident_boundaries", i, j))
     special = _special_points(config)
     special_t = _special_points(config_tilde)
     for tag, p in special:
         for j in config_tilde.labels:
             b = config_tilde.disks[j]
-            if abs(abs(p - b.center) - b.radius) <= EPS_GEOM:
+            if abs(abs(p - b.center) - b.radius) <= geom.EPS_GEOM:
                 report.append(("special_point_on_circle", tag, j))
     for tag, p in special_t:
         for i in config.labels:
             a = config.disks[i]
-            if abs(abs(p - a.center) - a.radius) <= EPS_GEOM:
+            if abs(abs(p - a.center) - a.radius) <= geom.EPS_GEOM:
                 report.append(("special_point_on_circle", tag, i))
     return (len(report) == 0), report
 
@@ -180,12 +178,6 @@ class Eye:
     @property
     def lens(self) -> Lens:
         return Lens(self.disk_i, self.disk_j)
-
-    def arc_on_i(self) -> Arc:
-        return arc_between(self.disk_i, self.corner_u, self.corner_v)
-
-    def arc_on_j(self) -> Arc:
-        return arc_between(self.disk_j, self.corner_v, self.corner_u)
 
     def contains(self, z: complex, *, strict: bool = False) -> bool:
         return self.disk_i.contains(z, strict=strict) and self.disk_j.contains(z, strict=strict)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .boundary import FaithfulMap, build_faithful_map, fixed_point_index, loop_index, robust_loop_index
+from .boundary import FaithfulMap, _refine, build_faithful_map, fixed_point_index, loop_index
 from .config import DiskConfiguration, contact_graph, is_general_position, is_thin
 from .errors import CoincidentCorner, CombinatoricsMismatch, NearFixedPoint
 from .geom import Disk, overlaps
@@ -180,26 +180,12 @@ def obs_a_identity(fmap: FaithfulMap):
     inc = contact_graph(fmap.config)
     rhs = 0
     for v in fmap.config.labels:
-        rhs += robust_loop_index(lambda d, v=v: fmap.disk_loop(v, d))
+        rhs += _refine(lambda d, v=v: loop_index(fmap.disk_loop(v, d)))
     for e in inc.edges:
         i, j = tuple(e)
         if overlaps(fmap.config.disks[i], fmap.config.disks[j]):
-            rhs -= robust_loop_index(lambda d, i=i, j=j: fmap.eye_loop(i, j, d))
+            rhs -= _refine(lambda d, i=i, j=j: loop_index(fmap.eye_loop(i, j, d)))
     return lhs, rhs
-
-
-def _subset_eta(fmap, subset):
-    def builder(density):
-        return fmap.subset_loops(subset, density)
-
-    density = 1
-    while True:
-        try:
-            return sum(loop_index(l) for l in builder(density))
-        except NearFixedPoint:
-            density *= 2
-            if density > 16:
-                raise
 
 
 def main_b_identity(fmap: FaithfulMap, subset):
@@ -210,14 +196,14 @@ def main_b_identity(fmap: FaithfulMap, subset):
     if not I or not J:
         raise ValueError("bipartition parts must be non-empty")
     lhs = fixed_point_index(fmap).eta
-    rhs = _subset_eta(fmap, I) + _subset_eta(fmap, J)
+    rhs = sum(_refine(lambda d, part=part: sum(loop_index(l) for l in fmap.subset_loops(part, d))) for part in (I, J))
     inc = contact_graph(fmap.config)
     for e in inc.edges:
         i, j = tuple(e)
         if (i in I) == (j in I):
             continue
         if overlaps(fmap.config.disks[i], fmap.config.disks[j]):
-            rhs -= robust_loop_index(lambda d, i=i, j=j: fmap.eye_loop(i, j, d))
+            rhs -= _refine(lambda d, i=i, j=j: loop_index(fmap.eye_loop(i, j, d)))
     return lhs, rhs
 
 

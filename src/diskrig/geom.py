@@ -124,16 +124,6 @@ def tangency_point(a: Disk, b: Disk) -> complex:
     return a.center + (b.center - a.center) * (a.radius / d)
 
 
-def tangent_angle_oracle(a: Disk, b: Disk) -> float:
-    """Overlap angle measured from boundary tangent vectors at the corner u:
-    pi minus the unsigned angle between the two CCW tangents."""
-    u, _ = circle_intersections(a, b)
-    ta = 1j * (u - a.center)
-    tb = 1j * (u - b.center)
-    cosang = (ta.conjugate() * tb).real / (abs(ta) * abs(tb))
-    return math.pi - float(np.arccos(np.clip(cosang, -1.0, 1.0)))
-
-
 def triple_intersection_nonempty(a: Disk, b: Disk, c: Disk) -> bool:
     """Whether the three closed disks share a common point.
 
@@ -308,13 +298,6 @@ def regions_meet(r1, r2) -> bool:
 
 def lens_in_disk(lens: Lens, d: Disk) -> bool:
     return all(arc_in_disk(arc, d) for arc in lens.boundary_arcs())
-
-
-def lens_contains_lens(outer: Lens, inner: Lens) -> bool:
-    """Whether inner lens is contained in outer lens (no boundary crossings
-    assumed checked by the caller via eye_boundary_crossings)."""
-    u, v = inner.corners
-    return outer.contains(u) and outer.contains(v) and outer.contains(inner.sample_point())
 
 
 def solve_apollonius(d1: Disk, d2: Disk, d3: Disk) -> Disk:

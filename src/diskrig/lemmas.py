@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DiskConfiguration, classify_triple, is_general_position, is_thin
-from .errors import HypothesesViolated, HypothesisUnmet
+from .errors import DiskrigError, HypothesisUnmet
 from .geom import (
     Arc,
     Disk,
@@ -147,7 +147,7 @@ def meat_hypothesis(disks) -> bool:
     try:
         if triple_intersection_nonempty(dm, dp, D):
             return False
-    except Exception:
+    except DiskrigError:
         return False
     return True
 
@@ -348,7 +348,7 @@ HEX_CHAIN_NESTED = [
 def _triple_code(dm: Disk, dp: Disk, D: Disk):
     try:
         return classify_triple(dm, dp, D, "Atilde").letter
-    except (HypothesesViolated, Exception):
+    except DiskrigError:
         return None
 
 
@@ -582,7 +582,7 @@ def generate_eye_quadruple(rng, *, mode="free") -> EyeQuadruple | None:
     try:
         if not quadruple_general_position(q):
             return None
-    except Exception:
+    except DiskrigError:
         return None
     return q
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geom
 from .errors import (
     ConditionFailed,
     DegenerateInput,
@@ -22,7 +23,7 @@ from .errors import (
     NoAnchorFound,
     UnboundedImage,
 )
-from .geom import EPS_GEOM, Disk, DiskRelation, circle_intersections, disk_relation, tangency_point
+from .geom import Disk, DiskRelation, circle_intersections, disk_relation, tangency_point
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class MoebiusMap:
 
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
-        if abs(det) <= EPS_GEOM:
+        if abs(det) <= geom.EPS_GEOM:
             raise DegenerateInput("moebius determinant vanishes")
 
     def normalized(self) -> "MoebiusMap":
@@ -56,7 +57,7 @@ def translation(t: complex) -> MoebiusMap:
 
 
 def similarity(scale: complex, offset: complex = 0j) -> MoebiusMap:
-    if abs(scale) <= EPS_GEOM:
+    if abs(scale) <= geom.EPS_GEOM:
         raise DegenerateInput("zero similarity factor")
     return MoebiusMap(scale, offset, 0, 1)
 
@@ -78,7 +79,7 @@ def apply_point(m: MoebiusMap, z):
     """Image of a point (or numpy array of points)."""
     w = np.conj(z) if m.conjugate_first else np.asarray(z, dtype=complex)
     den = m.c * w + m.d
-    if np.min(np.abs(den)) <= EPS_GEOM:
+    if np.min(np.abs(den)) <= geom.EPS_GEOM:
         raise MapsToInfinity("denominator vanishes")
     out = (m.a * w + m.b) / den
     if np.ndim(z) == 0:
@@ -107,7 +108,7 @@ def inverse(m: MoebiusMap) -> MoebiusMap:
 
 def pole_of(m: MoebiusMap):
     """Preimage of infinity, or None for affine maps."""
-    if abs(m.c) <= EPS_GEOM:
+    if abs(m.c) <= geom.EPS_GEOM:
         return None
     p = -m.d / m.c
     return p.conjugate() if m.conjugate_first else p
@@ -117,7 +118,7 @@ def apply_disk(m: MoebiusMap, disk: Disk) -> Disk:
     """Exact image disk, via three boundary-point images plus an interior
     witness; raises UnboundedImage when the image is not a bounded disk."""
     pole = pole_of(m)
-    if pole is not None and abs(pole - disk.center) <= disk.radius + EPS_GEOM:
+    if pole is not None and abs(pole - disk.center) <= disk.radius + geom.EPS_GEOM:
         raise UnboundedImage("pole meets the disk; image is unbounded")
     zs = [disk.point_at(t) for t in (0.0, 2.0944, 4.1888)]
     ws = [apply_point(m, z) for z in zs]
@@ -144,7 +145,7 @@ def circumcircle(z1: complex, z2: complex, z3: complex) -> tuple[complex, float]
 def from_three_points(z1, z2, z3, w1, w2, w3) -> MoebiusMap:
     """The unique Moebius map with z_i -> w_i."""
     for trio in ((z1, z2, z3), (w1, w2, w3)):
-        if min(abs(trio[0] - trio[1]), abs(trio[1] - trio[2]), abs(trio[0] - trio[2])) <= EPS_GEOM:
+        if min(abs(trio[0] - trio[1]), abs(trio[1] - trio[2]), abs(trio[0] - trio[2])) <= geom.EPS_GEOM:
             raise DegenerateInput("coincident points")
     src = _to_zero_one_inf(z1, z2, z3)
     dst = _to_zero_one_inf(w1, w2, w3)
@@ -165,7 +166,7 @@ def concentricize(a: Disk, b: Disk) -> MoebiusMap:
     if rel not in (DiskRelation.DISJOINT, DiskRelation.FIRST_CONTAINS_SECOND, DiskRelation.SECOND_CONTAINS_FIRST):
         raise DegenerateInput(f"cannot concentricize pair in relation {rel.value}")
     d = abs(b.center - a.center)
-    if d <= EPS_GEOM:
+    if d <= geom.EPS_GEOM:
         return inversion(a.center + 0.0)  # already concentric: any inversion center works; use pole in a
     axis = (b.center - a.center) / d
     # inverse-point pair on the axis: positions x, y from a.center with
@@ -204,7 +205,7 @@ def fit_similarity(src: dict, dst: dict):
     A = np.stack([zs, np.ones_like(zs)], axis=1)
     sol, *_ = np.linalg.lstsq(A, ws, rcond=None)
     alpha, beta = sol
-    if abs(alpha) <= EPS_GEOM:
+    if abs(alpha) <= geom.EPS_GEOM:
         raise DegenerateInput("degenerate similarity fit")
     m = similarity(alpha, beta)
     res = _alignment_residual(m, src, dst)
@@ -342,7 +343,7 @@ def _outer_general_position(comp_c: Disk, comp_t: Disk, mapped: dict, mapped_t: 
     # from the other configuration; circle-level transversality only.
     def transverse(d1: Disk, d2: Disk) -> bool:
         d = abs(d1.center - d2.center)
-        return abs(d - (d1.radius + d2.radius)) > EPS_GEOM and abs(d - abs(d1.radius - d2.radius)) > EPS_GEOM
+        return abs(d - (d1.radius + d2.radius)) > geom.EPS_GEOM and abs(d - abs(d1.radius - d2.radius)) > geom.EPS_GEOM
 
     if not transverse(comp_c, comp_t):
         return False
@@ -358,14 +359,14 @@ def _pick_differing(disks: dict, disks_t: dict, exclude: set):
     cands = [v for v in sorted(disks, key=str) if v not in exclude]
     for v in cands:
         a, b = disks[v], disks_t[v]
-        if abs(a.radius - b.radius) > EPS_GEOM or abs(abs(a.center) - abs(b.center)) > EPS_GEOM:
+        if abs(a.radius - b.radius) > geom.EPS_GEOM or abs(abs(a.center) - abs(b.center)) > geom.EPS_GEOM:
             return v
     return cands[0] if cands else None
 
 
 def _rotate_to_positive_axis(disks: dict, v):
     c = disks[v].center
-    if abs(c) <= EPS_GEOM:
+    if abs(c) <= geom.EPS_GEOM:
         return IDENTITY
     return similarity(abs(c) / c)
 
@@ -388,7 +389,7 @@ def _normalize_plane_vs_hyp(config, config_tilde, inc, epsilon):
     cur = apply_to_disks(m_c, config.disks)
     cur_t = apply_to_disks(m_t, config_tilde.disks)
     cb, cbt = abs(cur[b].center), abs(cur_t[b].center)
-    if cb > EPS_GEOM and cbt > EPS_GEOM:
+    if cb > geom.EPS_GEOM and cbt > geom.EPS_GEOM:
         m_c = compose(similarity(cbt / cb), m_c)
     center_b = apply_disk(m_t, config_tilde.disks[b]).center
     m_c = compose(dilation_about(center_b, 1 + epsilon), m_c)
@@ -428,7 +429,7 @@ def _normalize_concentric_modes(config, config_tilde, inc, epsilon, dilation_anc
     cur = {v: apply_disk(m_c, config.disks[v]) for v in config.labels if v != a}
     cur_t = {v: apply_disk(m_t, config_tilde.disks[v]) for v in config.labels if v != a}
     cc, cct = abs(cur[c].center), abs(cur_t[c].center)
-    if cc > EPS_GEOM and cct > EPS_GEOM:
+    if cc > geom.EPS_GEOM and cct > geom.EPS_GEOM:
         m_c = compose(similarity(cct / cc), m_c)
     anchor_vertex = c if dilation_anchor == "c" else b
     anchor_pt = apply_disk(m_t, config_tilde.disks[anchor_vertex]).center
@@ -471,7 +472,7 @@ def _hyp_radius(d: Disk) -> float:
 
 def _hyp_translation_to_origin(d: Disk) -> MoebiusMap:
     """Hyperbolic isometry of the unit disk sending d's hyperbolic center to 0."""
-    if abs(d.center) <= EPS_GEOM:
+    if abs(d.center) <= geom.EPS_GEOM:
         return IDENTITY
     h1 = math.atanh(abs(d.center) - d.radius)
     h2 = math.atanh(abs(d.center) + d.radius)
@@ -484,7 +485,7 @@ def _normalize_hyp_hyp(config, config_tilde, inc, epsilon):
     labels = sorted(config.labels, key=str)
     a = None
     for v in labels:
-        if abs(_hyp_radius(config.disks[v]) - _hyp_radius(config_tilde.disks[v])) > EPS_GEOM:
+        if abs(_hyp_radius(config.disks[v]) - _hyp_radius(config_tilde.disks[v])) > geom.EPS_GEOM:
             a = v
             break
     if a is None:
@@ -505,7 +506,7 @@ def _normalize_hyp_hyp(config, config_tilde, inc, epsilon):
     cur = apply_to_disks(m_c, config.disks)
     cur_t = apply_to_disks(m_t, config_tilde.disks)
     cb, cbt = abs(cur[b].center), abs(cur_t[b].center)
-    if cb > EPS_GEOM and cbt > EPS_GEOM:
+    if cb > geom.EPS_GEOM and cbt > geom.EPS_GEOM:
         m_c = compose(similarity(cbt / cb), m_c)
     center_b = apply_disk(m_t, config_tilde.disks[b]).center
     m_c = compose(dilation_about(center_b, 1 + epsilon), m_c)

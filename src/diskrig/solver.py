@@ -8,7 +8,7 @@ places centers breadth-first and re-derives the incidence data as a check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,23 +65,6 @@ class Triangulation:
 
     def edges(self):
         return sorted(self.edge_faces, key=lambda e: tuple(sorted(e, key=str)))
-
-    def neighbors(self, v):
-        out = set()
-        for e in self.edge_faces:
-            if v in e:
-                out |= e
-        out.discard(v)
-        return out
-
-
-@dataclass
-class SolverState:
-    radii: dict
-    target_angle_sums: dict
-    tolerance: float
-    max_iters: int
-    iteration_log: list = field(default_factory=list)
 
 
 def edge_length(r_i: float, r_j: float, theta: float) -> float:

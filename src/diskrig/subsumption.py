@@ -33,14 +33,6 @@ class SubsumptionReport:
     subsets: list
     lower_bound: int
 
-    @property
-    def maximal_subsets(self):
-        return [s.vertices for s in self.subsets]
-
-    @property
-    def isolated_flags(self):
-        return [s.isolated for s in self.subsets]
-
 
 def _containment_direction(d: Disk, dt: Disk) -> str | None:
     rel = disk_relation(d, dt)

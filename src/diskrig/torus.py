@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import SampledLoopMap, _winding_of_closed, loop_index, robust_loop_index, winding_number
+from . import geom
+from .boundary import SampledLoopMap, _refine, _winding_of_closed, loop_index, winding_number
 from .config import Eye
 from .errors import (
     AlternationViolated,
@@ -24,7 +25,6 @@ from .errors import (
     PathThroughTorusPoint,
 )
 from .geom import (
-    EPS_GEOM,
     Arc,
     Disk,
     DiskRelation,
@@ -253,7 +253,7 @@ def index_via_torus(gmap: GraphMap, u: complex | None = None) -> int:
         x_u = (param.chain.param_of(u) - gmap.base_s) % 1.0
     u_pt = gmap.source_point(x_u)
     ut_pt = gmap.image_point(x_u)
-    if param.chain_t.distance(u_pt) <= 10 * EPS_GEOM or param.chain.distance(ut_pt) <= 10 * EPS_GEOM:
+    if param.chain_t.distance(u_pt) <= 10 * geom.EPS_GEOM or param.chain.distance(ut_pt) <= 10 * geom.EPS_GEOM:
         raise BasePointOnBoundary("base point or its image lies on the other curve")
     w1 = winding_number(param.chain.dense_samples(), ut_pt)
     w2 = winding_number(param.chain_t.dense_samples(), u_pt)
@@ -523,7 +523,7 @@ def find_zero_index_eye_map(eye: Eye, eye_t: Eye) -> GraphMap:
 def graph_eta(gmap: GraphMap) -> int:
     """Directly computed displacement winding of a graph map, refining the
     sampling while the fixed-point-free certificate fails."""
-    return robust_loop_index(lambda d: gmap.loop(4096 * d), max_density=16)
+    return _refine(lambda d: loop_index(gmap.loop(4096 * d)))
 
 
 def three_point_map(k_obj, kt_obj, zs, zts) -> tuple[GraphMap, int]:

@@ -1,10 +1,16 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from diskrig.boundary import (
+    BASE_STEP,
+    CORNER_REFINE,
+    CORNER_WINDOW,
     SampledLoopMap,
+    _arc_offsets,
+    _refine,
     boundary_complex,
     build_faithful_map,
     fixed_point_index,
@@ -77,7 +83,7 @@ def test_boundary_complex_shapes():
         ring_items.append((k, Disk(2 * np.exp(2j * math.pi * k / n), 1.2)))
     ring = boundary_complex(DiskConfiguration(ring_items))
     assert len(ring.curves) == 2
-    areas = sorted(signed_area(pts) for pts, _v, _t in ring.curve_samples())
+    areas = sorted(signed_area(pts) for pts in ring.curve_samples())
     assert areas[0] < 0 < areas[1]  # inner curve clockwise, outer counterclockwise
 
 
@@ -256,3 +262,111 @@ def test_multiply_connected_ring_pair(rng):
     # decomposition invariance: permuting the curve pairing order cannot
     # change the sum
     assert fixed_point_index(fmap).eta == rep.eta
+
+
+# --- differential oracles: the earlier set-based grid and grouped evaluation ----------
+
+
+def _reference_arc_offsets(span, refine_start, refine_end, density=1):
+    step = BASE_STEP / density
+    n = max(4, int(math.ceil(span / step)))
+    pts = set(np.linspace(0.0, span, n, endpoint=False))
+    fine = step / CORNER_REFINE
+    win = min(CORNER_WINDOW, span / 2)
+    if refine_start:
+        pts.update(np.arange(0.0, win, fine))
+    if refine_end:
+        pts.update(span - np.arange(fine, win, fine))
+    return np.array(sorted(p for p in pts if 0.0 <= p < span - 1e-15))
+
+
+def _reference_eval_vmaps(vmaps, verts, thetas):
+    out = np.empty(len(thetas), dtype=complex)
+    groups = {}
+    for idx, v in enumerate(verts):
+        groups.setdefault(v, []).append(idx)
+    for v, idxs in groups.items():
+        sel = np.asarray(idxs)
+        out[sel] = vmaps[v].eval_point(thetas[sel])
+    return out
+
+
+def _reference_loop(config, curve, vmaps, density):
+    pts, verts, thetas = [], [], []
+    for piece in curve.pieces:
+        disk = config.disks[piece.vertex]
+        offs = _reference_arc_offsets(piece.da, piece.start is not None, piece.end is not None, density)
+        ang = piece.a0 + offs
+        pts.append(disk.center + disk.radius * np.exp(1j * ang))
+        verts.extend([piece.vertex] * len(offs))
+        thetas.append(ang)
+    return np.concatenate(pts), _reference_eval_vmaps(vmaps, verts, np.concatenate(thetas))
+
+
+def test_arc_offsets_match_set_reference(rng):
+    spans = [2 * math.pi, 0.1, 0.1 + 1e-13, 2 * CORNER_WINDOW, 1e-3, 3e-12]
+    spans += list(rng.uniform(0, 2 * math.pi, 12)) + list(rng.uniform(0, 0.2, 6))
+    for span in spans:
+        for refine_start in (False, True):
+            for refine_end in (False, True):
+                for density in range(1, 17):
+                    got = _arc_offsets(span, refine_start, refine_end, density)
+                    want = _reference_arc_offsets(span, refine_start, refine_end, density)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_loops_match_grouped_reference():
+    items = [(k, Disk(2 * np.exp(2j * math.pi * k / 6), 1.2)) for k in range(6)]
+    ring = DiskConfiguration(items)
+    ring_t = ring.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d))
+    fmaps = [build_faithful_map(NEGIDX_C, NEGIDX_CT, pins=NEGIDX_PINS), build_faithful_map(ring, ring_t)]
+    for fmap in fmaps:
+        for density in (1, 2, 4, 8, 16):
+            loops = fmap.loops(density)
+            assert len(loops) == len(fmap.pairing)
+            for loop, (si, _di) in zip(loops, fmap.pairing):
+                src, dst = _reference_loop(fmap.config, fmap.complex_src.curves[si], fmap.vmaps, density)
+                assert loop.src.tobytes() == src.tobytes() and loop.dst.tobytes() == dst.tobytes()
+    sub = ring.restricted({0, 1, 2})
+    for loop, curve in zip(fmaps[1].subset_loops({0, 1, 2}, 2), boundary_complex(sub).curves):
+        src, dst = _reference_loop(sub, curve, fmaps[1].vmaps, 2)
+        assert loop.src.tobytes() == src.tobytes() and loop.dst.tobytes() == dst.tobytes()
+
+
+def test_refine_tries_every_density_then_reraises():
+    seen = []
+
+    def never_certified(density):
+        seen.append(density)
+        raise NearFixedPoint("certificate fails")
+
+    with pytest.raises(NearFixedPoint):
+        _refine(never_certified)
+    assert seen == [1, 2, 4, 8, 16]
+
+
+def test_refine_stops_at_first_certified_density():
+    seen = []
+
+    def certified_from_four(density):
+        seen.append(density)
+        if density < 4:
+            raise NearFixedPoint("certificate fails")
+        return density
+
+    assert _refine(certified_from_four) == 4
+    assert seen == [1, 2, 4]
+
+
+def test_refine_frees_failed_loops_before_next_density():
+    built = []
+
+    def index_at(density):
+        assert all(ref() is None for ref in built)
+        loop = SampledLoopMap(np.zeros(4, dtype=complex), np.ones(4, dtype=complex))
+        built.append(weakref.ref(loop))
+        if density < 8:
+            raise NearFixedPoint("certificate fails")
+        return density
+
+    assert _refine(index_at) == 8

@@ -85,6 +85,22 @@ def test_check_pair_identical(tangent_triple, capsys):
     assert "general_position: False" in capsys.readouterr().out
 
 
+def test_eps_geom_reaches_config_and_ends_with_the_call(tmp_path, capsys):
+    from diskrig import geom
+
+    # the two disks a miss tangency by 1e-6: a tangential cross pair only
+    # under a tolerance above that gap
+    c = _write(tmp_path / "c.json", {"schema_version": 1, "disks": [{"id": "a", "cx": 0.0, "cy": 0.0, "r": 1.0}]})
+    ct = _write(tmp_path / "ct.json", {"schema_version": 1, "disks": [{"id": "a", "cx": 2.000001, "cy": 0.0, "r": 1.0}]})
+    assert main(["--json", "check", c, ct]) == 0
+    assert json.loads(capsys.readouterr().out)["general_position"] is True
+    assert main(["--eps-geom", "1e-5", "--json", "check", c, ct]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["general_position"] is False
+    assert ["tangential_cross_pair", "a", "a"] in payload["general_position_violations"]
+    assert geom.EPS_GEOM == 1e-9
+
+
 def test_index_refuses_mismatched_angles(mismatched_pair, capsys):
     c, ct = mismatched_pair
     assert main(["index", c, ct]) == 2
