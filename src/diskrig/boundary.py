@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -349,6 +349,9 @@ class FaithfulMap:
     complex_dst: BoundaryComplex
     vmaps: dict
     pairing: list  # (src curve index, dst curve index)
+    # (EPS_GEOM, IndexReport) of the last fixed_point_index; nothing changes a
+    # map after build_faithful_map, so the report holds while EPS_GEOM does
+    _index: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def loops(self, density: int = 1):
         return [_curve_loop(self.config, self.complex_src.curves[si], self.vmaps, density) for si, _di in self.pairing]
@@ -533,7 +536,11 @@ def loop_index(loop: SampledLoopMap) -> int:
 
 def fixed_point_index(fmap: FaithfulMap) -> IndexReport:
     """Per-curve displacement winding and the multiply-connected sum, refining
-    the sampling on NearFixedPoint up to the densest grid."""
+    the sampling on NearFixedPoint up to the densest grid.  The report is kept
+    on the map and returned again while EPS_GEOM is unchanged."""
+    eps = geom.EPS_GEOM
+    if fmap._index is not None and fmap._index[0] == eps:
+        return fmap._index[1]
 
     def index_at(density):
         loops = fmap.loops(density)
@@ -541,7 +548,9 @@ def fixed_point_index(fmap: FaithfulMap) -> IndexReport:
         min_disp = min(float(np.min(np.abs(l.displacement()))) for l in loops)
         return IndexReport(int(sum(per_curve)), per_curve, min_disp)
 
-    return _refine(index_at)
+    report = _refine(index_at)
+    fmap._index = (eps, report)
+    return report
 
 
 def index_additivity(map_k: SampledLoopMap, map_l: SampledLoopMap):

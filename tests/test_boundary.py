@@ -370,3 +370,31 @@ def test_refine_frees_failed_loops_before_next_density():
         return density
 
     assert _refine(index_at) == 8
+
+
+# --- the index report kept on the map ----------------------------------------------
+
+
+def test_fixed_point_index_samples_each_map_once(monkeypatch):
+    from diskrig import boundary, experiments, geom
+
+    calls = []
+    loops = boundary.FaithfulMap.loops
+    monkeypatch.setattr(boundary.FaithfulMap, "loops", lambda self, density=1: calls.append(density) or loops(self, density))
+    items = [(k, Disk(2 * np.exp(2j * math.pi * k / 6), 1.2)) for k in range(6)]
+    c = DiskConfiguration(items)
+    fmap = build_faithful_map(c, c.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d)))
+    rep = fixed_point_index(fmap)
+    sampled = len(calls)
+    assert sampled >= 1
+    assert fixed_point_index(fmap) is rep
+    lhs_a, rhs_a = experiments.obs_a_identity(fmap)
+    lhs_b, rhs_b = experiments.main_b_identity(fmap, {0, 1, 2})
+    assert lhs_a == rhs_a == lhs_b == rhs_b == rep.eta
+    assert len(calls) == sampled
+    # a changed tolerance samples afresh
+    monkeypatch.setattr(geom, "EPS_GEOM", 2e-9)
+    again = fixed_point_index(fmap)
+    assert len(calls) == 2 * sampled
+    assert again is not rep and again.eta == rep.eta
+    assert fixed_point_index(fmap) is again

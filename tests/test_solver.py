@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from diskrig.config import contact_graph, is_thin
-from diskrig.errors import UnsupportedAngle
+from diskrig import solver
+from diskrig.config import DiskConfiguration, contact_graph, is_thin
+from diskrig.errors import DiskrigError, ExtraneousContact, InconsistentPlacement, Nonconvergence, UnsupportedAngle
+from diskrig.geom import Disk
 from diskrig.solver import (
     FixedBoundaryRadii,
     PrescribedBoundaryAngleSums,
@@ -189,3 +191,189 @@ def test_triangulation_validation():
         Triangulation([0, 1, 2], [(0, 1, 2), (0, 1, 2), (0, 2, 1)])
     with pytest.raises(ValueError):
         Triangulation([0, 1], [(0, 1, 1)])
+
+
+# --- differential oracle: the dict-copy bisection the star tables replaced --------
+
+
+def _reference_solve_radii(tri, theta, boundary_condition, *, tol=1e-10, max_iters=2000, initial=None):
+    """The sweep as it was before the star tables: every evaluation copies the
+    radius dict and calls the public ``angle_sum``."""
+    for e in tri.edges():
+        t = solver._theta_of(theta, *tuple(e))
+        if t < -1e-15 or t > math.pi / 2 + 1e-12:
+            raise UnsupportedAngle(f"theta{tuple(e)}={t}")
+    radii = {v: 1.0 for v in tri.vertices}
+    if initial:
+        radii.update({v: float(r) for v, r in initial.items()})
+    targets = {v: 2 * math.pi for v in tri.interior_vertices}
+    if isinstance(boundary_condition, FixedBoundaryRadii):
+        for v, r in boundary_condition.values.items():
+            radii[v] = float(r)
+        unknowns = list(tri.interior_vertices)
+    else:
+        targets.update(boundary_condition.values)
+        unknowns = list(tri.interior_vertices) + list(tri.boundary_vertices)
+    unknowns = sorted(unknowns, key=str)
+    log = []
+    for _ in range(max_iters):
+        worst = 0.0
+        for v in unknowns:
+            radii[v] = _reference_solve_vertex(tri, v, radii, theta, targets[v], tol / 10)
+        for v in unknowns:
+            worst = max(worst, abs(angle_sum(tri, v, radii, theta) - targets[v]))
+        log.append(worst)
+        if worst < tol:
+            return radii
+    raise Nonconvergence(f"residual {log[-1]:.3g} after {max_iters} sweeps")
+
+
+def _reference_solve_vertex(tri, v, radii, theta, target, tol):
+    def f(r):
+        trial = dict(radii)
+        trial[v] = r
+        return angle_sum(tri, v, trial, theta) - target
+
+    lo = solver._bracket(f, radii[v], factor=0.5, want_positive=True, vertex=v)
+    hi = solver._bracket(f, radii[v], factor=2.0, want_positive=False, vertex=v)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if abs(fm) < tol:
+            return mid
+        if fm > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-16 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _hex_two_ring():
+    """The 19-vertex hexagonal patch of tests/test_acceptance.py."""
+    faces = []
+    a = lambda i: 1 + (i % 6)
+    r = lambda i: 7 + 2 * (i % 6)
+    m = lambda i: 8 + 2 * (i % 6)
+    for i in range(6):
+        faces += [(0, a(i), a(i + 1)), (a(i), r(i), m(i)), (a(i), m(i), a(i + 1)), (a(i + 1), m(i), r(i + 1))]
+    return Triangulation(list(range(19)), faces)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except DiskrigError as exc:
+        return (type(exc), str(exc))
+
+
+def _assert_same_solve(tri, theta, bc, **kwargs):
+    got = _outcome(solve_radii, tri, theta, bc, **kwargs)
+    want = _outcome(_reference_solve_radii, tri, theta, bc, **kwargs)
+    assert got == want
+    if isinstance(want, dict):
+        assert all(type(r) is float for r in got.values())
+    return got
+
+
+def _uniform_theta(tri, rng):
+    return {e: float(rng.uniform(0, 0.95 * math.pi / 2)) for e in tri.edges()}
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_solve_matches_reference_on_flowers(n):
+    rng = np.random.default_rng([41, n])
+    tri = flower(n)
+    theta = _uniform_theta(tri, rng)
+    fixed = FixedBoundaryRadii({k: float(rng.uniform(0.8, 1.25)) for k in range(1, n + 1)})
+    init = {v: float(np.exp(rng.normal(0, 0.5))) for v in tri.vertices}
+    petal_sums = PrescribedBoundaryAngleSums({k: (n - 2) * math.pi / n for k in range(1, n + 1)})
+    outcomes = [
+        _assert_same_solve(tri, theta, fixed),
+        _assert_same_solve(tri, theta, fixed, initial=init),
+        _assert_same_solve(tri, theta, petal_sums),
+    ]
+    # three petals overlapping this deeply leave the centre no room, and both
+    # sweeps fail the same way
+    assert all(isinstance(o, tuple if n == 3 else dict) for o in outcomes)
+
+
+def test_solve_matches_reference_on_double_flower():
+    rng = np.random.default_rng(42)
+    tri = double_flower()
+    for theta in ({}, _uniform_theta(tri, rng)):
+        fixed = FixedBoundaryRadii({k: float(rng.uniform(0.8, 1.25)) for k in range(2, 8)})
+        assert isinstance(_assert_same_solve(tri, theta, fixed), dict)
+        prescribed = PrescribedBoundaryAngleSums({k: 2 * math.pi / 3 for k in range(2, 8)})
+        assert isinstance(_assert_same_solve(tri, theta, prescribed), dict)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_solve_matches_reference_on_two_ring(seed):
+    rng = np.random.default_rng([43, seed])
+    tri = _hex_two_ring()
+    theta = _uniform_theta(tri, rng)
+    fixed = FixedBoundaryRadii({v: float(rng.uniform(0.8, 1.25)) for v in tri.boundary_vertices})
+    assert isinstance(_assert_same_solve(tri, theta, fixed), dict)
+    init = {v: float(np.exp(rng.normal(0, 0.5))) for v in tri.interior_vertices}
+    _assert_same_solve(tri, theta, fixed, initial=init)
+
+
+def test_star_angle_sum_is_bit_equal_to_angle_sum(rng):
+    for tri in [flower(n) for n in range(3, 13)] + [double_flower(), _hex_two_ring()]:
+        theta = _uniform_theta(tri, rng)
+        for _ in range(20):
+            radii = {v: float(np.exp(rng.normal(0, 0.5))) for v in tri.vertices}
+            for v in tri.vertices:
+                sides = solver._star_sides(solver._star(tri, v, theta), radii)
+                assert solver._star_angle_sum(sides, radii[v]) == angle_sum(tri, v, radii, theta)
+
+
+# --- layout errors name their cause -------------------------------------------------
+
+
+def test_near_tangent_spoke_reads_as_tangent():
+    # theta = 2e-5 puts the centres within 1e-10 of the radius sum, inside
+    # EPS_GEOM, so the re-derived angle is 0
+    tri = flower(6)
+    theta = {e: 0.3 for e in tri.edges()}
+    theta[frozenset((0, 1))] = 2e-5
+    radii = solve_radii(tri, theta, FixedBoundaryRadii({k: 1.0 for k in range(1, 7)}))
+    with pytest.raises(InconsistentPlacement, match=r"edge \(0, 1\) off by 2e-05: read as tangent.*EPS_GEOM=1e-09"):
+        layout(tri, radii, theta)
+
+
+def test_angle_mismatch_away_from_tangency_reads_as_drift():
+    tri = flower(6)
+    theta = {e: 0.3 for e in tri.edges()}
+    cfg = layout(tri, solve_radii(tri, theta, FixedBoundaryRadii({k: 1.0 for k in range(1, 7)})), theta)
+    shifted = dict(theta)
+    shifted[frozenset((2, 3))] = 0.3 + 2e-6
+    with pytest.raises(InconsistentPlacement, match=r"edge \(2, 3\) off by 2e-06: numerical drift"):
+        solver._verify_incidence(tri, shifted, cfg)
+
+
+def test_extraneous_contact_lists_overlap_depth():
+    tri = flower(4)
+    cfg = layout(tri, solve_radii(tri, {}, FixedBoundaryRadii({k: 1.0 for k in range(1, 5)})), {})
+    d1, d3 = cfg.disks[1], cfg.disks[3]
+    grown = DiskConfiguration([(v, Disk(d.center, 1.5) if v in (1, 3) else d) for v, d in cfg.disks.items()])
+    depth = 3.0 - abs(d1.center - d3.center)
+    with pytest.raises(ExtraneousContact, match=rf"\(1, 3\) by {depth:.3g}$"):
+        solver._verify_incidence(tri, {}, grown)
+
+
+def test_solve_logs_each_sweep_and_the_solve(caplog):
+    tri = double_flower()
+    bc = FixedBoundaryRadii({k: 1.0 for k in range(2, 8)})
+    with caplog.at_level("WARNING", logger="diskrig.solver"):
+        solve_radii(tri, {}, bc)
+    assert not caplog.records
+    with caplog.at_level("DEBUG", logger="diskrig.solver"):
+        solve_radii(tri, {}, bc)
+    sweeps = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+    (done,) = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+    assert sweeps and all(m.startswith(f"sweep {k}: residual ") for k, m in enumerate(sweeps, 1))
+    assert done.startswith(f"solved 2 radii in {len(sweeps)} sweeps, residual ")
+    assert float(done.rsplit(" ", 1)[1]) < 1e-10
