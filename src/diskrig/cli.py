@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="diskrig", description=__doc__)
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--eps-geom", type=float, default=None, help="override the geometric tolerance")
-    ap.add_argument("--eps-angle", type=float, default=1e-7, help="angle comparison tolerance")
+    ap.add_argument("--eps-angle", type=float, default=geom.EPS_ANGLE, help="angle comparison tolerance")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -11,7 +11,7 @@ import numpy as np
 from .boundary import FaithfulMap, _refine, build_faithful_map, fixed_point_index, loop_index
 from .config import DiskConfiguration, contact_graph, is_general_position, is_thin
 from .errors import CoincidentCorner, CombinatoricsMismatch, NearFixedPoint
-from .geom import Disk, overlaps
+from .geom import Disk, center_distance, overlaps
 from .moebius import MoebiusMap, apply_disk, compose, dilation_about, inversion, similarity
 from .solver import FixedBoundaryRadii, flower, layout, solve_radii
 from .subsumption import index_lower_bound, subsumptive_subsets
@@ -33,7 +33,7 @@ def random_chain_config(rng, n=None) -> DiskConfiguration:
         disks.append((k, Disk(c, r)))
         r2 = rng.uniform(0.7, 1.3)
         theta = rng.uniform(0.15, 0.8) * math.pi / 2
-        d = math.sqrt(r * r + r2 * r2 + 2 * r * r2 * math.cos(theta))
+        d = center_distance(r, r2, theta)
         heading += rng.normal(0, 0.5)
         c = c + d * np.exp(1j * heading)
         r = r2

@@ -83,6 +83,12 @@ def meets(a: Disk, b: Disk) -> bool:
     )
 
 
+def center_distance(r_a: float, r_b: float, theta: float) -> float:
+    """Center distance realizing the overlap angle theta in [0, pi) between
+    radii r_a and r_b (law of cosines; inverse of overlap_angle)."""
+    return math.sqrt(r_a * r_a + r_b * r_b + 2 * r_a * r_b * math.cos(theta))
+
+
 def overlap_angle(a: Disk, b: Disk) -> float:
     """External intersection angle of an overlapping or tangent pair, in [0, pi)."""
     rel = disk_relation(a, b)
@@ -208,6 +214,12 @@ def arc_circle_crossings(arc: Arc, other: Disk) -> list[complex]:
     return out
 
 
+def arc_crossings(arc: Arc, arc_t: Arc) -> list[complex]:
+    """Transverse crossing points of two arcs: the crossings of arc with the
+    circle of arc_t that lie on arc_t, in arc_circle_crossings order."""
+    return [p for p in arc_circle_crossings(arc, arc_t.disk) if arc_contains_angle(arc_t, arc_t.disk.angle_of(p))]
+
+
 def arc_in_disk(arc: Arc, other: Disk) -> bool:
     """Whether the closed arc lies inside the closed disk `other`.
 
@@ -277,13 +289,9 @@ def regions_meet(r1, r2) -> bool:
     """Whether two closed lens/lune regions intersect (exact circle tests)."""
     for a1 in _region_arcs(r1):
         for a2 in _region_arcs(r2):
-            for p in arc_circle_crossings(a1, a2.disk):
-                if arc_contains_angle(a2, a2.disk.angle_of(p)):
-                    # boundary curves cross inside both arcs; but the crossing
-                    # must lie on both region boundaries, which it does by
-                    # construction.
-                    if r1.contains(p) and r2.contains(p):
-                        return True
+            for p in arc_crossings(a1, a2):
+                if r1.contains(p) and r2.contains(p):
+                    return True
     # no boundary crossing: disjoint or nested
     if r2.contains(r1.sample_point()) or r1.contains(r2.sample_point()):
         return True

@@ -22,7 +22,9 @@ from .geom import (
     Lune,
     arc_between,
     arc_circle_crossings,
+    arc_crossings,
     arc_in_disk,
+    center_distance,
     circle_intersections,
     disk_relation,
     lens_in_disk,
@@ -40,11 +42,6 @@ class LemmaInstance:
     lemma_id: str
     disks: dict
     margin: float = math.nan
-
-
-def _pair_distance(r1: float, r2: float, theta: float) -> float:
-    """Center distance realizing a given overlap angle (any theta < pi)."""
-    return math.sqrt(r1 * r1 + r2 * r2 + 2 * r1 * r2 * math.cos(theta))
 
 
 def _no_containment(*disks) -> bool:
@@ -213,14 +210,14 @@ def generate_finlandia(rng, *, shrink=None) -> LemmaInstance | None:
     theta = rng.uniform(0.15, 0.9) * math.pi
     rB = rng.uniform(0.7, 1.3)
     A = Disk(0j, 1.0)
-    B = Disk(_pair_distance(1.0, rB, theta) + 0j, rB)
+    B = Disk(center_distance(1.0, rB, theta) + 0j, rB)
     st = shrink if shrink is not None else rng.uniform(0.6, 0.92)
     rat = st * rng.uniform(0.9, 1.0)
     cat = complex(*rng.normal(0, (1 - rat) * 0.4, 2))
     At = Disk(cat, rat)
     rbt = rB * st * rng.uniform(0.85, 1.0)
     direction = np.exp(1j * rng.uniform(-0.5, 0.5))
-    Bt = Disk(cat + _pair_distance(rat, rbt, theta) * direction, rbt)
+    Bt = Disk(cat + center_distance(rat, rbt, theta) * direction, rbt)
     disks = {"A": A, "B": B, "At": At, "Bt": Bt}
     inst = LemmaInstance("finlandia", disks)
     return inst if finlandia_hypothesis(disks) else None
@@ -253,7 +250,7 @@ def generate_mogwai(rng, *, closeness=None) -> LemmaInstance | None:
     A = Disk(0j, 1.0)
     rC = rng.uniform(0.5, 1.4)
     theta = rng.uniform(0.1, 0.85) * math.pi
-    C = Disk(_pair_distance(1.0, rC, theta) * np.exp(1j * rng.uniform(0, TWO_PI)), rC)
+    C = Disk(center_distance(1.0, rC, theta) * np.exp(1j * rng.uniform(0, TWO_PI)), rC)
     lens = Lens(A, C)
     u, v = lens.corners
     mid = (u + v) / 2
@@ -375,7 +372,7 @@ def generate_hat(rng) -> LemmaInstance | None:
     r1, r2 = rng.uniform(0.6, 1.1, 2)
     theta = rng.uniform(0.2, 0.95) * math.pi
     dm = Disk(0j, r1)
-    dp = Disk(_pair_distance(r1, r2, theta) + 0j, r2)
+    dp = Disk(center_distance(r1, r2, theta) + 0j, r2)
     u, v = circle_intersections(dm, dp)
     mid = (u + v) / 2
     R = abs(u - mid) * rng.uniform(1.4, 3.0) + rng.uniform(0.2, 0.8)
@@ -408,7 +405,7 @@ def generate_shoes(rng) -> LemmaInstance | None:
     r1, r2 = rng.uniform(0.7, 1.2, 2)
     theta = rng.uniform(0.25, 0.9) * math.pi
     dm = Disk(0j, r1)
-    dp = Disk(_pair_distance(r1, r2, theta) + 0j, r2)
+    dp = Disk(center_distance(r1, r2, theta) + 0j, r2)
     u, v = circle_intersections(dm, dp)
     corner = u if rng.random() < 0.5 else v
     R = rng.uniform(0.45, 1.0)
@@ -447,7 +444,7 @@ def generate_pop(rng) -> LemmaInstance | None:
     r1, r2 = rng.uniform(0.9, 1.3, 2)
     theta = rng.uniform(0.3, 0.8) * math.pi
     dm = Disk(0j, r1)
-    dist = _pair_distance(r1, r2, theta)
+    dist = center_distance(r1, r2, theta)
     dp = Disk(dist + 0j, r2)
     R = rng.uniform(0.3, 0.62)
     D = Disk(complex(dist / 2 + rng.normal(0, 0.08), rng.normal(0, 0.08)), R)
@@ -493,14 +490,7 @@ def eye_boundary_crossing_pairs(q: EyeQuadruple):
     E, Et = q.eye_regions()
     arcs = list(zip(("A", "B"), E.boundary_arcs()))
     arcs_t = list(zip(("At", "Bt"), Et.boundary_arcs()))
-    out = []
-    for name, a in arcs:
-        for name_t, b in arcs_t:
-            for z in arc_circle_crossings(a, b.disk):
-                t = (b.disk.angle_of(z) - b.a0) % TWO_PI
-                if t <= b.da:
-                    out.append(((name, name_t), z))
-    return out
+    return [((name, name_t), z) for name, a in arcs for name_t, b in arcs_t for z in arc_crossings(a, b)]
 
 
 def check_eye_lemmas(q: EyeQuadruple) -> dict:
@@ -561,7 +551,7 @@ def generate_eye_quadruple(rng, *, mode="free") -> EyeQuadruple | None:
     theta = rng.uniform(0.2, 0.95) * math.pi
     rB = rng.uniform(0.7, 1.3)
     A = Disk(0j, 1.0)
-    B = Disk(_pair_distance(1.0, rB, theta) + 0j, rB)
+    B = Disk(center_distance(1.0, rB, theta) + 0j, rB)
     if mode == "rotate":
         u, v = circle_intersections(A, B)
         pivot = (u + v) / 2 + complex(*rng.normal(0, 0.05, 2))
@@ -577,7 +567,7 @@ def generate_eye_quadruple(rng, *, mode="free") -> EyeQuadruple | None:
         ct = complex(*rng.normal(0, 0.8, 2))
         direction = np.exp(1j * rng.uniform(0, TWO_PI))
         At = Disk(ct, rAt)
-        Bt = Disk(ct + _pair_distance(rAt, rBt, thetat) * direction, rBt)
+        Bt = Disk(ct + center_distance(rAt, rBt, thetat) * direction, rBt)
     q = EyeQuadruple(A, B, At, Bt)
     try:
         if not quadruple_general_position(q):

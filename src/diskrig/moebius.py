@@ -226,7 +226,10 @@ def anchor_points(disks: dict, incidence) -> list:
     """Pair-intersection and tangency points usable as alignment anchors,
     ordered deterministically by edge label."""
     pts = []
-    for (i, j) in sorted(incidence.edges):
+    # frozensets sort by inclusion, a partial order: order and unpack each
+    # edge by its labels' strings, as docio writes them
+    edges = (tuple(sorted(e, key=str)) for e in incidence.edges)
+    for i, j in sorted(edges, key=lambda t: (str(t[0]), str(t[1]))):
         a, b = disks[i], disks[j]
         rel = disk_relation(a, b)
         if rel is DiskRelation.OVERLAPPING:

@@ -84,7 +84,8 @@ class Triangulation:
 
 def edge_length(r_i: float, r_j: float, theta: float) -> float:
     """Center distance realizing overlap angle theta between radii r_i, r_j."""
-    return math.sqrt(r_i * r_i + r_j * r_j + 2 * r_i * r_j * _supported_cos(theta))
+    _supported_cos(theta)
+    return geom.center_distance(r_i, r_j, theta)
 
 
 def _supported_cos(theta, name="theta"):

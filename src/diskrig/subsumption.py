@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import geom
 from .config import DiskConfiguration, contact_graph
 from .errors import ObservationViolated
 from .geom import (
-    EPS_ANGLE,
     Disk,
     DiskRelation,
     circle_intersections,
@@ -143,7 +143,7 @@ def _build_h(config, config_tilde, subset, direction, adj):
             if rel in (DiskRelation.OVERLAPPING, DiskRelation.EXTERNALLY_TANGENT):
                 shifted = overlap_angle(disks_t[i], disks[j])
                 base = overlap_angle(disks[i], disks[j])
-                if abs(shifted - base) <= EPS_ANGLE:
+                if abs(shifted - base) <= geom.EPS_ANGLE:
                     ties.append((i, j))
                 elif shifted > base:
                     h.append((i, j))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geom
-from .boundary import SampledLoopMap, _refine, _winding_of_closed, loop_index, winding_number
+from .boundary import SampledLoopMap, _refine, _winding_of_closed, loop_index
 from .config import Eye
 from .errors import (
     AlternationViolated,
@@ -31,7 +31,7 @@ from .geom import (
     Lune,
     arc_between,
     arc_contains_angle,
-    circle_intersections,
+    arc_crossings,
     disk_relation,
     regions_meet,
 )
@@ -109,13 +109,8 @@ class ArcChain:
             best = min(best, abs(z - piece.start), abs(z - piece.end))
         return best
 
-    def dense_samples(self, n: int = 2048) -> np.ndarray:
-        return self.point(np.arange(n) / n)
-
 
 def chain_of(obj) -> ArcChain:
-    if isinstance(obj, ArcChain):
-        return obj
     if isinstance(obj, Disk):
         return ArcChain.from_disk(obj)
     if isinstance(obj, Eye):
@@ -139,6 +134,8 @@ class TorusParametrization:
     chain: ArcChain
     chain_t: ArcChain
     crossings: list
+    region: Disk | Eye  # the region bounded by chain
+    region_t: Disk | Eye
 
     @property
     def M(self) -> int:
@@ -159,20 +156,14 @@ def build_parametrization(k_obj, kt_obj) -> TorusParametrization:
             rel = disk_relation(piece.disk, piece_t.disk)
             if rel in (DiskRelation.EXTERNALLY_TANGENT, DiskRelation.INTERNALLY_TANGENT):
                 raise NotTransverse("tangent circles in the pair")
-            if rel is not DiskRelation.OVERLAPPING:
-                continue
-            for z in circle_intersections(piece.disk, piece_t.disk):
-                ta = (piece.disk.angle_of(z) - piece.a0) % TWO_PI
-                tb = (piece_t.disk.angle_of(z) - piece_t.a0) % TWO_PI
-                if ta > piece.da or tb > piece_t.da:
-                    continue
+            for z in arc_crossings(piece, piece_t):
                 tangent = 1j * (z - piece.disk.center)
                 entering = (tangent.conjugate() * (piece_t.disk.center - z)).real > 0
                 crossings.append(
                     Crossing("p" if entering else "pt", chain.param_of(z), chain_t.param_of(z), z)
                 )
     _check_alternation(crossings)
-    return TorusParametrization(chain, chain_t, crossings)
+    return TorusParametrization(chain, chain_t, crossings, k_obj, kt_obj)
 
 
 def _check_alternation(crossings):
@@ -180,14 +171,12 @@ def _check_alternation(crossings):
     if 2 * kinds_p != len(crossings):
         raise AlternationViolated("unequal numbers of entering/exiting crossings")
     for key in ("s", "s_t"):
-        seq = [c.kind for c in sorted(crossings, key=lambda c: getattr(c, key))]
+        ordered = sorted(crossings, key=lambda c: getattr(c, key))
+        seq = [c.kind for c in ordered]
         for a, b in zip(seq, seq[1:] + seq[:1]):
             if a == b:
                 raise AlternationViolated(f"crossings do not alternate along {key}")
-    coords = [getattr(c, k) for c in crossings for k in ("s",)]
-    coords_t = [c.s_t for c in crossings]
-    for vals in (coords, coords_t):
-        sv = sorted(vals)
+        sv = [getattr(c, key) for c in ordered]
         if any(b - a < 1e-12 for a, b in zip(sv, sv[1:])):
             raise AlternationViolated("crossings share a torus coordinate")
 
@@ -251,13 +240,8 @@ def index_via_torus(gmap: GraphMap, u: complex | None = None) -> int:
         x_u = 0.0
     else:
         x_u = (param.chain.param_of(u) - gmap.base_s) % 1.0
-    u_pt = gmap.source_point(x_u)
-    ut_pt = gmap.image_point(x_u)
-    if param.chain_t.distance(u_pt) <= 10 * geom.EPS_GEOM or param.chain.distance(ut_pt) <= 10 * geom.EPS_GEOM:
-        raise BasePointOnBoundary("base point or its image lies on the other curve")
-    w1 = winding_number(param.chain.dense_samples(), ut_pt)
-    w2 = winding_number(param.chain_t.dense_samples(), u_pt)
     y_u = gmap.eval_y(x_u)
+    w_total = _base_windings(param, x_u + gmap.base_s, y_u + gmap.base_st)
     p_down = p_up = pt_down = pt_up = 0
     for kind, x, y in shifted_crossings(param, gmap.base_s, gmap.base_st):
         xr = (x - x_u) % 1.0
@@ -269,11 +253,27 @@ def index_via_torus(gmap: GraphMap, u: complex | None = None) -> int:
         else:
             pt_down += below
             pt_up += not below
-    eta_down = w1 + w2 - p_down + pt_down
-    eta_up = w1 + w2 + p_up - pt_up
+    eta_down = w_total - p_down + pt_down
+    eta_up = w_total + p_up - pt_up
     if eta_down != eta_up:
         raise AlternationViolated(f"formula variants disagree: {eta_down} vs {eta_up}")
     return int(eta_down)
+
+
+def _base_windings(param: TorusParametrization, s: float, s_t: float) -> int:
+    """w(u~) about the curve of K plus w(u) about the curve of K~, for the
+    base pair u = kappa(s), u~ = kappa~(s_t).
+
+    Each chain is a positively oriented simple closed curve, so its winding
+    about a point off it is 1 inside its region and 0 outside.  The guard keeps
+    both points more than 10 EPS_GEOM from the other curve, so the strict
+    membership test (margin EPS_GEOM) reads them exactly.
+    """
+    u, ut = complex(param.chain.point(s)), complex(param.chain_t.point(s_t))
+    if param.chain_t.distance(u) <= 10 * geom.EPS_GEOM or param.chain.distance(ut) <= 10 * geom.EPS_GEOM:
+        raise BasePointOnBoundary("base point or its image lies on the other curve")
+    # int(): with a numpy centre, contains gives np.bool_, and True + True is True
+    return int(param.region.contains(ut, strict=True)) + int(param.region_t.contains(u, strict=True))
 
 
 def _eval_rebased(gmap: GraphMap, x_u: float, y_u: float, xr: float) -> float:
@@ -379,10 +379,28 @@ def path_to_homeomorphism(param: TorusParametrization, base_s, base_st, xs, ys) 
     return gmap
 
 
-def _eta_of_assignment(w_total, assignment):
-    p_down = sum(1 for kind, below in assignment if kind == "p" and below)
-    pt_down = sum(1 for kind, below in assignment if kind == "pt" and below)
+def _eta_of_assignment(w_total, sided):
+    p_down = sum(1 for kind, _x, _y, below in sided if kind == "p" and below)
+    pt_down = sum(1 for kind, _x, _y, below in sided if kind == "pt" and below)
     return w_total - p_down + pt_down
+
+
+def _build_route(param, base_s, base_st, sided, waypoints, margins):
+    """The graph map of a monotone path through the waypoints that passes
+    below each (kind, x, y, below) crossing marked below and above the rest,
+    trying the margins in turn; None when no margin gives one."""
+    below = [(x, y) for _k, x, y, b in sided if b]
+    above = [(x, y) for _k, x, y, b in sided if not b]
+    if not _feasible(below, above):
+        return None
+    labels = ["below"] * len(below) + ["above"] * len(above)
+    for margin in margins:
+        try:
+            xs, ys = _construct_path(below + above, labels, waypoints, margin=margin)
+            return path_to_homeomorphism(param, base_s, base_st, xs, ys)
+        except (PathThroughTorusPoint, DegenerateInput):
+            continue
+    return None
 
 
 def _route_search(param, base_s, base_st, waypoints, w_total, target):
@@ -404,29 +422,10 @@ def _route_search(param, base_s, base_st, waypoints, w_total, target):
             free.append((kind, x, y))
     results = []
     for bits in itertools.product((True, False), repeat=len(free)):
-        assignment = [(k, b) for k, _, _, b in forced] + [
-            (k, bit) for (k, _, _), bit in zip(free, bits)
-        ]
-        if _eta_of_assignment(w_total, assignment) != target:
+        sided = forced + [(k, x, y, bit) for (k, x, y), bit in zip(free, bits)]
+        if _eta_of_assignment(w_total, sided) != target:
             continue
-        below = [(x, y) for (k, x, y, b) in forced if b] + [
-            (x, y) for (k, x, y), bit in zip(free, bits) if bit
-        ]
-        above = [(x, y) for (k, x, y, b) in forced if not b] + [
-            (x, y) for (k, x, y), bit in zip(free, bits) if not bit
-        ]
-        if not _feasible(below, above):
-            continue
-        pts = below + above
-        labels = ["below"] * len(below) + ["above"] * len(above)
-        gmap = None
-        for margin in (0.02, 0.005, EPS_TORUS):
-            try:
-                xs, ys = _construct_path(pts, labels, waypoints, margin=margin)
-                gmap = path_to_homeomorphism(param, base_s, base_st, xs, ys)
-                break
-            except (PathThroughTorusPoint, DegenerateInput):
-                continue
+        gmap = _build_route(param, base_s, base_st, sided, waypoints, (0.02, 0.005, EPS_TORUS))
         if gmap is not None:
             results.append(gmap)
     return results
@@ -440,17 +439,10 @@ def random_monotone_graph(param: TorusParametrization, rng, base_s=None, base_st
     shifted = shifted_crossings(param, base_s, base_st)
     for _ in range(64):
         bits = rng.random(len(shifted)) < 0.5
-        below = [(x, y) for (k, x, y), b in zip(shifted, bits) if b]
-        above = [(x, y) for (k, x, y), b in zip(shifted, bits) if not b]
-        if not _feasible(below, above):
-            continue
-        pts = below + above
-        labels = ["below"] * len(below) + ["above"] * len(above)
-        try:
-            xs, ys = _construct_path(pts, labels, [])
-            return path_to_homeomorphism(param, base_s, base_st, xs, ys)
-        except (PathThroughTorusPoint, DegenerateInput):
-            continue
+        sided = [(k, x, y, b) for (k, x, y), b in zip(shifted, bits)]
+        gmap = _build_route(param, base_s, base_st, sided, [], (EPS_TORUS,))
+        if gmap is not None:
+            return gmap
     raise NoNonnegativeRoute("could not sample a monotone path")
 
 
@@ -473,23 +465,13 @@ def _gap_midpoints(vals):
 # --- zero-index eye maps and three-point prescriptions -------------------------------
 
 
-def _w_total(param: TorusParametrization, base_s, base_st) -> int:
-    u_pt = complex(param.chain.point(base_s))
-    ut_pt = complex(param.chain_t.point(base_st))
-    w1 = winding_number(param.chain.dense_samples(), ut_pt)
-    w2 = winding_number(param.chain_t.dense_samples(), u_pt)
-    return w1 + w2
-
-
 def check_eye_pair_hypotheses(eye: Eye, eye_t: Eye):
     """Hypotheses of the zero-index proposition: neither eye contains the
     other and both pairs of difference regions meet."""
     param = build_parametrization(eye, eye_t)
     if param.M == 0:
         lens, lens_t = eye.lens, eye_t.lens
-        u, v = lens.corners
-        ut, vt = lens_t.corners
-        if lens_t.contains(u) or lens.contains(ut):
+        if lens_t.contains(lens.corners[0]) or lens.contains(lens_t.corners[0]):
             raise HypothesesViolated("one eye contains the other")
         return param  # disjoint eyes: the trivial case needs no further hypotheses
     if param.M > 3:
@@ -511,7 +493,7 @@ def find_zero_index_eye_map(eye: Eye, eye_t: Eye) -> GraphMap:
     base_st = param.chain_t.marks["u"]
     cx = (param.chain.marks["v"] - base_s) % 1.0
     cy = (param.chain_t.marks["v"] - base_st) % 1.0
-    w_total = _w_total(param, base_s, base_st)
+    w_total = _base_windings(param, base_s, base_st)
     routes = _route_search(param, base_s, base_st, [(cx, cy)], w_total, target=0)
     for gmap in routes:
         report_eta = graph_eta(gmap)
@@ -538,7 +520,7 @@ def three_point_map(k_obj, kt_obj, zs, zts) -> tuple[GraphMap, int]:
     if not (0 == xs[0] < xs[1] < xs[2] and 0 == ys[0] < ys[1] < ys[2]):
         raise DegenerateInput("prescription points are not in positive cyclic order")
     waypoints = [(xs[1], ys[1]), (xs[2], ys[2])]
-    w_total = _w_total(param, base_s, base_st)
+    w_total = _base_windings(param, base_s, base_st)
     for target in range(0, w_total + param.M + 1):
         routes = _route_search(param, base_s, base_st, waypoints, w_total, target)
         for gmap in routes:

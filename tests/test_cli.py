@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from diskrig.cli import main
+import diskrig
+from diskrig import geom
+from diskrig.cli import build_parser, main
 from diskrig.docio import ConfigDocument, canonical_text, document_from_obj, read_document, write_document
 from diskrig.errors import SchemaError
 
@@ -334,3 +340,33 @@ def test_seventeen_digit_serialization():
     text = canonical_text(doc)
     assert "0.33333333333333331" in text
     assert json.loads(text)["disks"][0]["cx"] == 1 / 3
+
+
+def test_compare_is_stable_across_hash_seeds(tmp_path):
+    # string labels iterate in hash order; the alignment anchors must not
+    from diskrig.moebius import apply_disk, compose, inversion, similarity
+    from diskrig.solver import FixedBoundaryRadii, flower, layout, solve_radii
+
+    tri = flower(6)
+    cfg = layout(tri, solve_radii(tri, {}, FixedBoundaryRadii({k: 1.0 for k in range(1, 7)})), {})
+    names = dict(zip(range(7), "abcdefg"))
+    m = compose(similarity(0.8 + 0.3j, 1 - 2j), inversion(9 + 7j))
+    paths = []
+    for name, f in (("c", lambda d: d), ("t", lambda d: apply_disk(m, d))):
+        disks = [{"id": names[k], "cx": f(d).center.real, "cy": f(d).center.imag, "r": f(d).radius} for k, d in cfg.items()]
+        paths.append(_write(tmp_path / f"{name}.json", {"schema_version": 1, "disks": disks}))
+    env = dict(os.environ, PYTHONPATH=str(Path(diskrig.__file__).parents[1]))
+    outs = []
+    for seed in ("1", "2", "3"):
+        run = subprocess.run(
+            [sys.executable, "-m", "diskrig.cli", "--json", "compare", *paths],
+            env=dict(env, PYTHONHASHSEED=seed), capture_output=True, text=True, check=True,
+        )
+        outs.append(run.stdout)
+    assert json.loads(outs[0])["equivalent"]
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_eps_angle_default_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(geom, "EPS_ANGLE", 0.25)
+    assert build_parser().parse_args(["check", "x.json"]).eps_angle == 0.25

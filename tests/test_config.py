@@ -12,7 +12,7 @@ from diskrig.config import (
     is_general_position,
     is_thin,
 )
-from diskrig.errors import ContainmentViolation, HypothesesViolated
+from diskrig.errors import ContainmentViolation, DiskrigError, HypothesesViolated
 from diskrig.geom import Disk, circle_intersections
 from diskrig.moebius import apply_disk, compose, inversion, similarity
 
@@ -200,7 +200,7 @@ def test_classify_similarity_invariant(rng):
         x = Disk(complex(*rng.normal(0, 1.5, 2)), rng.uniform(0.4, 1.5))
         try:
             code = classify_triple(a, b, x, "Atilde")
-        except Exception:
+        except DiskrigError:
             continue
         s = complex(*rng.normal(0, 1, 2))
         if abs(s) < 0.2:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from diskrig import geom
 from diskrig.config import DiskConfiguration, contact_graph
-from diskrig.errors import ObservationViolated
+from diskrig.errors import DiskrigError, ObservationViolated
 from diskrig.geom import Disk, DiskRelation, disk_relation
 from diskrig.subsumption import build_H, find_sink, index_lower_bound, subsumptive_subsets
 
@@ -120,6 +121,16 @@ def test_h_direction_by_shift():
     assert (2, 1) not in info.h_edges
     assert info.sink == 2
     assert find_sink(c, ct, {1, 2}) == 2
+
+
+def test_h_tie_tolerance_is_read_at_call_time(monkeypatch):
+    c = DiskConfiguration([(1, Disk(0j, 1.0)), (2, Disk(1.6 + 0j, 1.0))])
+    ct = DiskConfiguration([(1, Disk(0.25 + 0j, 0.7)), (2, Disk(1.6 + 0j, 0.75))])
+    _hu, h, ties = build_H(c, ct, {1, 2})
+    assert (1, 2) in h and not ties
+    monkeypatch.setattr(geom, "EPS_ANGLE", 10.0)
+    _hu, h, ties = build_H(c, ct, {1, 2})
+    assert (1, 2) in ties and (1, 2) not in h
 
 
 def test_oj1_forced_by_finlandia(rng):
@@ -292,7 +303,7 @@ def test_excision_consequences_when_detected(rng):
             try:
                 eta_full = fixed_point_index(fmap).eta
                 eta_rest = sum(loop_index(l) for l in fmap.subset_loops(rest))
-            except Exception:
+            except DiskrigError:
                 continue
             assert eta_full == eta_rest
             detected += 1

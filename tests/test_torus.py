@@ -1,16 +1,22 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
+from diskrig.boundary import winding_number
 from diskrig.config import DiskConfiguration, eye_of_pair
 from diskrig.errors import (
     AlternationViolated,
     DegenerateInput,
+    DiskrigError,
     HypothesesViolated,
     NotTransverse,
     PathThroughTorusPoint,
 )
 from diskrig.geom import Disk
 from diskrig.torus import (
+    _base_windings,
     build_parametrization,
     check_eye_pair_hypotheses,
     default_base,
@@ -120,7 +126,7 @@ def test_torus_formula_equivalence_random(rng):
             g = random_monotone_graph(par, rng)
             formula = index_via_torus(g)
             direct = graph_eta(g)
-        except Exception:
+        except DiskrigError:
             continue
         assert formula == direct
         done += 1
@@ -138,7 +144,7 @@ def test_torus_formula_equivalence_eyes(rng):
             g = random_monotone_graph(par, rng)
             formula = index_via_torus(g)
             direct = graph_eta(g)
-        except Exception:
+        except DiskrigError:
             continue
         assert formula == direct
         assert verify_local_windings(par)
@@ -176,6 +182,61 @@ def test_homotopic_paths_same_eta(rng):
         a2 = [y < np.interp(x, g2.xs, g2.ys) for _k, x, y in shifted_crossings(par, *base)]
         if a1 == a2:
             assert graph_eta(g1) == graph_eta(g2)
+
+
+def test_torus_formula_on_shallow_overlaps():
+    # unit circles overlapping by h: the base point of K~ lies about 1e-6
+    # inside K, where 2048 chord samples of the circle read it as outside
+    checked = 0
+    for h in (1e-6, 5e-7, 2e-7):
+        for k in range(12):
+            kt = Disk((2 - h) * cmath.exp(1j * (2 * math.pi * k / 12 + 0.123)), 1.0)
+            par = build_parametrization(Disk(0j, 1.0), kt)
+            g = random_monotone_graph(par, np.random.default_rng(k))
+            try:
+                direct = graph_eta(g)
+            except DiskrigError:
+                continue
+            assert index_via_torus(g) == direct
+            checked += 1
+    assert checked >= 8
+
+
+def _sampled_winding(chain, z):
+    return winding_number(chain.point(np.arange(2048) / 2048), z)
+
+
+@pytest.mark.parametrize("kind", ["disk", "eye"])
+def test_windings_by_membership_match_sampled(rng, kind):
+    pairs = 0
+    while pairs < 30:
+        if kind == "disk":
+            k_obj, kt_obj = random_overlapping_pair(rng)
+        else:
+            a, b = random_overlapping_pair(rng)
+            k_obj = _eye(a.center, a.radius, b.center, b.radius)
+            # an overlapping copy, turned about the eye's centre and shifted
+            piv = (k_obj.corner_u + k_obj.corner_v) / 2
+            rot, shift = np.exp(1j * rng.uniform(0, 1.2)), complex(*rng.normal(0, 0.25, 2))
+            kt_obj = _eye(piv + (a.center - piv) * rot + shift, a.radius, piv + (b.center - piv) * rot + shift, b.radius)
+        try:
+            par = build_parametrization(k_obj, kt_obj)
+        except DiskrigError:
+            continue
+        pairs += 1
+        # region membership is the winding of the region's boundary chain,
+        # tried at points scattered about both curves
+        near = np.concatenate([par.chain.point(rng.random(20)), par.chain_t.point(rng.random(20))])
+        for z in near + rng.normal(0, 0.2, 40) + 1j * rng.normal(0, 0.2, 40):
+            for region, chain in ((par.region, par.chain), (par.region_t, par.chain_t)):
+                if chain.distance(z) >= 1e-3:
+                    assert int(region.contains(z, strict=True)) == _sampled_winding(chain, z)
+        # and the formula's two windings at base pairs on the curves
+        for s, s_t in rng.random((20, 2)):
+            u, ut = complex(par.chain.point(s)), complex(par.chain_t.point(s_t))
+            if par.chain_t.distance(u) < 1e-3 or par.chain.distance(ut) < 1e-3:
+                continue
+            assert _base_windings(par, s, s_t) == _sampled_winding(par.chain, ut) + _sampled_winding(par.chain_t, u)
 
 
 def test_path_invariants():
