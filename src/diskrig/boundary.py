@@ -101,13 +101,18 @@ def sample_disk_boundary(disk: Disk, corners=()) -> OrientedCurve:
     corner_pts = [corners[k] for k in order]
     thetas = [thetas[k] % TWO_PI for k in order]
     samples = []
-    for k, t0 in enumerate(thetas):
-        t1 = thetas[(k + 1) % len(thetas)]
-        span = (t1 - t0) % TWO_PI or TWO_PI
+    for k, (t0, span) in enumerate(zip(thetas, _cyclic_spans(thetas))):
         pts = disk.center + disk.radius * np.exp(1j * (t0 + _arc_offsets(span, True, True)))
         pts[0] = corner_pts[k]  # corners appear exactly as samples
         samples.append(pts)
     return OrientedCurve(np.concatenate(samples), +1)
+
+
+def _cyclic_spans(angles) -> list:
+    """Span from each angle to the next, cyclically; a lone angle spans the
+    full turn."""
+    n = len(angles)
+    return [(angles[(k + 1) % n] - t) % TWO_PI or TWO_PI for k, t in enumerate(angles)]
 
 
 def _arc_offsets(span: float, refine_start: bool, refine_end: bool, density: int = 1) -> np.ndarray:
@@ -157,15 +162,21 @@ class BoundaryCurve:
     def signature(self):
         return [(p.vertex, p.end.pair if p.end else None) for p in self.pieces]
 
+    def arcs(self):
+        """The pieces as (vertex, a0, da, refine_start, refine_end) arcs,
+        refined at their corners."""
+        return [(p.vertex, p.a0, p.da, p.start is not None, p.end is not None) for p in self.pieces]
+
 
 @dataclass
 class BoundaryComplex:
     config: DiskConfiguration
     curves: list
+    corners: dict  # frozenset pair -> its CornerRefs, for every meeting pair
 
     def curve_samples(self, density: int = 1):
         """Sample points of each curve."""
-        return [np.concatenate([pts for _v, _t, pts in _sample_curve(self.config, c, density)]) for c in self.curves]
+        return [np.concatenate([pts for _v, _t, pts in _sample_arcs(self.config.disks, c.arcs(), density)]) for c in self.curves]
 
 
 def _pair_corners(config, i, j):
@@ -187,10 +198,12 @@ def boundary_complex(config: DiskConfiguration) -> BoundaryComplex:
     labeled by owning disk and corners at pair-intersection points."""
     covered = {i: [] for i in config.labels}  # (start_angle, end_angle, start_ref, end_ref)
     markers = {i: [] for i in config.labels}  # tangency splits: (angle, ref)
+    corners = {}
     for i, j in itertools.combinations(config.labels, 2):
         refs = _pair_corners(config, i, j)
         if not refs:
             continue
+        corners[frozenset((i, j))] = refs
         if len(refs) == 1:
             (tref,) = refs
             for v in (i, j):
@@ -229,7 +242,7 @@ def boundary_complex(config: DiskConfiguration) -> BoundaryComplex:
                     raise DegenerateContact(f"no continuation at corner {piece.end}")
                 piece = start_index[key]
             curves.append(BoundaryCurve(cycle))
-    return BoundaryComplex(config, curves)
+    return BoundaryComplex(config, curves, corners)
 
 
 def _free_arcs(disk, vertex, intervals, marks):
@@ -239,12 +252,11 @@ def _free_arcs(disk, vertex, intervals, marks):
         return [BoundaryArc(vertex, 0.0, TWO_PI, None, None)]
     if not intervals:
         marks = sorted(marks)
-        arcs = []
-        for k, (t0, ref0) in enumerate(marks):
-            t1, ref1 = marks[(k + 1) % len(marks)]
-            span = (t1 - t0) % TWO_PI or TWO_PI
-            arcs.append(BoundaryArc(vertex, t0, span, ref0, ref1))
-        return arcs
+        spans = _cyclic_spans([t for t, _ref in marks])
+        return [
+            BoundaryArc(vertex, t0, span, ref0, marks[(k + 1) % len(marks)][1])
+            for k, ((t0, ref0), span) in enumerate(zip(marks, spans))
+        ]
     events = sorted(((a0 % TWO_PI, (a1 - a0) % TWO_PI, s, e) for a0, a1, s, e in intervals))
     if sum(iv[1] for iv in events) >= TWO_PI - geom.EPS_GEOM:
         raise DegenerateContact(f"disk {vertex} has no free boundary")
@@ -274,19 +286,13 @@ def _free_arcs(disk, vertex, intervals, marks):
     return arcs
 
 
-def _sample_curve(config, curve: BoundaryCurve, density: int = 1):
-    """(vertex, thetas, points) of each piece of one traced curve."""
-    for piece in curve.pieces:
-        disk = config.disks[piece.vertex]
-        ang = piece.a0 + _arc_offsets(piece.da, piece.start is not None, piece.end is not None, density)
-        yield piece.vertex, ang, disk.center + disk.radius * np.exp(1j * ang)
-
-
-def _curve_loop(config, curve: BoundaryCurve, vmaps, density: int) -> SampledLoopMap:
-    """One traced curve and its image, each piece mapped by its own vertex map."""
-    pieces = list(_sample_curve(config, curve, density))
-    src = np.concatenate([pts for _v, _t, pts in pieces])
-    return SampledLoopMap(src, np.concatenate([vmaps[v].eval_point(t) for v, t, _p in pieces]))
+def _sample_arcs(disks, arcs, density: int):
+    """(vertex, thetas, points) of each (vertex, a0, da, refine_start,
+    refine_end) arc, on the circle of disks[vertex]."""
+    for v, a0, da, refine_start, refine_end in arcs:
+        disk = disks[v]
+        ang = a0 + _arc_offsets(da, refine_start, refine_end, density)
+        yield v, ang, disk.center + disk.radius * np.exp(1j * ang)
 
 
 # --- the faithful correspondence -------------------------------------------------
@@ -306,17 +312,11 @@ class VertexArcMap:
             return theta
         t0 = np.array([n[0] for n in self.nodes])
         t1 = np.array([n[1] for n in self.nodes])
-        rel = (theta[..., None] - t0) % TWO_PI
-        idx = np.argmin(rel, axis=-1)
-        lo = t0[idx]
-        lo_t = t1[idx]
-        nxt = (idx + 1) % len(self.nodes)
-        span = (t0[nxt] - lo) % TWO_PI
-        span = np.where(span == 0, TWO_PI, span)
-        span_t = (t1[nxt] - lo_t) % TWO_PI
-        span_t = np.where(span_t == 0, TWO_PI, span_t)
-        frac = ((theta - lo) % TWO_PI) / span
-        return lo_t + frac * span_t
+        idx = np.argmin((theta[..., None] - t0) % TWO_PI, axis=-1)
+        span = np.array(_cyclic_spans(t0))[idx]
+        span_t = np.array(_cyclic_spans(t1))[idx]
+        frac = ((theta - t0[idx]) % TWO_PI) / span
+        return t1[idx] + frac * span_t
 
     def eval_point(self, theta):
         tt = self.eval_theta(theta)
@@ -353,45 +353,36 @@ class FaithfulMap:
     # map after build_faithful_map, so the report holds while EPS_GEOM does
     _index: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
+    def _loop(self, arcs, density: int) -> SampledLoopMap:
+        """The closed curve of the arcs and its image, each arc mapped by its
+        own vertex map."""
+        pieces = list(_sample_arcs(self.config.disks, arcs, density))
+        src = np.concatenate([pts for _v, _t, pts in pieces])
+        return SampledLoopMap(src, np.concatenate([self.vmaps[v].eval_point(t) for v, t, _p in pieces]))
+
     def loops(self, density: int = 1):
-        return [_curve_loop(self.config, self.complex_src.curves[si], self.vmaps, density) for si, _di in self.pairing]
+        return [self._loop(self.complex_src.curves[si].arcs(), density) for si, _di in self.pairing]
 
     def subset_loops(self, subset, density: int = 1):
         """Sampled loops of the faithful map restricted to the union of the
         given vertex subset (uses the same vertex maps, so additivity
         identities are exact)."""
-        sub = self.config.restricted(subset)
-        return [_curve_loop(sub, curve, self.vmaps, density) for curve in boundary_complex(sub).curves]
+        return [self._loop(c.arcs(), density) for c in boundary_complex(self.config.restricted(subset)).curves]
 
     def disk_loop(self, vertex, density: int = 1) -> SampledLoopMap:
         """delta_v: the induced map on the full circle of one disk."""
-        vm = self.vmaps[vertex]
-        if not vm.nodes:
-            th = np.arange(512 * density) * (TWO_PI / (512 * density))
-        else:
-            parts = []
-            for k, (t0, _) in enumerate(vm.nodes):
-                t1 = vm.nodes[(k + 1) % len(vm.nodes)][0]
-                span = (t1 - t0) % TWO_PI or TWO_PI
-                parts.append(t0 + _arc_offsets(span, True, True, density))
-            th = np.concatenate(parts)
-        src = vm.disk.center + vm.disk.radius * np.exp(1j * th)
-        return SampledLoopMap(src, vm.eval_point(th))
+        angles = [t for t, _t in self.vmaps[vertex].nodes]
+        arcs = [(vertex, t, span, True, True) for t, span in zip(angles, _cyclic_spans(angles))]
+        return self._loop(arcs or [(vertex, 0.0, TWO_PI, False, False)], density)
 
     def eye_loop(self, i, j, density: int = 1) -> SampledLoopMap:
         """epsilon_ij: the induced map on the eye boundary of pair {i, j}."""
         si, sj = sorted((i, j), key=str)
         a, b = self.config.disks[si], self.config.disks[sj]
         u, v = circle_intersections(a, b)
-        a0 = a.angle_of(u)
-        da = (a.angle_of(v) - a0) % TWO_PI
-        b0 = b.angle_of(v)
-        db = (b.angle_of(u) - b0) % TWO_PI
-        th_a = a0 + _arc_offsets(da, True, True, density)
-        th_b = b0 + _arc_offsets(db, True, True, density)
-        src = np.concatenate([a.center + a.radius * np.exp(1j * th_a), b.center + b.radius * np.exp(1j * th_b)])
-        dst = np.concatenate([self.vmaps[si].eval_point(th_a), self.vmaps[sj].eval_point(th_b)])
-        return SampledLoopMap(src, dst)
+        a0, b0 = a.angle_of(u), b.angle_of(v)
+        arcs = [(si, a0, (a.angle_of(v) - a0) % TWO_PI, True, True), (sj, b0, (b.angle_of(u) - b0) % TWO_PI, True, True)]
+        return self._loop(arcs, density)
 
 
 def _match_curves(cx_src: BoundaryComplex, cx_dst: BoundaryComplex):
@@ -456,8 +447,8 @@ def build_faithful_map(config, config_tilde, *, pins=None, rng=None, n_random_pi
         for w in config.labels:
             if w == v:
                 continue
-            refs = _pair_corners(config, v, w)
-            refs_t = _pair_corners(config_tilde, v, w)
+            refs = cx.corners.get(frozenset((v, w)), ())
+            refs_t = cx_t.corners.get(frozenset((v, w)), ())
             if len(refs) != len(refs_t):
                 raise CombinatoricsMismatch(f"pair ({v},{w}) differs in contact type")
             for ref, ref_t in zip(refs, refs_t):
@@ -492,15 +483,14 @@ def _check_monotone(nodes, v):
 
 def _randomize_vmap(vm: VertexArcMap, rng, n_pins) -> VertexArcMap:
     nodes = list(vm.nodes)
+    spans = _cyclic_spans([t for t, _t in nodes])
+    spans_t = _cyclic_spans([t for _t, t in nodes])
     out = list(nodes)
     for _ in range(n_pins):
         k = int(rng.integers(len(nodes)))
         t0, t0t = nodes[k]
-        t1, t1t = nodes[(k + 1) % len(nodes)]
-        span = (t1 - t0) % TWO_PI or TWO_PI
-        span_t = (t1t - t0t) % TWO_PI or TWO_PI
         f, g = sorted(rng.uniform(0.1, 0.9, size=2))
-        out.append(((t0 + f * span) % TWO_PI, (t0t + g * span_t) % TWO_PI))
+        out.append(((t0 + f * spans[k]) % TWO_PI, (t0t + g * spans_t[k]) % TWO_PI))
     return VertexArcMap(vm.disk, vm.disk_t, sorted(out))
 
 

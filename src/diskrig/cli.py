@@ -147,7 +147,7 @@ def cmd_solve(args) -> int:
     else:
         sys.stdout.write(canonical_text(out_doc))
     if args.svg:
-        _write(args.svg, render_svg(cfg, labels_on=True))
+        _write(args.svg, render_svg(cfg, overlays=("labels",)))
     return 0
 
 

@@ -101,7 +101,8 @@ def is_thin(config: DiskConfiguration, *, interiors_only: bool = False):
     with interiors_only, no common interior point."""
     for i, j, k in itertools.combinations(config.labels, 3):
         a, b, c = config.disks[i], config.disks[j], config.disks[k]
-        if not (meets(a, b) or meets(a, c) or meets(b, c)):
+        # a common point needs every pair of the three to meet
+        if not (meets(a, b) and meets(a, c) and meets(b, c)):
             continue
         if triple_intersection_nonempty(a, b, c):
             if interiors_only and not _triple_interior_witness(a, b, c):

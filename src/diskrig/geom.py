@@ -17,8 +17,6 @@ from .errors import AngleUndefined, DegenerateTriple, NotTransverse
 EPS_GEOM = 1e-9
 EPS_ANGLE = 1e-7
 
-Point = complex
-
 
 @dataclass(frozen=True)
 class Disk:
@@ -26,6 +24,9 @@ class Disk:
     radius: float
 
     def __post_init__(self):
+        # a numpy centre would make contains return np.bool_, whose sums are
+        # logical ors
+        object.__setattr__(self, "center", complex(self.center))
         if not (self.radius > EPS_GEOM):
             raise ValueError(f"radius must exceed {EPS_GEOM}: {self.radius}")
         if not (math.isfinite(self.center.real) and math.isfinite(self.center.imag)):
@@ -197,9 +198,8 @@ def arc_between(disk: Disk, za: complex, zb: complex) -> Arc:
     return Arc(disk, a0, da)
 
 
-def arc_contains_angle(arc: Arc, theta: float, margin: float = 0.0) -> bool:
-    t = (theta - arc.a0) % (2 * math.pi)
-    return margin <= t <= arc.da - margin
+def arc_contains_angle(arc: Arc, theta: float) -> bool:
+    return (theta - arc.a0) % (2 * math.pi) <= arc.da
 
 
 def arc_circle_crossings(arc: Arc, other: Disk) -> list[complex]:

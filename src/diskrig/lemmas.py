@@ -1,9 +1,12 @@
 """Randomized hypothesis-class generators and strict-inequality checks for the
 geometric lemmas: the numerical verification layer.
 
-Every check validates its hypothesis predicate independently of the inequality
-computation and returns the inequality margin in radians; hypothesis-valid
-instances must come out strictly positive.
+Each suite in ``SUITES`` is a (generator, hypothesis, margin) triple.  A
+generator draws a candidate instance; ``run_suite`` tests each draw's
+hypothesis once and keeps the margin, in radians, of every draw that meets
+it.  ``check`` validates an instance built by hand (or drawn) against its
+suite's hypothesis before computing the margin.  Hypothesis-valid instances
+must come out strictly positive.
 """
 from __future__ import annotations
 
@@ -105,24 +108,18 @@ def _near_arc(disk, za, zb, toward) -> Arc:
     return min((a1, a2), key=lambda a: abs(complex(a.point(0.5)) - toward))
 
 
-def check_four_disk(instance: LemmaInstance) -> float:
-    disks = instance.disks
-    if not four_disk_hypothesis(disks):
-        raise HypothesisUnmet("not a four-disk quadrilateral configuration")
-    total = sum(overlap_angle(disks[k], disks[(k + 1) % 4]) for k in range(4))
-    instance.margin = TWO_PI - total
-    return instance.margin
+def _four_disk_margin(d) -> float:
+    return TWO_PI - sum(overlap_angle(d[k], d[(k + 1) % 4]) for k in range(4))
 
 
-def generate_four_disk(rng) -> LemmaInstance | None:
+def generate_four_disk(rng) -> LemmaInstance:
     side = rng.uniform(1.55, 1.95)
     base = [0j, complex(side, 0), complex(side, side), complex(0, side)]
     disks = {}
     for k in range(4):
         c = base[k] + complex(*rng.normal(0, 0.06, 2))
         disks[k] = Disk(c, rng.uniform(0.85, 1.1))
-    inst = LemmaInstance("four_disk", disks)
-    return inst if four_disk_hypothesis(disks) else None
+    return LemmaInstance("four_disk", disks)
 
 
 # --- meat -----------------------------------------------------------------------
@@ -149,17 +146,13 @@ def meat_hypothesis(disks) -> bool:
     return True
 
 
-def check_meat(instance: LemmaInstance) -> float:
-    d = instance.disks
-    if not meat_hypothesis(d):
-        raise HypothesisUnmet("meat cast invalid")
+def _meat_margin(d) -> float:
     lhs = overlap_angle(d["Dt"], d["dm"]) + overlap_angle(d["Dt"], d["dp"])
     rhs = overlap_angle(d["D"], d["dm"]) + overlap_angle(d["D"], d["dp"])
-    instance.margin = rhs - lhs
-    return instance.margin
+    return rhs - lhs
 
 
-def generate_meat(rng, *, shrink=None) -> LemmaInstance | None:
+def generate_meat(rng, *, shrink=None) -> LemmaInstance:
     D = Disk(0j, 1.0)
     s = shrink if shrink is not None else rng.uniform(0.55, 0.9)
     off = rng.uniform(0, (1 - s) * 0.85)
@@ -172,8 +165,7 @@ def generate_meat(rng, *, shrink=None) -> LemmaInstance | None:
         r = rng.uniform(0.6, 1.4)
         dist = rng.uniform(max(1.02, 0.75 + r * 0.5), 0.95 + r)
         disks[name] = Disk(dist * np.exp(1j * p), r)
-    inst = LemmaInstance("meat", disks)
-    return inst if meat_hypothesis(disks) else None
+    return LemmaInstance("meat", disks)
 
 
 # --- finlandia --------------------------------------------------------------------
@@ -197,16 +189,11 @@ def finlandia_hypothesis(disks) -> bool:
     return overlaps(At, B) and overlaps(A, Bt)
 
 
-def check_finlandia(instance: LemmaInstance) -> float:
-    d = instance.disks
-    if not finlandia_hypothesis(d):
-        raise HypothesisUnmet("finlandia cast invalid")
-    theta = overlap_angle(d["A"], d["B"])
-    instance.margin = overlap_angle(d["At"], d["B"]) + overlap_angle(d["A"], d["Bt"]) - 2 * theta
-    return instance.margin
+def _finlandia_margin(d) -> float:
+    return overlap_angle(d["At"], d["B"]) + overlap_angle(d["A"], d["Bt"]) - 2 * overlap_angle(d["A"], d["B"])
 
 
-def generate_finlandia(rng, *, shrink=None) -> LemmaInstance | None:
+def generate_finlandia(rng, *, shrink=None) -> LemmaInstance:
     theta = rng.uniform(0.15, 0.9) * math.pi
     rB = rng.uniform(0.7, 1.3)
     A = Disk(0j, 1.0)
@@ -218,9 +205,7 @@ def generate_finlandia(rng, *, shrink=None) -> LemmaInstance | None:
     rbt = rB * st * rng.uniform(0.85, 1.0)
     direction = np.exp(1j * rng.uniform(-0.5, 0.5))
     Bt = Disk(cat + center_distance(rat, rbt, theta) * direction, rbt)
-    disks = {"A": A, "B": B, "At": At, "Bt": Bt}
-    inst = LemmaInstance("finlandia", disks)
-    return inst if finlandia_hypothesis(disks) else None
+    return LemmaInstance("finlandia", {"A": A, "B": B, "At": At, "Bt": Bt})
 
 
 # --- mogwai ------------------------------------------------------------------------
@@ -235,18 +220,13 @@ def mogwai_hypothesis(disks) -> bool:
     return lens_in_disk(Lens(A, C), B)
 
 
-def check_mogwai(instance: LemmaInstance) -> float:
-    d = instance.disks
-    if not mogwai_hypothesis(d):
-        raise HypothesisUnmet("mogwai cast invalid")
+def _mogwai_margin(d) -> float:
     if not overlaps(d["A"], d["B"]):
-        instance.margin = -math.inf  # lemma asserts the overlap; flag loudly
-        return instance.margin
-    instance.margin = overlap_angle(d["A"], d["B"]) - overlap_angle(d["A"], d["C"])
-    return instance.margin
+        return -math.inf  # lemma asserts the overlap; flag loudly
+    return overlap_angle(d["A"], d["B"]) - overlap_angle(d["A"], d["C"])
 
 
-def generate_mogwai(rng, *, closeness=None) -> LemmaInstance | None:
+def generate_mogwai(rng) -> LemmaInstance:
     A = Disk(0j, 1.0)
     rC = rng.uniform(0.5, 1.4)
     theta = rng.uniform(0.1, 0.85) * math.pi
@@ -254,19 +234,17 @@ def generate_mogwai(rng, *, closeness=None) -> LemmaInstance | None:
     lens = Lens(A, C)
     u, v = lens.corners
     mid = (u + v) / 2
-    slack = closeness if closeness is not None else rng.uniform(0.15, 0.9)
+    slack = rng.uniform(0.15, 0.9)
     center = mid + complex(*rng.normal(0, 0.1, 2))
     radius = max(abs(u - center), abs(v - center)) * (1 + slack)
-    B = Disk(center, radius)
-    disks = {"A": A, "B": B, "C": C}
-    inst = LemmaInstance("mogwai", disks)
-    return inst if mogwai_hypothesis(disks) else None
+    return LemmaInstance("mogwai", {"A": A, "B": Disk(center, radius), "C": C})
 
 
 # --- contained loops ------------------------------------------------------------------
 
 
-def contained_loops_hypothesis(solid, dashed) -> bool:
+def contained_loops_hypothesis(disks) -> bool:
+    solid, dashed = disks["solid"], disks["dashed"]
     n = len(solid)
     if n < 3 or len(dashed) != n:
         return False
@@ -290,19 +268,15 @@ def contained_loops_hypothesis(solid, dashed) -> bool:
     return is_general_position(cfg, cfg_t)[0]
 
 
-def check_contained_loops(instance: LemmaInstance) -> float:
-    solid = instance.disks["solid"]
-    dashed = instance.disks["dashed"]
-    if not contained_loops_hypothesis(solid, dashed):
-        raise HypothesisUnmet("contained-loops cast invalid")
+def _contained_loops_margin(d) -> float:
+    solid, dashed = d["solid"], d["dashed"]
     n = len(solid)
     s1 = sum(overlap_angle(solid[i], solid[(i + 1) % n]) for i in range(n))
     s2 = sum(overlap_angle(dashed[i], dashed[(i + 1) % n]) for i in range(n))
-    instance.margin = s1 - s2
-    return instance.margin
+    return s1 - s2
 
 
-def generate_contained_loops(rng, *, n=None) -> LemmaInstance | None:
+def generate_contained_loops(rng, *, n=None) -> LemmaInstance:
     n = n or int(rng.integers(3, 9))
     R = 2.0
     gap = 2 * R * math.sin(math.pi / n)
@@ -317,8 +291,7 @@ def generate_contained_loops(rng, *, n=None) -> LemmaInstance | None:
         s = rng.uniform(0.88, 0.96)
         off = complex(*rng.normal(0, r * (1 - s) * 0.3, 2))
         dashed.append(Disk(c + off, r * s))
-    inst = LemmaInstance("contained_loops", {"solid": solid, "dashed": dashed})
-    return inst if contained_loops_hypothesis(solid, dashed) else None
+    return LemmaInstance("contained_loops", {"solid": solid, "dashed": dashed})
 
 
 HEX_CHAIN_SOLID = [
@@ -349,26 +322,42 @@ def _triple_code(dm: Disk, dp: Disk, D: Disk):
         return None
 
 
-def hat_hypothesis(disks) -> bool:
-    dm, dp, D = disks["dm"], disks["dp"], disks["D"]
-    if not (overlaps(dm, dp) and overlaps(dm, D) and overlaps(dp, D)):
-        return False
-    if not _no_containment(dm, dp, D):
-        return False
-    return _triple_code(dm, dp, D) == "c"
+def _triple_code_hypothesis(*codes):
+    """Hypothesis of hat, shoes and pop: dm, dp and D overlap pairwise, none
+    contains another, and the triple's topological code is one of `codes`."""
+
+    def hypothesis(disks) -> bool:
+        dm, dp, D = disks["dm"], disks["dp"], disks["D"]
+        if not (overlaps(dm, dp) and overlaps(dm, D) and overlaps(dp, D)):
+            return False
+        return _no_containment(dm, dp, D) and _triple_code(dm, dp, D) in codes
+
+    return hypothesis
 
 
-def check_hat(instance: LemmaInstance) -> float:
-    d = instance.disks
-    if not hat_hypothesis(d):
-        raise HypothesisUnmet("hat cast invalid")
+hat_hypothesis = _triple_code_hypothesis("c")
+shoes_hypothesis = _triple_code_hypothesis("d", "e")
+pop_hypothesis = _triple_code_hypothesis("c", "g")
+
+
+def _hat_margin(d) -> float:
     lhs = math.pi + overlap_angle(d["dm"], d["dp"])
     rhs = overlap_angle(d["dm"], d["D"]) + overlap_angle(d["dp"], d["D"])
-    instance.margin = rhs - lhs
-    return instance.margin
+    return rhs - lhs
 
 
-def generate_hat(rng) -> LemmaInstance | None:
+def _shoes_margin(d) -> float:
+    lhs = overlap_angle(d["dm"], d["D"]) + overlap_angle(d["dp"], d["D"])
+    rhs = math.pi + overlap_angle(d["dm"], d["dp"])
+    return rhs - lhs
+
+
+def _pop_margin(d) -> float:
+    base = overlap_angle(d["dm"], d["dp"])
+    return min(overlap_angle(d["dm"], d["D"]), overlap_angle(d["dp"], d["D"])) - base
+
+
+def generate_hat(rng) -> LemmaInstance:
     r1, r2 = rng.uniform(0.6, 1.1, 2)
     theta = rng.uniform(0.2, 0.95) * math.pi
     dm = Disk(0j, r1)
@@ -377,31 +366,10 @@ def generate_hat(rng) -> LemmaInstance | None:
     mid = (u + v) / 2
     R = abs(u - mid) * rng.uniform(1.4, 3.0) + rng.uniform(0.2, 0.8)
     D = Disk(mid + complex(*rng.normal(0, 0.15, 2)), R)
-    disks = {"dm": dm, "dp": dp, "D": D}
-    inst = LemmaInstance("hat", disks)
-    return inst if hat_hypothesis(disks) else None
+    return LemmaInstance("hat", {"dm": dm, "dp": dp, "D": D})
 
 
-def shoes_hypothesis(disks) -> bool:
-    dm, dp, D = disks["dm"], disks["dp"], disks["D"]
-    if not (overlaps(dm, dp) and overlaps(dm, D) and overlaps(dp, D)):
-        return False
-    if not _no_containment(dm, dp, D):
-        return False
-    return _triple_code(dm, dp, D) in ("d", "e")
-
-
-def check_shoes(instance: LemmaInstance) -> float:
-    d = instance.disks
-    if not shoes_hypothesis(d):
-        raise HypothesisUnmet("shoes cast invalid")
-    lhs = overlap_angle(d["dm"], d["D"]) + overlap_angle(d["dp"], d["D"])
-    rhs = math.pi + overlap_angle(d["dm"], d["dp"])
-    instance.margin = rhs - lhs
-    return instance.margin
-
-
-def generate_shoes(rng) -> LemmaInstance | None:
+def generate_shoes(rng) -> LemmaInstance:
     r1, r2 = rng.uniform(0.7, 1.2, 2)
     theta = rng.uniform(0.25, 0.9) * math.pi
     dm = Disk(0j, r1)
@@ -410,36 +378,12 @@ def generate_shoes(rng) -> LemmaInstance | None:
     corner = u if rng.random() < 0.5 else v
     R = rng.uniform(0.45, 1.0)
     D = Disk(corner + complex(*rng.normal(0, R * 0.35, 2)), R)
-    disks = {"dm": dm, "dp": dp, "D": D}
-    inst = LemmaInstance("shoes", disks)
-    return inst if shoes_hypothesis(disks) else None
-
-
-def pop_hypothesis(disks) -> bool:
-    dm, dp, D = disks["dm"], disks["dp"], disks["D"]
-    if not (overlaps(dm, dp) and overlaps(dm, D) and overlaps(dp, D)):
-        return False
-    if not _no_containment(dm, dp, D):
-        return False
-    return _triple_code(dm, dp, D) in ("c", "g")
-
-
-def check_pop(instance: LemmaInstance) -> float:
-    d = instance.disks
-    if not pop_hypothesis(d):
-        raise HypothesisUnmet("pop cast invalid")
-    base = overlap_angle(d["dm"], d["dp"])
-    instance.margin = min(overlap_angle(d["dm"], d["D"]), overlap_angle(d["dp"], d["D"])) - base
-    return instance.margin
+    return LemmaInstance("shoes", {"dm": dm, "dp": dp, "D": D})
 
 
 def generate_pop(rng) -> LemmaInstance | None:
     if rng.random() < 0.5:
-        inst = generate_hat(rng)
-        if inst is not None:
-            inst = LemmaInstance("pop", inst.disks)
-            return inst if pop_hypothesis(inst.disks) else None
-        return None
+        return LemmaInstance("pop", generate_hat(rng).disks)
     # pop1: small disk swallowed by the union of two larger overlapping disks
     r1, r2 = rng.uniform(0.9, 1.3, 2)
     theta = rng.uniform(0.3, 0.8) * math.pi
@@ -448,9 +392,8 @@ def generate_pop(rng) -> LemmaInstance | None:
     dp = Disk(dist + 0j, r2)
     R = rng.uniform(0.3, 0.62)
     D = Disk(complex(dist / 2 + rng.normal(0, 0.08), rng.normal(0, 0.08)), R)
-    disks = {"dm": dm, "dp": dp, "D": D}
-    inst = LemmaInstance("pop", disks)
-    return inst if pop_hypothesis(disks) and _triple_code(dm, dp, D) == "g" else None
+    # this branch draws the swallowed case only: code g, not the hat's c
+    return LemmaInstance("pop", {"dm": dm, "dp": dp, "D": D}) if _triple_code(dm, dp, D) == "g" else None
 
 
 # --- eye lemmas -----------------------------------------------------------------------
@@ -581,21 +524,31 @@ def generate_eye_quadruple(rng, *, mode="free") -> EyeQuadruple | None:
 
 
 SUITES = {
-    "four_disk": (generate_four_disk, check_four_disk),
-    "meat": (generate_meat, check_meat),
-    "finlandia": (generate_finlandia, check_finlandia),
-    "mogwai": (generate_mogwai, check_mogwai),
-    "contained_loops": (generate_contained_loops, check_contained_loops),
-    "hat": (generate_hat, check_hat),
-    "shoes": (generate_shoes, check_shoes),
-    "pop": (generate_pop, check_pop),
+    "four_disk": (generate_four_disk, four_disk_hypothesis, _four_disk_margin),
+    "meat": (generate_meat, meat_hypothesis, _meat_margin),
+    "finlandia": (generate_finlandia, finlandia_hypothesis, _finlandia_margin),
+    "mogwai": (generate_mogwai, mogwai_hypothesis, _mogwai_margin),
+    "contained_loops": (generate_contained_loops, contained_loops_hypothesis, _contained_loops_margin),
+    "hat": (generate_hat, hat_hypothesis, _hat_margin),
+    "shoes": (generate_shoes, shoes_hypothesis, _shoes_margin),
+    "pop": (generate_pop, pop_hypothesis, _pop_margin),
 }
 
 
+def check(instance: LemmaInstance) -> float:
+    """The instance's margin in radians, after validating its suite's
+    hypothesis (HypothesisUnmet when it fails)."""
+    _gen, hypothesis, margin = SUITES[instance.lemma_id]
+    if not hypothesis(instance.disks):
+        raise HypothesisUnmet(f"{instance.lemma_id} cast invalid")
+    instance.margin = margin(instance.disks)
+    return instance.margin
+
+
 def run_suite(lemma_id: str, seed: int, count: int):
-    """Generate `count` hypothesis-valid instances and return their margins."""
+    """Draw instances until `count` meet the hypothesis and return their margins."""
     rng = np.random.default_rng(seed)
-    gen, check = SUITES[lemma_id]
+    gen, hypothesis, margin = SUITES[lemma_id]
     margins = []
     attempts = 0
     while len(margins) < count:
@@ -603,7 +556,6 @@ def run_suite(lemma_id: str, seed: int, count: int):
         if attempts > 400 * count:
             raise HypothesisUnmet(f"generator for {lemma_id} starves: {len(margins)}/{count}")
         inst = gen(rng)
-        if inst is None:
-            continue
-        margins.append(check(inst))
+        if inst is not None and hypothesis(inst.disks):
+            margins.append(margin(inst.disks))
     return margins

@@ -8,7 +8,7 @@ that disk as an explicit bounded complement record instead.
 """
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -40,10 +40,6 @@ class MoebiusMap:
         det = self.a * self.d - self.b * self.c
         if abs(det) <= geom.EPS_GEOM:
             raise DegenerateInput("moebius determinant vanishes")
-
-    def normalized(self) -> "MoebiusMap":
-        s = cmath.sqrt(self.a * self.d - self.b * self.c)
-        return MoebiusMap(self.a / s, self.b / s, self.c / s, self.d / s, self.conjugate_first)
 
     def __call__(self, z):
         return apply_point(self, z)
@@ -120,13 +116,15 @@ def apply_disk(m: MoebiusMap, disk: Disk) -> Disk:
     pole = pole_of(m)
     if pole is not None and abs(pole - disk.center) <= disk.radius + geom.EPS_GEOM:
         raise UnboundedImage("pole meets the disk; image is unbounded")
-    zs = [disk.point_at(t) for t in (0.0, 2.0944, 4.1888)]
-    ws = [apply_point(m, z) for z in zs]
-    center, radius = circumcircle(*ws)
-    img = Disk(center, radius)
+    img = Disk(*_three_point_circle(m, disk))
     if not img.contains(apply_point(m, disk.center), strict=False):
         raise UnboundedImage("image side flipped; disk maps over infinity")
     return img
+
+
+def _three_point_circle(m: MoebiusMap, disk: Disk) -> tuple[complex, float]:
+    """Circle through the images of three points of the disk's boundary."""
+    return circumcircle(*[apply_point(m, disk.point_at(t)) for t in (0.0, 2.0944, 4.1888)])
 
 
 def circumcircle(z1: complex, z2: complex, z3: complex) -> tuple[complex, float]:
@@ -187,10 +185,6 @@ def concentricize(a: Disk, b: Disk) -> MoebiusMap:
 
 
 # --- configuration-level helpers ---------------------------------------------
-
-
-def apply_to_disks(m: MoebiusMap, disks: dict) -> dict:
-    return {k: apply_disk(m, d) for k, d in disks.items()}
 
 
 def fit_similarity(src: dict, dst: dict):
@@ -301,16 +295,9 @@ def normalize_pair(config, config_tilde, theorem_mode: str, epsilon: float) -> N
     """
     from .config import DiskConfiguration, contact_graph, is_general_position
 
-    inc = contact_graph(config)
-    builders = {
-        "Sphere": _normalize_sphere,
-        "PlanePlane": _normalize_plane_plane,
-        "HypHyp": _normalize_hyp_hyp,
-        "PlaneVsHyp": _normalize_plane_vs_hyp,
-    }
-    if theorem_mode not in builders:
+    if theorem_mode not in _BUILDERS:
         raise ValueError(f"unknown mode {theorem_mode}")
-    m_c, m_t, anchors, outer = builders[theorem_mode](config, config_tilde, inc, epsilon)
+    m_c, m_t, anchors, outer = _BUILDERS[theorem_mode](config, config_tilde, contact_graph(config), epsilon)
 
     checks = {}
     mapped = {}
@@ -367,36 +354,43 @@ def _pick_differing(disks: dict, disks_t: dict, exclude: set):
     return cands[0] if cands else None
 
 
-def _rotate_to_positive_axis(disks: dict, v):
-    c = disks[v].center
+def _rotate_to_positive_axis(c: complex) -> MoebiusMap:
     if abs(c) <= geom.EPS_GEOM:
         return IDENTITY
     return similarity(abs(c) / c)
 
 
-def _normalize_plane_vs_hyp(config, config_tilde, inc, epsilon):
-    labels = sorted(config.labels, key=str)
-    a = labels[0]
-    m_c = translation(-config.disks[a].center)
-    m_t = translation(-config_tilde.disks[a].center)
-    scale = config_tilde.disks[a].radius / config.disks[a].radius
-    m_c = compose(similarity(scale), m_c)
+def _anchor_step(config, config_tilde, m_c, m_t, exclude, skip, ordinal):
+    """The next anchor: pick the next differing vertex outside `exclude`,
+    rotate it onto the positive real axis in both configurations and match
+    its center distance by scaling C.  Disks in `skip` (mapped over infinity)
+    are left out.  Returns (vertex, m_c, m_t)."""
+    cur = {v: apply_disk(m_c, d) for v, d in config.disks.items() if v not in skip}
+    cur_t = {v: apply_disk(m_t, d) for v, d in config_tilde.disks.items() if v not in skip}
+    v = _pick_differing(cur, cur_t, exclude)
+    if v is None:
+        raise NoAnchorFound(f"no {ordinal} anchor vertex")
+    m_c = compose(_rotate_to_positive_axis(cur[v].center), m_c)
+    m_t = compose(_rotate_to_positive_axis(cur_t[v].center), m_t)
+    cv, cvt = abs(apply_disk(m_c, config.disks[v]).center), abs(apply_disk(m_t, config_tilde.disks[v]).center)
+    if cv > geom.EPS_GEOM and cvt > geom.EPS_GEOM:
+        m_c = compose(similarity(cvt / cv), m_c)
+    return v, m_c, m_t
 
-    cur = apply_to_disks(m_c, config.disks)
-    cur_t = apply_to_disks(m_t, config_tilde.disks)
-    b = _pick_differing(cur, cur_t, {a})
-    if b is None:
-        raise NoAnchorFound("no second anchor vertex")
-    m_c = compose(_rotate_to_positive_axis(cur, b), m_c)
-    m_t = compose(_rotate_to_positive_axis(cur_t, b), m_t)
-    cur = apply_to_disks(m_c, config.disks)
-    cur_t = apply_to_disks(m_t, config_tilde.disks)
-    cb, cbt = abs(cur[b].center), abs(cur_t[b].center)
-    if cb > geom.EPS_GEOM and cbt > geom.EPS_GEOM:
-        m_c = compose(similarity(cbt / cb), m_c)
-    center_b = apply_disk(m_t, config_tilde.disks[b]).center
-    m_c = compose(dilation_about(center_b, 1 + epsilon), m_c)
-    return m_c, m_t, [a, b], {}
+
+def _dilate(m_c, m_t, disk_t, epsilon) -> MoebiusMap:
+    """C's map followed by the 1+epsilon dilation about the center of the
+    image of disk_t under C~'s map."""
+    return compose(dilation_about(apply_disk(m_t, disk_t).center, 1 + epsilon), m_c)
+
+
+def _normalize_plane_vs_hyp(config, config_tilde, inc, epsilon):
+    a = sorted(config.labels, key=str)[0]
+    scale = config_tilde.disks[a].radius / config.disks[a].radius
+    m_c = compose(similarity(scale), translation(-config.disks[a].center))
+    m_t = translation(-config_tilde.disks[a].center)
+    b, m_c, m_t = _anchor_step(config, config_tilde, m_c, m_t, {a}, (), "second")
+    return _dilate(m_c, m_t, config_tilde.disks[b], epsilon), m_t, [a, b], {}
 
 
 def _normalize_concentric_modes(config, config_tilde, inc, epsilon, dilation_anchor):
@@ -421,48 +415,18 @@ def _normalize_concentric_modes(config, config_tilde, inc, epsilon, dilation_anc
     img_bt = apply_disk(m_t, config_tilde.disks[b])
     m_c = compose(similarity(1 / img_b.radius, -img_b.center / img_b.radius), m_c)
     m_t = compose(similarity(1 / img_bt.radius, -img_bt.center / img_bt.radius), m_t)
-
-    cur = {v: apply_disk(m_c, config.disks[v]) for v in config.labels if v != a}
-    cur_t = {v: apply_disk(m_t, config_tilde.disks[v]) for v in config.labels if v != a}
-    c = _pick_differing(cur, cur_t, {a, b})
-    if c is None:
-        raise NoAnchorFound("no third anchor vertex")
-    m_c = compose(_rotate_to_positive_axis(cur, c), m_c)
-    m_t = compose(_rotate_to_positive_axis(cur_t, c), m_t)
-    cur = {v: apply_disk(m_c, config.disks[v]) for v in config.labels if v != a}
-    cur_t = {v: apply_disk(m_t, config_tilde.disks[v]) for v in config.labels if v != a}
-    cc, cct = abs(cur[c].center), abs(cur_t[c].center)
-    if cc > geom.EPS_GEOM and cct > geom.EPS_GEOM:
-        m_c = compose(similarity(cct / cc), m_c)
-    anchor_vertex = c if dilation_anchor == "c" else b
-    anchor_pt = apply_disk(m_t, config_tilde.disks[anchor_vertex]).center
-    m_c = compose(dilation_about(anchor_pt, 1 + epsilon), m_c)
-
+    c, m_c, m_t = _anchor_step(config, config_tilde, m_c, m_t, {a, b}, {a}, "third")
+    m_c = _dilate(m_c, m_t, config_tilde.disks[{"b": b, "c": c}[dilation_anchor]], epsilon)
     # D_a maps over infinity: record the bounded complements explicitly
     comp_c = _complement_record(m_c, config.disks[a])
     comp_t = _complement_record(m_t, config_tilde.disks[a])
     return m_c, m_t, [a, b, c], {a: (comp_c, comp_t)}
 
 
-def _normalize_plane_plane(config, config_tilde, inc, epsilon):
-    # planar mode: the final dilation is anchored at the common center of the
-    # b disks (the origin of the concentric normalization)
-    return _normalize_concentric_modes(config, config_tilde, inc, epsilon, "b")
-
-
-def _normalize_sphere(config, config_tilde, inc, epsilon):
-    # spherical mode: the final dilation is anchored at the common center of
-    # the c disks
-    return _normalize_concentric_modes(config, config_tilde, inc, epsilon, "c")
-
-
 def _complement_record(m: MoebiusMap, disk: Disk) -> Disk:
     """Bounded disk whose complement is the image of `disk` (whose interior
     holds the pole).  Computed from three boundary images."""
-    zs = [disk.point_at(t) for t in (0.0, 2.0944, 4.1888)]
-    ws = [apply_point(m, z) for z in zs]
-    center, radius = circumcircle(*ws)
-    return Disk(center, radius)
+    return Disk(*_three_point_circle(m, disk))
 
 
 def _hyp_radius(d: Disk) -> float:
@@ -498,22 +462,19 @@ def _normalize_hyp_hyp(config, config_tilde, inc, epsilon):
     ra = apply_disk(m_c, config.disks[a]).radius
     rat = apply_disk(m_t, config_tilde.disks[a]).radius
     m_c = compose(similarity(rat / ra), m_c)
+    b, m_c, m_t = _anchor_step(config, config_tilde, m_c, m_t, {a}, (), "second")
+    return _dilate(m_c, m_t, config_tilde.disks[b], epsilon), m_t, [a, b], {}
 
-    cur = apply_to_disks(m_c, config.disks)
-    cur_t = apply_to_disks(m_t, config_tilde.disks)
-    b = _pick_differing(cur, cur_t, {a})
-    if b is None:
-        raise NoAnchorFound("no second anchor vertex")
-    m_c = compose(_rotate_to_positive_axis(cur, b), m_c)
-    m_t = compose(_rotate_to_positive_axis(cur_t, b), m_t)
-    cur = apply_to_disks(m_c, config.disks)
-    cur_t = apply_to_disks(m_t, config_tilde.disks)
-    cb, cbt = abs(cur[b].center), abs(cur_t[b].center)
-    if cb > geom.EPS_GEOM and cbt > geom.EPS_GEOM:
-        m_c = compose(similarity(cbt / cb), m_c)
-    center_b = apply_disk(m_t, config_tilde.disks[b]).center
-    m_c = compose(dilation_about(center_b, 1 + epsilon), m_c)
-    return m_c, m_t, [a, b], {}
+
+# the final dilation is anchored at the common center of the c disks on the
+# sphere, and of the b disks (the origin of the concentric normalization) in
+# the plane
+_BUILDERS = {
+    "Sphere": functools.partial(_normalize_concentric_modes, dilation_anchor="c"),
+    "PlanePlane": functools.partial(_normalize_concentric_modes, dilation_anchor="b"),
+    "HypHyp": _normalize_hyp_hyp,
+    "PlaneVsHyp": _normalize_plane_vs_hyp,
+}
 
 
 def unit_disk_images(result: NormalizationResult) -> tuple[Disk, Disk]:

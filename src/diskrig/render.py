@@ -41,7 +41,7 @@ class _Canvas:
         return radius * self.scale
 
 
-def render_svg(config: DiskConfiguration, *, second=None, overlays=(), labels_on=False) -> str:
+def render_svg(config: DiskConfiguration, *, second=None, overlays=()) -> str:
     configs = [config] + ([second] if second is not None else [])
     cv = _Canvas(configs)
     out = [
@@ -62,7 +62,7 @@ def render_svg(config: DiskConfiguration, *, second=None, overlays=(), labels_on
         for info in report.subsets:
             for i, j in info.h_edges:
                 out.append(_arrow(cv, config.disks[i].center, config.disks[j].center))
-    if "labels" in overlays or labels_on:
+    if "labels" in overlays:
         for k, d in config.items():
             x, y = cv.pt(d.center)
             out.append(

@@ -125,7 +125,11 @@ class PrescribedBoundaryAngleSums:
     values: dict
 
 
-def solve_radii(tri: Triangulation, theta, boundary_condition, *, tol=1e-10, max_iters=2000, initial=None):
+SOLVE_TOL = 1e-10  # largest angle-sum residual a solve accepts
+SOLVE_MAX_SWEEPS = 2000
+
+
+def solve_radii(tri: Triangulation, theta, boundary_condition, *, initial=None):
     """Per-vertex bisection sweep driving every constrained vertex's angle sum
     to its target (2*pi at interior vertices)."""
     for e in tri.edges():
@@ -146,17 +150,17 @@ def solve_radii(tri: Triangulation, theta, boundary_condition, *, tol=1e-10, max
     unknowns = sorted(unknowns, key=str)
     stars = {v: _star(tri, v, theta) for v in unknowns}
     worst = math.inf
-    for it in range(max_iters):
+    for it in range(SOLVE_MAX_SWEEPS):
         for v in unknowns:
-            radii[v] = _solve_vertex(_star_sides(stars[v], radii), v, radii[v], targets[v], tol / 10)
+            radii[v] = _solve_vertex(_star_sides(stars[v], radii), v, radii[v], targets[v], SOLVE_TOL / 10)
         worst = 0.0
         for v in unknowns:
             worst = max(worst, abs(_star_angle_sum(_star_sides(stars[v], radii), radii[v]) - targets[v]))
         log.debug("sweep %d: residual %.3g", it + 1, worst)
-        if worst < tol:
+        if worst < SOLVE_TOL:
             log.info("solved %d radii in %d sweeps, residual %.3g", len(unknowns), it + 1, worst)
             return radii
-    raise Nonconvergence(f"residual {worst:.3g} after {max_iters} sweeps")
+    raise Nonconvergence(f"residual {worst:.3g} after {SOLVE_MAX_SWEEPS} sweeps")
 
 
 def _star(tri, v, theta):
@@ -342,15 +346,15 @@ def _pair(e):
     return tuple(sorted(e, key=str))
 
 
-def rigidity_experiment(tri: Triangulation, theta, boundary_radii, *, trials=5, seed=0):
-    """Re-solve the same (G, Theta) from random initial radii (and a scaled
+def rigidity_experiment(tri: Triangulation, theta, boundary_radii, *, seed=0):
+    """Re-solve the same (G, Theta) from five random initial radii (and a scaled
     boundary), align by similarity, and return the max residual."""
     from .moebius import fit_similarity
 
     rng = np.random.default_rng(seed)
     base = layout(tri, solve_radii(tri, theta, FixedBoundaryRadii(boundary_radii)), theta)
     worst = 0.0
-    for t in range(trials):
+    for _ in range(5):
         init = {v: float(np.exp(rng.normal(0, 0.5))) for v in tri.vertices}
         radii = solve_radii(tri, theta, FixedBoundaryRadii(boundary_radii), initial=init)
         other = layout(tri, radii, theta)

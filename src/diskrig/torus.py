@@ -272,8 +272,7 @@ def _base_windings(param: TorusParametrization, s: float, s_t: float) -> int:
     u, ut = complex(param.chain.point(s)), complex(param.chain_t.point(s_t))
     if param.chain_t.distance(u) <= 10 * geom.EPS_GEOM or param.chain.distance(ut) <= 10 * geom.EPS_GEOM:
         raise BasePointOnBoundary("base point or its image lies on the other curve")
-    # int(): with a numpy centre, contains gives np.bool_, and True + True is True
-    return int(param.region.contains(ut, strict=True)) + int(param.region_t.contains(u, strict=True))
+    return param.region.contains(ut, strict=True) + param.region_t.contains(u, strict=True)
 
 
 def _eval_rebased(gmap: GraphMap, x_u: float, y_u: float, xr: float) -> float:

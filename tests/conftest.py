@@ -47,3 +47,16 @@ def random_overlapping_pair(rng):
         b = Disk(a.center + d * np.exp(1j * rng.uniform(0, 2 * math.pi)), r2)
         if disk_relation(a, b) is DiskRelation.OVERLAPPING:
             return a, b
+
+
+def tangency_flower_pair():
+    """Two realizations of the six-petal tangency flower with different
+    boundary radii: a pair that every normalization mode accepts (HypHyp
+    after shrinking both into the unit disk)."""
+    from diskrig.solver import FixedBoundaryRadii, flower, layout, solve_radii
+
+    tri = flower(6)
+    cfg = layout(tri, solve_radii(tri, {}, FixedBoundaryRadii({k: 1.0 for k in range(1, 7)})), {})
+    other = {k: [1.3, 0.8, 1.1, 0.9, 1.2, 1.0][k - 1] for k in range(1, 7)}
+    cfg_t = layout(tri, solve_radii(tri, {}, FixedBoundaryRadii(other)), {})
+    return cfg, cfg_t

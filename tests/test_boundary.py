@@ -1,3 +1,4 @@
+import itertools
 import math
 import weakref
 
@@ -94,6 +95,23 @@ def test_faithful_map_translation():
     rep = fixed_point_index(fmap)
     assert rep.eta == 0
     assert abs(rep.min_displacement - 5) < 0.2
+
+
+def test_faithful_map_reads_corners_from_its_complexes(monkeypatch, rng):
+    # each pair's corners are traced once per configuration, by boundary_complex
+    from diskrig import boundary
+    from diskrig.experiments import random_ring_config
+
+    c = random_ring_config(rng, n=6)
+    ct = c.transformed(lambda d: Disk(d.center * 1.05 + 0.01j, d.radius * 1.05))
+    calls = []
+    original = boundary._pair_corners
+    monkeypatch.setattr(boundary, "_pair_corners", lambda cfg, i, j: calls.append((i, j)) or original(cfg, i, j))
+    fmap = build_faithful_map(c, ct)
+    assert len(calls) == 2 * math.comb(6, 2)
+    for cx in (fmap.complex_src, fmap.complex_dst):
+        for i, j in itertools.combinations(cx.config.labels, 2):
+            assert cx.corners.get(frozenset((i, j)), ()) == original(cx.config, i, j)
 
 
 def test_faithful_map_identical_raises():

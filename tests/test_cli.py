@@ -13,6 +13,8 @@ from diskrig.cli import build_parser, main
 from diskrig.docio import ConfigDocument, canonical_text, document_from_obj, read_document, write_document
 from diskrig.errors import SchemaError
 
+from conftest import tangency_flower_pair
+
 
 def _write(path, obj):
     path.write_text(json.dumps(obj))
@@ -253,6 +255,35 @@ def test_compare_normalize_mode(tmp_path, capsys):
     code = main(["--json", "compare", str(pc), str(pt), "--mode", "PlaneVsHyp"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and payload["conditions_hold"]
+
+
+@pytest.mark.parametrize(
+    "mode, scales, anchors, epsilon",
+    [
+        ("Sphere", None, ["1", "3", "0"], 2.0**-5),
+        ("PlanePlane", None, ["1", "3", "0"], 2.0**-3),
+        # HypHyp needs both configurations inside the unit disk
+        ("HypHyp", ((0.18, 0), (0.16, 0.02)), ["0", "1"], 2.0**-4),
+    ],
+)
+def test_compare_normalize_modes_on_tangency_flower(tmp_path, capsys, mode, scales, anchors, epsilon):
+    pair = tangency_flower_pair()
+    if scales:
+        pair = [c.transformed(lambda d, s=s, o=o: geom.Disk(d.center * s + o, d.radius * s)) for c, (s, o) in zip(pair, scales)]
+    paths = [str(tmp_path / name) for name in ("c.json", "ct.json")]
+    for cfg, path in zip(pair, paths):
+        write_document(ConfigDocument.from_configuration(cfg), path)
+    code = main(["--json", "compare", *paths, "--mode", mode])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    checks = ["general_position"] + [f"nested[{a}]" for a in anchors]
+    assert payload == {
+        "mode": mode,
+        "epsilon": epsilon,
+        "anchors": anchors,
+        "checks": dict.fromkeys(checks, True),
+        "conditions_hold": True,
+    }
 
 
 def test_render_overlays(tmp_path, tight_triple):

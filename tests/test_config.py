@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from diskrig.config import (
     DiskConfiguration,
+    _triple_interior_witness,
     classify_triple,
     contact_graph,
     eye_of_pair,
@@ -13,7 +15,7 @@ from diskrig.config import (
     is_thin,
 )
 from diskrig.errors import ContainmentViolation, DiskrigError, HypothesesViolated
-from diskrig.geom import Disk, circle_intersections
+from diskrig.geom import Disk, circle_intersections, meets, triple_intersection_nonempty
 from diskrig.moebius import apply_disk, compose, inversion, similarity
 
 from conftest import grid_triple_oracle
@@ -68,6 +70,40 @@ def test_is_thin_interiors_only_variant():
     cfg = DiskConfiguration(list(enumerate(disks)))
     assert not is_thin(cfg)[0]
     assert is_thin(cfg, interiors_only=True)[0]
+
+
+def _is_thin_reference(config, *, interiors_only=False):
+    """is_thin as it was when a triple was skipped only if no pair met."""
+    for i, j, k in itertools.combinations(config.labels, 3):
+        a, b, c = config.disks[i], config.disks[j], config.disks[k]
+        if not (meets(a, b) or meets(a, c) or meets(b, c)):
+            continue
+        if triple_intersection_nonempty(a, b, c):
+            if interiors_only and not _triple_interior_witness(a, b, c):
+                continue
+            return False, (i, j, k)
+    return True, None
+
+
+@pytest.mark.parametrize("interiors_only", [False, True])
+def test_is_thin_matches_any_pair_filter(rng, interiors_only):
+    # differential oracle: skipping every triple with a non-meeting pair gives
+    # the same flag and witness as the old filter
+    from diskrig.experiments import random_thin_config
+
+    configs = [random_thin_config(rng) for _ in range(30)]
+    while len(configs) < 150:
+        items = [(k, Disk(complex(*rng.normal(0, 1.3, 2)), float(rng.uniform(0.4, 1.2)))) for k in range(7)]
+        try:
+            configs.append(DiskConfiguration(items))
+        except ContainmentViolation:
+            continue
+    verdicts = []
+    for cfg in configs:
+        got = is_thin(cfg, interiors_only=interiors_only)
+        assert got == _is_thin_reference(cfg, interiors_only=interiors_only)
+        verdicts.append(got[0])
+    assert 20 < sum(verdicts) < len(verdicts) - 20
 
 
 def test_general_position_cases(rng):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from diskrig.errors import AngleUndefined, DegenerateTriple, NotTransverse
@@ -20,6 +21,15 @@ from diskrig.geom import (
 )
 
 from conftest import grid_triple_oracle, random_overlapping_pair
+
+
+def test_disk_numpy_center_is_complex():
+    # a numpy centre is stored as complex, so memberships are bools and add up
+    d = Disk(np.complex128(0.5 + 0.25j), 1.0)
+    assert type(d.center) is complex
+    assert type(d.contains(0j)) is bool and type(d.contains(0j, strict=True)) is bool
+    assert d.contains(0j) + d.contains(0.1j) == 2
+    assert d == Disk(0.5 + 0.25j, 1.0)
 
 
 def test_disk_relation_cases():

@@ -10,16 +10,18 @@ from diskrig.lemmas import (
     SUITES,
     EyeQuadruple,
     LemmaInstance,
-    check_contained_loops,
+    check,
     check_eye_lemmas,
-    check_finlandia,
-    check_four_disk,
-    check_meat,
+    contained_loops_hypothesis,
     eye_boundary_crossings,
+    finlandia_hypothesis,
     generate_contained_loops,
     generate_eye_quadruple,
     generate_finlandia,
+    generate_hat,
     generate_meat,
+    hat_hypothesis,
+    meat_hypothesis,
     run_suite,
 )
 
@@ -44,7 +46,7 @@ def test_four_disk_symmetric_margin():
     side = 1.8
     disks = {k: Disk(c, 1.0) for k, c in enumerate([0j, side + 0j, side + side * 1j, side * 1j])}
     inst = LemmaInstance("four_disk", disks)
-    margin = check_four_disk(inst)
+    margin = check(inst)
     from diskrig.geom import overlap_angle
 
     theta = overlap_angle(disks[0], disks[1])
@@ -58,7 +60,7 @@ def test_four_disk_hypothesis_unmet():
     disks = {k: Disk(c, r) for k, c in enumerate([0j, side + 0j, side + side * 1j, side * 1j])}
     inst = LemmaInstance("four_disk", disks)
     with pytest.raises(HypothesisUnmet):
-        check_four_disk(inst)
+        check(inst)
 
 
 def test_meat_concentric_shrink_strict(rng):
@@ -66,13 +68,13 @@ def test_meat_concentric_shrink_strict(rng):
     done = 0
     while done < 30:
         inst = generate_meat(rng)
-        if inst is None:
+        if not meat_hypothesis(inst.disks):
             continue
         d = dict(inst.disks)
         d["Dt"] = Disk(d["D"].center, d["D"].radius * 0.8)
         inst2 = LemmaInstance("meat", d)
         try:
-            m = check_meat(inst2)
+            m = check(inst2)
         except HypothesisUnmet:
             continue
         assert m > 0
@@ -84,9 +86,9 @@ def test_meat_near_degenerate_margin(rng):
     done = 0
     while done < 20:
         inst = generate_meat(rng, shrink=1 - 1e-4)
-        if inst is None:
+        if not meat_hypothesis(inst.disks):
             continue
-        m = check_meat(inst)
+        m = check(inst)
         assert 0 < m < 0.05
         done += 1
 
@@ -95,16 +97,16 @@ def test_finlandia_near_degenerate(rng):
     done = 0
     while done < 20:
         inst = generate_finlandia(rng, shrink=1 - 1e-4)
-        if inst is None:
+        if not finlandia_hypothesis(inst.disks):
             continue
-        m = check_finlandia(inst)
+        m = check(inst)
         assert m > 0
         done += 1
 
 
 def test_contained_loops_frozen_hex_chain():
     inst = LemmaInstance("contained_loops", {"solid": HEX_CHAIN_SOLID, "dashed": HEX_CHAIN_NESTED})
-    margin = check_contained_loops(inst)
+    margin = check(inst)
     assert margin > 0.1
 
 
@@ -112,13 +114,13 @@ def test_contained_loops_concentric(rng):
     done = 0
     while done < 20:
         inst = generate_contained_loops(rng)
-        if inst is None:
+        if not contained_loops_hypothesis(inst.disks):
             continue
         solid = inst.disks["solid"]
         dashed = [Disk(d.center, d.radius * 0.93) for d in solid]
         inst2 = LemmaInstance("contained_loops", {"solid": solid, "dashed": dashed})
         try:
-            m = check_contained_loops(inst2)
+            m = check(inst2)
         except HypothesisUnmet:
             continue
         assert m > 0
@@ -130,10 +132,40 @@ def test_contained_loops_all_lengths(rng):
         got = 0
         while got < 5:
             inst = generate_contained_loops(rng, n=n)
-            if inst is None:
+            if not contained_loops_hypothesis(inst.disks):
                 continue
-            assert check_contained_loops(inst) > 1e-7
+            assert check(inst) > 1e-7
             got += 1
+
+
+def test_run_suite_tests_each_draw_once(monkeypatch):
+    gen, hypothesis, margin = SUITES["hat"]
+    draws, tested = [], []
+
+    def drawing(rng):
+        draws.append(gen(rng))
+        return draws[-1]
+
+    def testing(disks):
+        tested.append(disks)
+        return hypothesis(disks)
+
+    monkeypatch.setitem(SUITES, "hat", (drawing, testing, margin))
+    margins = run_suite("hat", seed=3, count=10)
+    assert [inst.disks for inst in draws] == tested
+    assert margins == [check(inst) for inst in draws if hypothesis(inst.disks)]
+
+
+def test_check_reads_the_instance_suite(rng):
+    # hat, shoes and pop share one triple-code hypothesis: a hat cast (code c)
+    # is a pop cast as well, but not a shoes cast
+    inst = generate_hat(rng)
+    while not hat_hypothesis(inst.disks):
+        inst = generate_hat(rng)
+    assert check(inst) > 0
+    assert check(LemmaInstance("pop", inst.disks)) > 0
+    with pytest.raises(HypothesisUnmet):
+        check(LemmaInstance("shoes", inst.disks))
 
 
 # --- eye lemmas -------------------------------------------------------------------

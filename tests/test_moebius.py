@@ -27,7 +27,7 @@ from diskrig.moebius import (
 )
 from diskrig.solver import FixedBoundaryRadii, flower, layout, solve_radii
 
-from conftest import random_overlapping_pair
+from conftest import random_overlapping_pair, tangency_flower_pair
 
 
 def test_apply_point_cases():
@@ -209,14 +209,6 @@ def test_fit_similarity_scale_quotient(rng):
 # --- normalization ------------------------------------------------------------------
 
 
-def _tangency_flower_pair():
-    tri = flower(6)
-    cfg = layout(tri, solve_radii(tri, {}, FixedBoundaryRadii({k: 1.0 for k in range(1, 7)})), {})
-    other = {k: [1.3, 0.8, 1.1, 0.9, 1.2, 1.0][k - 1] for k in range(1, 7)}
-    cfg_t = layout(tri, solve_radii(tri, {}, FixedBoundaryRadii(other)), {})
-    return cfg, cfg_t
-
-
 def _scan(cfg, cfg_t, mode):
     for k in range(1, 14):
         try:
@@ -227,7 +219,7 @@ def _scan(cfg, cfg_t, mode):
 
 
 def test_normalize_modes_succeed_on_distinct_realizations():
-    cfg, cfg_t = _tangency_flower_pair()
+    cfg, cfg_t = tangency_flower_pair()
     for mode in ("PlanePlane", "Sphere", "PlaneVsHyp"):
         eps, res = _scan(cfg, cfg_t, mode)
         assert res is not None, f"{mode} never satisfied its conditions"
@@ -235,7 +227,7 @@ def test_normalize_modes_succeed_on_distinct_realizations():
 
 
 def test_normalize_hyp_mode():
-    cfg, cfg_t = _tangency_flower_pair()
+    cfg, cfg_t = tangency_flower_pair()
     shrink = lambda s, off: (lambda d: Disk(d.center * s + off, d.radius * s))
     cfg_h = cfg.transformed(shrink(0.18, 0))
     cfg_ht = cfg_t.transformed(shrink(0.16, 0.02))
@@ -248,7 +240,7 @@ def test_normalize_hyp_mode():
 
 
 def test_normalize_epsilon_zero_fails():
-    cfg, _ = _tangency_flower_pair()
+    cfg, _ = tangency_flower_pair()
     with pytest.raises(ConditionFailed):
         normalize_pair(cfg, cfg, "PlaneVsHyp", 0.0)
 
@@ -257,7 +249,7 @@ def test_normalize_equivalent_inputs_fail_at_c_anchor():
     # Moebius-equivalent inputs admit no differing third anchor; the c-anchor
     # nesting then fails for every epsilon (the proofs only need the
     # normalization under their contradiction hypothesis)
-    cfg, _ = _tangency_flower_pair()
+    cfg, _ = tangency_flower_pair()
     m = similarity(1.3 + 0.4j, 2 - 1j)
     cfg_t = cfg.transformed(lambda d: apply_disk(m, d))
     failures = set()

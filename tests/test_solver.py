@@ -175,14 +175,14 @@ def test_solver_outputs_thin():
 
 
 def test_rigidity_experiment_hex():
-    res = rigidity_experiment(flower(6), {}, {k: 1.0 for k in range(1, 7)}, trials=5, seed=1)
+    res = rigidity_experiment(flower(6), {}, {k: 1.0 for k in range(1, 7)}, seed=1)
     assert res <= 1e-6
 
 
 def test_rigidity_experiment_mixed():
     tri = flower(6)
     theta = {e: 0.5 for e in tri.edges()}
-    res = rigidity_experiment(tri, theta, {k: 1.0 for k in range(1, 7)}, trials=5, seed=2)
+    res = rigidity_experiment(tri, theta, {k: 1.0 for k in range(1, 7)}, seed=2)
     assert res <= 1e-6
 
 
