@@ -11,14 +11,13 @@ additivity identities are then exact.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geom
-from .config import DiskConfiguration, contact_graph
+from .config import DiskConfiguration, contact_graph, eye_of_pair
 from .errors import (
     CoincidentCorner,
     CombinatoricsMismatch,
@@ -28,13 +27,7 @@ from .errors import (
     NearFixedPoint,
     PointOnCurve,
 )
-from .geom import (
-    Disk,
-    DiskRelation,
-    circle_intersections,
-    disk_relation,
-    tangency_point,
-)
+from .geom import Disk
 
 TWO_PI = 2 * math.pi
 BASE_STEP = TWO_PI / 512
@@ -137,9 +130,10 @@ def _arc_offsets(span: float, refine_start: bool, refine_end: bool, density: int
 
 @dataclass(frozen=True)
 class CornerRef:
-    """Identity of a corner: the unordered pair and which intersection point
-    ('u' and 'v' follow the convention for the pair in sorted label order;
-    't' marks a tangency)."""
+    """Identity of a corner: the pair, oriented as its Contact in the
+    configuration's contact table (str order of the labels), and which
+    intersection point: 'u' and 'v' are circle_intersections' corners for
+    that orientation, 't' marks a tangency."""
 
     pair: tuple
     kind: str
@@ -179,34 +173,18 @@ class BoundaryComplex:
         return [np.concatenate([pts for _v, _t, pts in _sample_arcs(self.config.disks, c.arcs(), density)]) for c in self.curves]
 
 
-def _pair_corners(config, i, j):
-    """Corner refs of the pair {i, j}, canonical for sorted label order."""
-    si, sj = sorted((i, j), key=str)
-    a, b = config.disks[si], config.disks[sj]
-    rel = disk_relation(a, b)
-    if rel is DiskRelation.OVERLAPPING:
-        u, v = circle_intersections(a, b)
-        return (CornerRef((si, sj), "u", u), CornerRef((si, sj), "v", v))
-    if rel is DiskRelation.EXTERNALLY_TANGENT:
-        t = tangency_point(a, b)
-        return (CornerRef((si, sj), "t", t),)
-    return ()
-
-
 def boundary_complex(config: DiskConfiguration) -> BoundaryComplex:
     """Trace the union boundary into positively oriented curves with arcs
     labeled by owning disk and corners at pair-intersection points."""
     covered = {i: [] for i in config.labels}  # (start_angle, end_angle, start_ref, end_ref)
     markers = {i: [] for i in config.labels}  # tangency splits: (angle, ref)
     corners = {}
-    for i, j in itertools.combinations(config.labels, 2):
-        refs = _pair_corners(config, i, j)
-        if not refs:
-            continue
-        corners[frozenset((i, j))] = refs
+    for e, c in config.contacts().items():
+        refs = tuple(CornerRef(c.pair, kind, z) for kind, z in c.named_corners())
+        corners[e] = refs
         if len(refs) == 1:
             (tref,) = refs
-            for v in (i, j):
+            for v in c.pair:
                 markers[v].append((config.disks[v].angle_of(tref.point), tref))
             continue
         uref, vref = refs
@@ -225,7 +203,8 @@ def boundary_complex(config: DiskConfiguration) -> BoundaryComplex:
                 start_index[(i, a.start.pair, a.start.kind)] = a
     curves = []
     unused = {id(a): a for arcs in free.values() for a in arcs}
-    for i in config.labels:
+    # curves are traced in str order of the labels, whatever the listing order
+    for i in sorted(config.labels, key=str):
         for a in free[i]:
             if id(a) not in unused:
                 continue
@@ -377,9 +356,8 @@ class FaithfulMap:
 
     def eye_loop(self, i, j, density: int = 1) -> SampledLoopMap:
         """epsilon_ij: the induced map on the eye boundary of pair {i, j}."""
-        si, sj = sorted((i, j), key=str)
-        a, b = self.config.disks[si], self.config.disks[sj]
-        u, v = circle_intersections(a, b)
+        eye = eye_of_pair(self.config, i, j)
+        (si, sj), a, b, u, v = eye.pair, eye.disk_i, eye.disk_j, eye.corner_u, eye.corner_v
         a0, b0 = a.angle_of(u), b.angle_of(v)
         arcs = [(si, a0, (a.angle_of(v) - a0) % TWO_PI, True, True), (sj, b0, (b.angle_of(u) - b0) % TWO_PI, True, True)]
         return self._loop(arcs, density)
@@ -432,29 +410,26 @@ def build_faithful_map(config, config_tilde, *, pins=None, rng=None, n_random_pi
     monotone reparametrization nodes, producing a different faithful map with
     the same corner structure.
     """
-    inc = contact_graph(config)
-    inc_t = contact_graph(config_tilde)
-    if not inc.same_combinatorics(inc_t):
+    if not contact_graph(config).same_combinatorics(contact_graph(config_tilde)):
         raise CombinatoricsMismatch("contact graphs differ")
     cx = boundary_complex(config)
     cx_t = boundary_complex(config_tilde)
     pairing = _match_curves(cx, cx_t)
 
+    # each corner pins its angle on both disks of its pair
+    pinned = {v: [] for v in config.labels}
+    for e, refs in cx.corners.items():
+        if len(refs) != len(cx_t.corners[e]):
+            raise CombinatoricsMismatch(f"pair {refs[0].pair} differs in contact type")
+        for ref, ref_t in zip(refs, cx_t.corners[e]):
+            if abs(ref.point - ref_t.point) <= _min_disp():
+                raise CoincidentCorner(f"corner of pair {ref.pair} is fixed")
+            for v in ref.pair:
+                pinned[v].append((config.disks[v].angle_of(ref.point) % TWO_PI, config_tilde.disks[v].angle_of(ref_t.point) % TWO_PI))
     vmaps = {}
     for v in config.labels:
         d, dt = config.disks[v], config_tilde.disks[v]
-        nodes = []
-        for w in config.labels:
-            if w == v:
-                continue
-            refs = cx.corners.get(frozenset((v, w)), ())
-            refs_t = cx_t.corners.get(frozenset((v, w)), ())
-            if len(refs) != len(refs_t):
-                raise CombinatoricsMismatch(f"pair ({v},{w}) differs in contact type")
-            for ref, ref_t in zip(refs, refs_t):
-                if abs(ref.point - ref_t.point) <= _min_disp():
-                    raise CoincidentCorner(f"corner of pair {ref.pair} is fixed")
-                nodes.append((d.angle_of(ref.point) % TWO_PI, dt.angle_of(ref_t.point) % TWO_PI))
+        nodes = pinned[v]
         if pins and v in pins:
             for z, zt in pins[v]:
                 nodes.append((d.angle_of(_project(d, z)) % TWO_PI, dt.angle_of(_project(dt, zt)) % TWO_PI))

@@ -3,6 +3,7 @@ general-position predicates, eyes, and the three-disk topological classifier.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -14,14 +15,45 @@ from .geom import (
     DiskRelation,
     Lens,
     circle_intersections,
+    circles_tangent,
     disk_relation,
-    meets,
     overlap_angle,
     overlaps,
     solve_apollonius,
     tangency_point,
     triple_intersection_nonempty,
 )
+
+
+@dataclass(frozen=True)
+class Contact:
+    """A meeting pair of a configuration, oriented by str of its labels: the
+    convention of every pair-indexed corner (CornerRef, eyes, anchors)."""
+
+    pair: tuple  # (i, j) with i before j in str order
+    relation: DiskRelation  # OVERLAPPING or EXTERNALLY_TANGENT
+    disk_i: Disk = field(repr=False)
+    disk_j: Disk = field(repr=False)
+
+    @functools.cached_property
+    def theta(self) -> float:
+        """Overlap angle, exactly 0 for a tangency; computed once, when first
+        read."""
+        return overlap_angle(self.disk_i, self.disk_j)
+
+    @property
+    def corners(self) -> tuple:
+        """circle_intersections' (u, v) of an overlap, or the tangency point.
+        Computed on each read, not with the table, so that a near-tangent
+        overlap whose corners nothing reads does not fail."""
+        if self.relation is DiskRelation.OVERLAPPING:
+            return circle_intersections(self.disk_i, self.disk_j)
+        return (tangency_point(self.disk_i, self.disk_j),)
+
+    def named_corners(self):
+        """(kind, point) of each corner: 'u' and 'v' of an overlap, 't' of a
+        tangency."""
+        return zip("uv" if self.relation is DiskRelation.OVERLAPPING else "t", self.corners)
 
 
 class DiskConfiguration:
@@ -34,15 +66,29 @@ class DiskConfiguration:
             raise ContainmentViolation("labels must be unique")
         self.labels = labels
         self.disks = dict(items)
-        for i, j in itertools.combinations(labels, 2):
-            rel = disk_relation(self.disks[i], self.disks[j])
-            if rel in (
-                DiskRelation.FIRST_CONTAINS_SECOND,
-                DiskRelation.SECOND_CONTAINS_FIRST,
-                DiskRelation.INTERNALLY_TANGENT,
-                DiskRelation.EQUAL,
-            ):
+        self._contacts = (geom.EPS_GEOM, self._classify())
+
+    def _classify(self) -> dict:
+        """Classify every pair once: the contact table of the meeting pairs,
+        raising ContainmentViolation where one disk contains another."""
+        table = {}
+        for i, j in itertools.combinations(sorted(self.labels, key=str), 2):
+            a, b = self.disks[i], self.disks[j]
+            rel = disk_relation(a, b)
+            if rel in (DiskRelation.OVERLAPPING, DiskRelation.EXTERNALLY_TANGENT):
+                table[frozenset((i, j))] = Contact((i, j), rel, a, b)
+            elif rel is not DiskRelation.DISJOINT:
                 raise ContainmentViolation(f"disk {i} vs {j}: {rel.value}")
+        return table
+
+    def contacts(self) -> dict:
+        """The contact table: frozenset pair -> Contact for every overlapping
+        or externally tangent pair, in str order of the pairs' labels whatever
+        the listing order, classified under the current EPS_GEOM (the table is
+        rebuilt when EPS_GEOM has changed since it was built)."""
+        if self._contacts[0] != geom.EPS_GEOM:
+            self._contacts = (geom.EPS_GEOM, self._classify())
+        return self._contacts[1]
 
     def __len__(self):
         return len(self.labels)
@@ -80,30 +126,28 @@ class IncidenceData:
 
 def contact_graph(config: DiskConfiguration) -> IncidenceData:
     """Edges for meeting pairs; tangency edges get angle exactly 0."""
-    edges = set()
-    theta = {}
-    for i, j in itertools.combinations(config.labels, 2):
-        a, b = config.disks[i], config.disks[j]
-        rel = disk_relation(a, b)
-        if rel is DiskRelation.OVERLAPPING:
-            e = frozenset((i, j))
-            edges.add(e)
-            theta[e] = overlap_angle(a, b)
-        elif rel is DiskRelation.EXTERNALLY_TANGENT:
-            e = frozenset((i, j))
-            edges.add(e)
-            theta[e] = 0.0
-    return IncidenceData(frozenset(config.labels), frozenset(edges), theta)
+    table = config.contacts()
+    return IncidenceData(frozenset(config.labels), frozenset(table), {e: c.theta for e, c in table.items()})
+
+
+def neighbours(config: DiskConfiguration) -> dict:
+    """Each label's set of meeting partners, from the contact table."""
+    adj = {v: set() for v in config.labels}
+    for i, j in (c.pair for c in config.contacts().values()):
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
 
 
 def is_thin(config: DiskConfiguration, *, interiors_only: bool = False):
     """(flag, witness): no three disks share a common point (Def. default) or,
     with interiors_only, no common interior point."""
+    adj = neighbours(config)
     for i, j, k in itertools.combinations(config.labels, 3):
-        a, b, c = config.disks[i], config.disks[j], config.disks[k]
         # a common point needs every pair of the three to meet
-        if not (meets(a, b) and meets(a, c) and meets(b, c)):
+        if not (j in adj[i] and k in adj[i] and k in adj[j]):
             continue
+        a, b, c = config.disks[i], config.disks[j], config.disks[k]
         if triple_intersection_nonempty(a, b, c):
             if interiors_only and not _triple_interior_witness(a, b, c):
                 continue
@@ -131,38 +175,19 @@ def is_general_position(config: DiskConfiguration, config_tilde: DiskConfigurati
     for i in config.labels:
         for j in config_tilde.labels:
             a, b = config.disks[i], config_tilde.disks[j]
-            d = abs(a.center - b.center)
-            if abs(d - (a.radius + b.radius)) <= geom.EPS_GEOM or abs(d - abs(a.radius - b.radius)) <= geom.EPS_GEOM:
+            if circles_tangent(a, b):
                 report.append(("tangential_cross_pair", i, j))
-            if d <= geom.EPS_GEOM and abs(a.radius - b.radius) <= geom.EPS_GEOM:
+            if abs(a.center - b.center) <= geom.EPS_GEOM and abs(a.radius - b.radius) <= geom.EPS_GEOM:
                 report.append(("coincident_boundaries", i, j))
-    special = _special_points(config)
-    special_t = _special_points(config_tilde)
-    for tag, p in special:
-        for j in config_tilde.labels:
-            b = config_tilde.disks[j]
-            if abs(abs(p - b.center) - b.radius) <= geom.EPS_GEOM:
-                report.append(("special_point_on_circle", tag, j))
-    for tag, p in special_t:
-        for i in config.labels:
-            a = config.disks[i]
-            if abs(abs(p - a.center) - a.radius) <= geom.EPS_GEOM:
-                report.append(("special_point_on_circle", tag, i))
+    # the corners of each configuration's contact table against every circle
+    # of the other
+    for cfg, other in ((config, config_tilde), (config_tilde, config)):
+        for c in cfg.contacts().values():
+            for kind, p in c.named_corners():
+                for j, d in other.items():
+                    if abs(abs(p - d.center) - d.radius) <= geom.EPS_GEOM:
+                        report.append(("special_point_on_circle", (*c.pair, kind), j))
     return (len(report) == 0), report
-
-
-def _special_points(config: DiskConfiguration):
-    pts = []
-    for i, j in itertools.combinations(config.labels, 2):
-        a, b = config.disks[i], config.disks[j]
-        rel = disk_relation(a, b)
-        if rel is DiskRelation.OVERLAPPING:
-            u, v = circle_intersections(a, b)
-            pts.append(((i, j, "u"), u))
-            pts.append(((i, j, "v"), v))
-        elif rel is DiskRelation.EXTERNALLY_TANGENT:
-            pts.append(((i, j, "t"), tangency_point(a, b)))
-    return pts
 
 
 @dataclass(frozen=True)
@@ -185,22 +210,22 @@ class Eye:
 
 
 def eyes(config: DiskConfiguration) -> list[Eye]:
-    """One eye per overlapping pair, keyed by the unordered pair in label order."""
-    out = []
-    for i, j in itertools.combinations(config.labels, 2):
-        a, b = config.disks[i], config.disks[j]
-        if disk_relation(a, b) is DiskRelation.OVERLAPPING:
-            u, v = circle_intersections(a, b)
-            out.append(Eye((i, j), a, b, u, v))
-    return out
+    """One eye per overlapping pair of the contact table, oriented as its
+    Contact (str order of the labels)."""
+    return [_eye(c) for c in config.contacts().values() if c.relation is DiskRelation.OVERLAPPING]
 
 
 def eye_of_pair(config: DiskConfiguration, i, j) -> Eye:
-    a, b = config.disks[i], config.disks[j]
-    if disk_relation(a, b) is not DiskRelation.OVERLAPPING:
+    """The eye of {i, j}, oriented by str order of the labels whichever
+    order they are given in."""
+    c = config.contacts().get(frozenset((i, j)))
+    if c is None or c.relation is not DiskRelation.OVERLAPPING:
         raise NotTransverse(f"pair ({i},{j}) does not overlap")
-    u, v = circle_intersections(a, b)
-    return Eye((i, j), a, b, u, v)
+    return _eye(c)
+
+
+def _eye(c: Contact) -> Eye:
+    return Eye(c.pair, c.disk_i, c.disk_j, *c.corners)
 
 
 # --- triple classification (quasi-quadrant signatures) ------------------------

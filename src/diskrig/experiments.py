@@ -11,7 +11,7 @@ import numpy as np
 from .boundary import FaithfulMap, _refine, build_faithful_map, fixed_point_index, loop_index
 from .config import DiskConfiguration, contact_graph, is_general_position, is_thin
 from .errors import CoincidentCorner, CombinatoricsMismatch, NearFixedPoint
-from .geom import Disk, center_distance, overlaps
+from .geom import Disk, DiskRelation, center_distance
 from .moebius import MoebiusMap, apply_disk, compose, dilation_about, inversion, similarity
 from .solver import FixedBoundaryRadii, flower, layout, solve_radii
 from .subsumption import index_lower_bound, subsumptive_subsets
@@ -177,14 +177,12 @@ def generate_experiment_pair(rng):
 def obs_a_identity(fmap: FaithfulMap):
     """eta(phi) vs sum eta(delta_i) - sum eta(eps_ij); returns (lhs, rhs)."""
     lhs = fixed_point_index(fmap).eta
-    inc = contact_graph(fmap.config)
     rhs = 0
     for v in fmap.config.labels:
         rhs += _refine(lambda d, v=v: loop_index(fmap.disk_loop(v, d)))
-    for e in inc.edges:
-        i, j = tuple(e)
-        if overlaps(fmap.config.disks[i], fmap.config.disks[j]):
-            rhs -= _refine(lambda d, i=i, j=j: loop_index(fmap.eye_loop(i, j, d)))
+    for c in fmap.config.contacts().values():
+        if c.relation is DiskRelation.OVERLAPPING:
+            rhs -= _refine(lambda d, c=c: loop_index(fmap.eye_loop(*c.pair, d)))
     return lhs, rhs
 
 
@@ -197,12 +195,9 @@ def main_b_identity(fmap: FaithfulMap, subset):
         raise ValueError("bipartition parts must be non-empty")
     lhs = fixed_point_index(fmap).eta
     rhs = sum(_refine(lambda d, part=part: sum(loop_index(l) for l in fmap.subset_loops(part, d))) for part in (I, J))
-    inc = contact_graph(fmap.config)
-    for e in inc.edges:
-        i, j = tuple(e)
-        if (i in I) == (j in I):
-            continue
-        if overlaps(fmap.config.disks[i], fmap.config.disks[j]):
+    for c in fmap.config.contacts().values():
+        i, j = c.pair
+        if c.relation is DiskRelation.OVERLAPPING and (i in I) != (j in I):
             rhs -= _refine(lambda d, i=i, j=j: loop_index(fmap.eye_loop(i, j, d)))
     return lhs, rhs
 

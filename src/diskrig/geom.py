@@ -73,6 +73,13 @@ def disk_relation(a: Disk, b: Disk) -> DiskRelation:
     return DiskRelation.OVERLAPPING
 
 
+def circles_tangent(a: Disk, b: Disk) -> bool:
+    """Whether the two boundary circles touch, externally or internally,
+    within EPS_GEOM."""
+    d = abs(a.center - b.center)
+    return abs(d - (a.radius + b.radius)) <= EPS_GEOM or abs(d - abs(a.radius - b.radius)) <= EPS_GEOM
+
+
 def overlaps(a: Disk, b: Disk) -> bool:
     return disk_relation(a, b) is DiskRelation.OVERLAPPING
 

@@ -23,7 +23,7 @@ from .errors import (
     NoAnchorFound,
     UnboundedImage,
 )
-from .geom import Disk, DiskRelation, circle_intersections, disk_relation, tangency_point
+from .geom import Disk, DiskRelation, circles_tangent, disk_relation
 
 
 @dataclass(frozen=True)
@@ -216,22 +216,11 @@ def _alignment_residual(m: MoebiusMap, src: dict, dst: dict) -> float:
     return worst
 
 
-def anchor_points(disks: dict, incidence) -> list:
-    """Pair-intersection and tangency points usable as alignment anchors,
-    ordered deterministically by edge label."""
-    pts = []
-    # frozensets sort by inclusion, a partial order: order and unpack each
-    # edge by its labels' strings, as docio writes them
-    edges = (tuple(sorted(e, key=str)) for e in incidence.edges)
-    for i, j in sorted(edges, key=lambda t: (str(t[0]), str(t[1]))):
-        a, b = disks[i], disks[j]
-        rel = disk_relation(a, b)
-        if rel is DiskRelation.OVERLAPPING:
-            u, v = circle_intersections(a, b)
-            pts.extend([u, v])
-        elif rel is DiskRelation.EXTERNALLY_TANGENT:
-            pts.append(tangency_point(a, b))
-    return pts
+def anchor_points(config) -> list:
+    """Corners of every meeting pair (u and v of an overlap, the tangency
+    point), in the contact table's order: by the pairs' label strings, as
+    docio writes edges."""
+    return [z for c in config.contacts().values() for z in c.corners]
 
 
 def align(config, config_tilde):
@@ -241,12 +230,8 @@ def align(config, config_tilde):
     distance between the mapped disk and its target, normalized by the target
     radius.
     """
-    from .config import contact_graph
-
-    inc = contact_graph(config)
-    inc_t = contact_graph(config_tilde)
-    src_pts = anchor_points(config.disks, inc)
-    dst_pts = anchor_points(config_tilde.disks, inc_t)
+    src_pts = anchor_points(config)
+    dst_pts = anchor_points(config_tilde)
     if len(src_pts) < 3 or len(dst_pts) < 3 or len(src_pts) != len(dst_pts):
         raise InsufficientAnchors(f"{len(src_pts)} vs {len(dst_pts)} anchor points")
     m = from_three_points(src_pts[0], src_pts[1], src_pts[2], dst_pts[0], dst_pts[1], dst_pts[2])
@@ -331,14 +316,10 @@ def normalize_pair(config, config_tilde, theorem_mode: str, epsilon: float) -> N
 def _outer_general_position(comp_c: Disk, comp_t: Disk, mapped: dict, mapped_t: dict) -> bool:
     # the outer circles must not be tangent to, or coincident with, anything
     # from the other configuration; circle-level transversality only.
-    def transverse(d1: Disk, d2: Disk) -> bool:
-        d = abs(d1.center - d2.center)
-        return abs(d - (d1.radius + d2.radius)) > geom.EPS_GEOM and abs(d - abs(d1.radius - d2.radius)) > geom.EPS_GEOM
-
-    if not transverse(comp_c, comp_t):
+    if circles_tangent(comp_c, comp_t):
         return False
-    return all(transverse(comp_c, d) for d in mapped_t.values()) and all(
-        transverse(comp_t, d) for d in mapped.values()
+    return not any(circles_tangent(comp_c, d) for d in mapped_t.values()) and not any(
+        circles_tangent(comp_t, d) for d in mapped.values()
     )
 
 

@@ -330,9 +330,8 @@ def _verify_incidence(tri: Triangulation, theta, config: DiskConfiguration):
     off = {e: abs(derived.theta[e] - _theta_of(theta, *tuple(e))) for e in want_edges}
     worst = max(sorted(want_edges, key=_pair), key=off.get)
     if off[worst] > 1e-7:
-        a, b = (config.disks[v] for v in worst)
         got, want = derived.theta[worst], _theta_of(theta, *tuple(worst))
-        if geom.disk_relation(a, b) is geom.DiskRelation.EXTERNALLY_TANGENT:
+        if config.contacts()[worst].relation is geom.DiskRelation.EXTERNALLY_TANGENT:
             cause = (
                 f"read as tangent, the centre distance being within EPS_GEOM={geom.EPS_GEOM:.3g} "
                 f"of the radius sum (d - r_i - r_j = {gap(worst):.3g}), while the input angle is {want:.3g}"

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import geom
-from .config import DiskConfiguration, contact_graph
+from .config import DiskConfiguration, neighbours
 from .errors import ObservationViolated
 from .geom import (
     Disk,
@@ -73,17 +73,13 @@ def subsumptive_subsets(config: DiskConfiguration, config_tilde: DiskConfigurati
     """Maximal subsumptive subsets (connected same-direction containment
     components of the contact graph), their isolation, H graphs, sinks, and
     the main-theorem lower bound."""
-    inc = contact_graph(config)
     directions = {}
     for v in config.labels:
         d = _containment_direction(config.disks[v], config_tilde.disks[v])
         if d is not None:
             directions[v] = d
-    adj = {v: set() for v in config.labels}
-    for e in inc.edges:
-        i, j = tuple(e)
-        adj[i].add(j)
-        adj[j].add(i)
+    adj = neighbours(config)
+    contacts = config.contacts()
     seen = set()
     subsets = []
     for v in sorted(directions, key=str):
@@ -105,7 +101,7 @@ def subsumptive_subsets(config: DiskConfiguration, config_tilde: DiskConfigurati
         isolated = True
         for i in comp:
             for j in adj[i] - comp:
-                if not overlaps(config.disks[i], config.disks[j]):
+                if contacts[frozenset((i, j))].relation is not DiskRelation.OVERLAPPING:
                     continue
                 if eye_containment(
                     config.disks[i], config.disks[j], config_tilde.disks[i], config_tilde.disks[j]
@@ -123,16 +119,15 @@ def subsumptive_subsets(config: DiskConfiguration, config_tilde: DiskConfigurati
 
 
 def _build_h(config, config_tilde, subset, direction, adj):
-    if direction == "down":
-        disks, disks_t = config.disks, config_tilde.disks
-    else:
-        disks, disks_t = config_tilde.disks, config.disks
+    cfg, cfg_t = (config, config_tilde) if direction == "down" else (config_tilde, config)
+    disks, disks_t, contacts = cfg.disks, cfg_t.disks, cfg.contacts()
     hu = []
     h = []
     ties = []
     for i in sorted(subset, key=str):
         for j in sorted(adj[i] & subset, key=str):
-            if not overlaps(disks[i], disks[j]):
+            contact = contacts.get(frozenset((i, j)))
+            if contact is None or contact.relation is not DiskRelation.OVERLAPPING:
                 continue
             if str(i) < str(j):
                 hu.append((i, j))
@@ -142,7 +137,7 @@ def _build_h(config, config_tilde, subset, direction, adj):
                 continue
             if rel in (DiskRelation.OVERLAPPING, DiskRelation.EXTERNALLY_TANGENT):
                 shifted = overlap_angle(disks_t[i], disks[j])
-                base = overlap_angle(disks[i], disks[j])
+                base = contact.theta
                 if abs(shifted - base) <= geom.EPS_ANGLE:
                     ties.append((i, j))
                 elif shifted > base:
@@ -154,17 +149,11 @@ def build_H(config, config_tilde, subset):
     """Directed shift edges over a subsumptive subset, with the observation
     checks: every undirected edge gets a direction (unless tied) and no vertex
     has two out-edges."""
-    inc = contact_graph(config)
-    adj = {v: set() for v in config.labels}
-    for e in inc.edges:
-        i, j = tuple(e)
-        adj[i].add(j)
-        adj[j].add(i)
     dirs = {_containment_direction(config.disks[v], config_tilde.disks[v]) for v in subset}
     if len(dirs) != 1 or None in dirs:
         raise ObservationViolated("subset is not subsumptive in a single direction")
     direction = dirs.pop()
-    hu, h, ties = _build_h(config, config_tilde, frozenset(subset), direction, adj)
+    hu, h, ties = _build_h(config, config_tilde, frozenset(subset), direction, neighbours(config))
     tied = {frozenset(t) for t in ties}
     out_count = {}
     for i, j in h:

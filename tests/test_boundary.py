@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import weakref
@@ -9,6 +10,7 @@ from diskrig.boundary import (
     BASE_STEP,
     CORNER_REFINE,
     CORNER_WINDOW,
+    CornerRef,
     SampledLoopMap,
     _arc_offsets,
     _refine,
@@ -29,7 +31,7 @@ from diskrig.errors import (
     NearFixedPoint,
     PointOnCurve,
 )
-from diskrig.geom import Disk
+from diskrig.geom import Disk, DiskRelation, circle_intersections, disk_relation, tangency_point
 from diskrig.moebius import apply_disk, dilation_about
 
 NEGIDX_C = DiskConfiguration([(1, Disk(3.18 - 0.05j, 1.51)), (2, Disk(5.02 + 0.05j, 1.43))])
@@ -97,21 +99,81 @@ def test_faithful_map_translation():
     assert abs(rep.min_displacement - 5) < 0.2
 
 
-def test_faithful_map_reads_corners_from_its_complexes(monkeypatch, rng):
-    # each pair's corners are traced once per configuration, by boundary_complex
-    from diskrig import boundary
-    from diskrig.experiments import random_ring_config
+def _pair_corners(config, i, j):
+    """Corner refs of the pair {i, j} for sorted label order, classified
+    afresh: how boundary_complex traced each pair before the contact table,
+    kept as the oracle for the table's corners."""
+    si, sj = sorted((i, j), key=str)
+    a, b = config.disks[si], config.disks[sj]
+    rel = disk_relation(a, b)
+    if rel is DiskRelation.OVERLAPPING:
+        u, v = circle_intersections(a, b)
+        return (CornerRef((si, sj), "u", u), CornerRef((si, sj), "v", v))
+    if rel is DiskRelation.EXTERNALLY_TANGENT:
+        t = tangency_point(a, b)
+        return (CornerRef((si, sj), "t", t),)
+    return ()
 
-    c = random_ring_config(rng, n=6)
-    ct = c.transformed(lambda d: Disk(d.center * 1.05 + 0.01j, d.radius * 1.05))
-    calls = []
-    original = boundary._pair_corners
-    monkeypatch.setattr(boundary, "_pair_corners", lambda cfg, i, j: calls.append((i, j)) or original(cfg, i, j))
-    fmap = build_faithful_map(c, ct)
-    assert len(calls) == 2 * math.comb(6, 2)
-    for cx in (fmap.complex_src, fmap.complex_dst):
-        for i, j in itertools.combinations(cx.config.labels, 2):
-            assert cx.corners.get(frozenset((i, j)), ()) == original(cx.config, i, j)
+
+def _count_disk_relation(monkeypatch):
+    """Count the disk_relation calls made outside geom, through every other
+    diskrig module's binding of it, keyed by the unordered pair of disk
+    objects (geom's own predicates check their relation afresh)."""
+    import sys
+
+    from diskrig import geom
+
+    calls = collections.Counter()
+    original = geom.disk_relation
+
+    def counted(a, b):
+        calls[frozenset((id(a), id(b)))] += 1
+        return original(a, b)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("diskrig") and name != "diskrig.geom" and getattr(mod, "disk_relation", None) is original:
+            monkeypatch.setattr(mod, "disk_relation", counted)
+    return calls
+
+
+def test_faithful_map_reads_corners_from_its_complexes(monkeypatch, rng):
+    # labels 0..11 list the pair (9, 10) against str order; a ring of
+    # overlaps and a flower of tangencies
+    from diskrig.config import contact_graph, eyes, is_general_position, is_thin
+    from diskrig.experiments import random_ring_config
+    from diskrig.moebius import anchor_points
+    from diskrig.solver import FixedBoundaryRadii, flower, layout, solve_radii
+    from diskrig.subsumption import subsumptive_subsets
+
+    tri = flower(11)
+    tangent = layout(tri, solve_radii(tri, {}, FixedBoundaryRadii({k: 1.0 for k in range(1, 12)})), {})
+    calls = _count_disk_relation(monkeypatch)
+    for items in (random_ring_config(rng, n=12).items(), tangent.items()):
+        calls.clear()
+        c = DiskConfiguration(items)
+        ct = c.transformed(lambda d: Disk(d.center * 1.05 + 0.01j, d.radius * 1.05))
+        pairs = [(cfg, i, j) for cfg in (c, ct) for i, j in itertools.combinations(cfg.labels, 2)]
+        # building a configuration classifies each pair once ...
+        assert [calls[frozenset((id(cfg.disks[i]), id(cfg.disks[j])))] for cfg, i, j in pairs] == [1] * len(pairs)
+        # ... and no reader of its contacts classifies a pair again
+        calls.clear()
+        fmap = build_faithful_map(c, ct)
+        fixed_point_index(fmap)
+        is_general_position(c, ct)
+        subsumptive_subsets(c, ct)
+        for cfg in (c, ct):
+            for read in (contact_graph, is_thin, eyes, boundary_complex, anchor_points):
+                read(cfg)
+        assert not any(calls[frozenset((id(cfg.disks[i]), id(cfg.disks[j])))] for cfg, i, j in pairs)
+        # the table's corners and the complexes' corner refs match the oracle
+        for cx in (fmap.complex_src, fmap.complex_dst):
+            contacts = cx.config.contacts()
+            for i, j in itertools.combinations(cx.config.labels, 2):
+                want = _pair_corners(cx.config, i, j)
+                assert cx.corners.get(frozenset((i, j)), ()) == want
+                got = contacts.get(frozenset((i, j)))
+                assert (got.pair, got.corners) == (want[0].pair, tuple(r.point for r in want)) if want else got is None
+    assert any(str(i) > str(j) for cfg, i, j in pairs if frozenset((i, j)) in cfg.contacts())
 
 
 def test_faithful_map_identical_raises():

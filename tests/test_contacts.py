@@ -1,0 +1,128 @@
+"""The contact table: one classification of each pair per configuration, with
+corners oriented by str order of the labels, so that what is read from it
+does not depend on the order in which the disks are listed."""
+import functools
+import math
+import os
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from diskrig import geom
+from diskrig.boundary import boundary_complex, build_faithful_map, fixed_point_index
+from diskrig.config import DiskConfiguration, contact_graph, eyes
+from diskrig.docio import read_document
+from diskrig.errors import UnboundedImage
+from diskrig.experiments import random_bounded_moebius
+from diskrig.geom import Disk
+from diskrig.moebius import apply_disk
+from diskrig.subsumption import index_lower_bound
+
+CLI_PAIRS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus", "cli_pairs")
+N_PAIRS = 40
+
+# a fixed set of examples keeps tier-1 deterministic; each example costs about
+# one fixed-point index of a 37-disk pair
+EXAMPLES = settings(
+    max_examples=10, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_pair(k):
+    """The k-th 37-disk pair of the cli_pairs corpus and its index report and
+    bound; the corpus lists its labels 0..36 in str order."""
+    c, ct = (read_document(os.path.join(CLI_PAIRS, f"{k:03d}_{s}.json")).to_configuration() for s in "ct")
+    return c, ct, fixed_point_index(build_faithful_map(c, ct)), index_lower_bound(c, ct)
+
+
+def _eye_data(config):
+    return [(e.pair, e.corner_u, e.corner_v) for e in eyes(config)]
+
+
+@EXAMPLES
+@given(k=st.integers(0, N_PAIRS - 1), order=st.permutations(range(37)))
+def test_listing_order_changes_nothing(k, order):
+    c, ct, report, bound = _corpus_pair(k)
+    pc, pct = (DiskConfiguration([cfg.items()[i] for i in order]) for cfg in (c, ct))
+    for cfg, permuted in ((c, pc), (ct, pct)):
+        inc, inc_p = contact_graph(cfg), contact_graph(permuted)
+        assert inc.edges == inc_p.edges
+        assert all(inc.theta[e] == inc_p.theta[e] for e in inc.edges)
+        assert _eye_data(cfg) == _eye_data(permuted)
+    got = fixed_point_index(build_faithful_map(pc, pct))
+    assert (got.eta, got.per_curve, got.min_displacement) == (report.eta, report.per_curve, report.min_displacement)
+    assert index_lower_bound(pc, pct) == bound
+
+
+@EXAMPLES
+@given(k=st.integers(0, N_PAIRS - 1), names=st.permutations(range(37)))
+def test_relabelling_changes_nothing(k, names):
+    # a relabelling that changes the labels' str order swaps some pairs'
+    # orientation (theta to within rounding) and the order in which the
+    # boundary curves are traced, so per_curve is compared as a multiset
+    c, ct, report, bound = _corpus_pair(k)
+    rc, rct = (DiskConfiguration([(names[v], d) for v, d in cfg.items()]) for cfg in (c, ct))
+    for cfg, relabelled in ((c, rc), (ct, rct)):
+        inc, inc_r = contact_graph(cfg), contact_graph(relabelled)
+        assert {frozenset(names[v] for v in e) for e in inc.edges} == inc_r.edges
+        for e in inc.edges:
+            assert abs(inc.theta[e] - inc_r.theta[frozenset(names[v] for v in e)]) <= 1e-12
+    got = fixed_point_index(build_faithful_map(rc, rct))
+    assert got.eta == report.eta
+    assert sorted(got.per_curve) == sorted(report.per_curve)
+    assert index_lower_bound(rc, rct) == bound
+
+
+@EXAMPLES
+@given(k=st.integers(0, N_PAIRS - 1), seed=st.integers(0, 2**32 - 1))
+def test_moebius_image_keeps_contacts_and_bound(k, seed):
+    c, ct, _report, bound = _corpus_pair(k)
+    m = random_bounded_moebius(c, np.random.default_rng(seed))
+    try:
+        mc, mct = (cfg.transformed(lambda d: apply_disk(m, d)) for cfg in (c, ct))
+    except UnboundedImage:
+        assume(False)
+    assert contact_graph(mc).edges == contact_graph(c).edges
+    assert contact_graph(mct).edges == contact_graph(ct).edges
+    assert index_lower_bound(mc, mct) == bound
+
+
+def test_reversed_listing_reads_the_same_corners():
+    # labels 0..11 listed in numeric order: (9, 10) and others are listed
+    # against str order
+    items = [(k, Disk(2 * np.exp(2j * math.pi * k / 12), 0.6)) for k in range(12)]
+    c, rev = DiskConfiguration(items), DiskConfiguration(items[::-1])
+    assert list(c.contacts()) == list(rev.contacts())
+    assert [(x.pair, x.theta, x.corners) for x in c.contacts().values()] == [
+        (x.pair, x.theta, x.corners) for x in rev.contacts().values()
+    ]
+    assert frozenset((9, 10)) in c.contacts() and c.contacts()[frozenset((9, 10))].pair == (10, 9)
+    assert [ref for refs in boundary_complex(c).corners.values() for ref in refs] == [
+        ref for refs in boundary_complex(rev).corners.values() for ref in refs
+    ]
+
+
+def test_tolerance_override_rebuilds_the_table(monkeypatch):
+    # the pair (a, b) overlaps by 1e-6: overlapping under EPS_GEOM = 1e-9,
+    # tangent under 1e-5; the configuration is built once, before the override
+    c = DiskConfiguration([("a", Disk(0j, 1.0)), ("b", Disk(complex(2.0 - 1e-6, 0.0), 1.0)), ("c", Disk(5j, 1.0))])
+    ab = frozenset("ab")
+
+    def reads_as_overlapping():
+        inc, cx = contact_graph(c), boundary_complex(c)
+        assert inc.edges == {ab}
+        kinds = [ref.kind for ref in cx.corners[ab]]
+        if inc.theta[ab] > 0:
+            assert [e.pair for e in eyes(c)] == [("a", "b")] and kinds == ["u", "v"]
+            return True
+        assert inc.theta[ab] == 0.0 and eyes(c) == [] and kinds == ["t"]
+        return False
+
+    assert reads_as_overlapping()
+    monkeypatch.setattr(geom, "EPS_GEOM", 1e-5)
+    assert not reads_as_overlapping()
+    monkeypatch.undo()
+    assert geom.EPS_GEOM == 1e-9
+    assert reads_as_overlapping()
