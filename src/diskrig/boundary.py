@@ -27,7 +27,7 @@ from .errors import (
     NearFixedPoint,
     PointOnCurve,
 )
-from .geom import Disk
+from .geom import Disk, cyclic_spans
 
 TWO_PI = 2 * math.pi
 BASE_STEP = TWO_PI / 512
@@ -94,18 +94,11 @@ def sample_disk_boundary(disk: Disk, corners=()) -> OrientedCurve:
     corner_pts = [corners[k] for k in order]
     thetas = [thetas[k] % TWO_PI for k in order]
     samples = []
-    for k, (t0, span) in enumerate(zip(thetas, _cyclic_spans(thetas))):
+    for k, (t0, span) in enumerate(zip(thetas, cyclic_spans(thetas))):
         pts = disk.center + disk.radius * np.exp(1j * (t0 + _arc_offsets(span, True, True)))
         pts[0] = corner_pts[k]  # corners appear exactly as samples
         samples.append(pts)
     return OrientedCurve(np.concatenate(samples), +1)
-
-
-def _cyclic_spans(angles) -> list:
-    """Span from each angle to the next, cyclically; a lone angle spans the
-    full turn."""
-    n = len(angles)
-    return [(angles[(k + 1) % n] - t) % TWO_PI or TWO_PI for k, t in enumerate(angles)]
 
 
 def _arc_offsets(span: float, refine_start: bool, refine_end: bool, density: int = 1) -> np.ndarray:
@@ -231,7 +224,7 @@ def _free_arcs(disk, vertex, intervals, marks):
         return [BoundaryArc(vertex, 0.0, TWO_PI, None, None)]
     if not intervals:
         marks = sorted(marks)
-        spans = _cyclic_spans([t for t, _ref in marks])
+        spans = cyclic_spans([t for t, _ref in marks])
         return [
             BoundaryArc(vertex, t0, span, ref0, marks[(k + 1) % len(marks)][1])
             for k, ((t0, ref0), span) in enumerate(zip(marks, spans))
@@ -292,8 +285,8 @@ class VertexArcMap:
         t0 = np.array([n[0] for n in self.nodes])
         t1 = np.array([n[1] for n in self.nodes])
         idx = np.argmin((theta[..., None] - t0) % TWO_PI, axis=-1)
-        span = np.array(_cyclic_spans(t0))[idx]
-        span_t = np.array(_cyclic_spans(t1))[idx]
+        span = np.array(cyclic_spans(t0))[idx]
+        span_t = np.array(cyclic_spans(t1))[idx]
         frac = ((theta - t0[idx]) % TWO_PI) / span
         return t1[idx] + frac * span_t
 
@@ -351,16 +344,14 @@ class FaithfulMap:
     def disk_loop(self, vertex, density: int = 1) -> SampledLoopMap:
         """delta_v: the induced map on the full circle of one disk."""
         angles = [t for t, _t in self.vmaps[vertex].nodes]
-        arcs = [(vertex, t, span, True, True) for t, span in zip(angles, _cyclic_spans(angles))]
+        arcs = [(vertex, t, span, True, True) for t, span in zip(angles, cyclic_spans(angles))]
         return self._loop(arcs or [(vertex, 0.0, TWO_PI, False, False)], density)
 
     def eye_loop(self, i, j, density: int = 1) -> SampledLoopMap:
         """epsilon_ij: the induced map on the eye boundary of pair {i, j}."""
-        eye = eye_of_pair(self.config, i, j)
-        (si, sj), a, b, u, v = eye.pair, eye.disk_i, eye.disk_j, eye.corner_u, eye.corner_v
-        a0, b0 = a.angle_of(u), b.angle_of(v)
-        arcs = [(si, a0, (a.angle_of(v) - a0) % TWO_PI, True, True), (sj, b0, (b.angle_of(u) - b0) % TWO_PI, True, True)]
-        return self._loop(arcs, density)
+        arcs = eye_of_pair(self.config, i, j).boundary_arcs()
+        pair = self.config.contacts()[frozenset((i, j))].pair  # the eye's orientation
+        return self._loop([(k, arc.a0, arc.da, True, True) for k, arc in zip(pair, arcs)], density)
 
 
 def _match_curves(cx_src: BoundaryComplex, cx_dst: BoundaryComplex):
@@ -458,8 +449,8 @@ def _check_monotone(nodes, v):
 
 def _randomize_vmap(vm: VertexArcMap, rng, n_pins) -> VertexArcMap:
     nodes = list(vm.nodes)
-    spans = _cyclic_spans([t for t, _t in nodes])
-    spans_t = _cyclic_spans([t for _t, t in nodes])
+    spans = cyclic_spans([t for t, _t in nodes])
+    spans_t = cyclic_spans([t for _t, t in nodes])
     out = list(nodes)
     for _ in range(n_pins):
         k = int(rng.integers(len(nodes)))

@@ -16,12 +16,12 @@ from .geom import (
     Lens,
     circle_intersections,
     circles_tangent,
+    cyclic_spans,
     disk_relation,
     overlap_angle,
     overlaps,
     solve_apollonius,
     tangency_point,
-    triple_intersection_nonempty,
 )
 
 
@@ -141,15 +141,23 @@ def neighbours(config: DiskConfiguration) -> dict:
 
 def is_thin(config: DiskConfiguration, *, interiors_only: bool = False):
     """(flag, witness): no three disks share a common point (Def. default) or,
-    with interiors_only, no common interior point."""
+    with interiors_only, no common interior point.
+
+    Three pairwise meeting disks, none containing another, share a point
+    exactly when a corner of one pair (read from the contact table) lies in
+    the third disk."""
     adj = neighbours(config)
+    contacts = config.contacts()
     for i, j, k in itertools.combinations(config.labels, 3):
         # a common point needs every pair of the three to meet
         if not (j in adj[i] and k in adj[i] and k in adj[j]):
             continue
-        a, b, c = config.disks[i], config.disks[j], config.disks[k]
-        if triple_intersection_nonempty(a, b, c):
-            if interiors_only and not _triple_interior_witness(a, b, c):
+        if any(
+            config.disks[third].contains(w)
+            for pair, third in (((i, j), k), ((i, k), j), ((j, k), i))
+            for w in contacts[frozenset(pair)].corners
+        ):
+            if interiors_only and not _triple_interior_witness(config.disks[i], config.disks[j], config.disks[k]):
                 continue
             return False, (i, j, k)
     return True, None
@@ -190,42 +198,19 @@ def is_general_position(config: DiskConfiguration, config_tilde: DiskConfigurati
     return (len(report) == 0), report
 
 
-@dataclass(frozen=True)
-class Eye:
-    """Lens of an overlapping pair with corners labeled by the orientation
-    convention: the boundary of disk i enters disk j at corner_u."""
-
-    pair: tuple
-    disk_i: Disk
-    disk_j: Disk
-    corner_u: complex
-    corner_v: complex
-
-    @property
-    def lens(self) -> Lens:
-        return Lens(self.disk_i, self.disk_j)
-
-    def contains(self, z: complex, *, strict: bool = False) -> bool:
-        return self.disk_i.contains(z, strict=strict) and self.disk_j.contains(z, strict=strict)
+def eyes(config: DiskConfiguration) -> dict:
+    """The eye of each overlapping pair of the contact table: its pair (i, j),
+    in str order of the labels, -> Lens(disk i, disk j)."""
+    return {c.pair: Lens(c.disk_i, c.disk_j) for c in config.contacts().values() if c.relation is DiskRelation.OVERLAPPING}
 
 
-def eyes(config: DiskConfiguration) -> list[Eye]:
-    """One eye per overlapping pair of the contact table, oriented as its
-    Contact (str order of the labels)."""
-    return [_eye(c) for c in config.contacts().values() if c.relation is DiskRelation.OVERLAPPING]
-
-
-def eye_of_pair(config: DiskConfiguration, i, j) -> Eye:
+def eye_of_pair(config: DiskConfiguration, i, j) -> Lens:
     """The eye of {i, j}, oriented by str order of the labels whichever
-    order they are given in."""
+    order they are given in; its corners are computed afresh for each call."""
     c = config.contacts().get(frozenset((i, j)))
     if c is None or c.relation is not DiskRelation.OVERLAPPING:
         raise NotTransverse(f"pair ({i},{j}) does not overlap")
-    return _eye(c)
-
-
-def _eye(c: Contact) -> Eye:
-    return Eye(c.pair, c.disk_i, c.disk_j, *c.corners)
+    return Lens(c.disk_i, c.disk_j)
 
 
 # --- triple classification (quasi-quadrant signatures) ------------------------
@@ -264,22 +249,13 @@ def quadrant_signature(p: Disk, q: Disk, x: Disk) -> frozenset:
     for other in (p, q):
         if disk_relation(x, other) is DiskRelation.OVERLAPPING:
             cuts.extend(circle_intersections(x, other))
-    if not cuts:
-        angles = [0.0]
-        spans = [2 * math.pi]
-    else:
-        angs = sorted(x.angle_of(z) for z in cuts)
-        deduped = [angs[0]]
-        for t in angs[1:]:
-            if t - deduped[-1] > 1e-12:
-                deduped.append(t)
-        angles = deduped
-        spans = [
-            ((angles[(k + 1) % len(angles)] - angles[k]) % (2 * math.pi)) or 2 * math.pi
-            for k in range(len(angles))
-        ]
+    angles = []
+    for t in sorted(x.angle_of(z) for z in cuts):
+        if not angles or t - angles[-1] > 1e-12:
+            angles.append(t)
+    angles = angles or [0.0]
     tags = set()
-    for a0, da in zip(angles, spans):
+    for a0, da in zip(angles, cyclic_spans(angles)):
         mid = x.point_at(a0 + da / 2)
         in_p = p.contains(mid)
         in_q = q.contains(mid)

@@ -18,6 +18,10 @@ class DegenerateTriple(DiskrigError):
     pass
 
 
+class DegenerateDisk(DiskrigError, ValueError):
+    """A radius not above EPS_GEOM, or a centre that is not finite."""
+
+
 # moebius
 class MapsToInfinity(DiskrigError):
     pass
@@ -118,6 +122,11 @@ class HypothesisUnmet(DiskrigError):
 
 
 # solver
+class InvalidTriangulation(DiskrigError, ValueError):
+    """A degenerate face, an edge in more than two faces, or an interior
+    vertex whose link is not a cycle."""
+
+
 class UnsupportedAngle(DiskrigError):
     pass
 

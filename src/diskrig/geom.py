@@ -7,12 +7,13 @@ analysis is stable.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AngleUndefined, DegenerateTriple, NotTransverse
+from .errors import AngleUndefined, DegenerateDisk, DegenerateTriple, NotTransverse
 
 EPS_GEOM = 1e-9
 EPS_ANGLE = 1e-7
@@ -28,9 +29,9 @@ class Disk:
         # logical ors
         object.__setattr__(self, "center", complex(self.center))
         if not (self.radius > EPS_GEOM):
-            raise ValueError(f"radius must exceed {EPS_GEOM}: {self.radius}")
+            raise DegenerateDisk(f"radius must exceed {EPS_GEOM}: {self.radius}")
         if not (math.isfinite(self.center.real) and math.isfinite(self.center.imag)):
-            raise ValueError("center must be finite")
+            raise DegenerateDisk("center must be finite")
 
     def point_at(self, theta: float) -> complex:
         return self.center + self.radius * np.exp(1j * theta)
@@ -43,6 +44,10 @@ class Disk:
         if strict:
             return d < self.radius - EPS_GEOM
         return d <= self.radius + EPS_GEOM
+
+    def boundary_arcs(self) -> tuple:
+        """The boundary circle as one CCW arc from angle 0."""
+        return (Arc(self, 0.0, 2 * math.pi),)
 
 
 class DiskRelation(enum.Enum):
@@ -138,38 +143,6 @@ def tangency_point(a: Disk, b: Disk) -> complex:
     return a.center + (b.center - a.center) * (a.radius / d)
 
 
-def triple_intersection_nonempty(a: Disk, b: Disk, c: Disk) -> bool:
-    """Whether the three closed disks share a common point.
-
-    Uses the boundary-point criterion: valid when no disk of the triple
-    contains another, which the configuration invariant guarantees.  Tangency
-    points count as witnesses.
-    """
-    disks = (a, b, c)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            rel = disk_relation(disks[i], disks[j])
-            if rel in (
-                DiskRelation.FIRST_CONTAINS_SECOND,
-                DiskRelation.SECOND_CONTAINS_FIRST,
-                DiskRelation.INTERNALLY_TANGENT,
-                DiskRelation.EQUAL,
-            ):
-                raise DegenerateTriple(f"containment between disks {i} and {j}")
-    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        di, dj, dk = disks[i], disks[j], disks[k]
-        rel = disk_relation(di, dj)
-        if rel is DiskRelation.OVERLAPPING:
-            witnesses = circle_intersections(di, dj)
-        elif rel is DiskRelation.EXTERNALLY_TANGENT:
-            witnesses = (tangency_point(di, dj),)
-        else:
-            continue
-        if any(dk.contains(w) for w in witnesses):
-            return True
-    return False
-
-
 # --- circular arcs and two-disk regions -------------------------------------
 
 
@@ -203,6 +176,13 @@ def arc_between(disk: Disk, za: complex, zb: complex) -> Arc:
     if da == 0.0:
         da = 2 * math.pi
     return Arc(disk, a0, da)
+
+
+def cyclic_spans(angles) -> list:
+    """Span from each angle to the next, cyclically; a lone angle spans the
+    full turn."""
+    n = len(angles)
+    return [(angles[(k + 1) % n] - t) % (2 * math.pi) or 2 * math.pi for k, t in enumerate(angles)]
 
 
 def arc_contains_angle(arc: Arc, theta: float) -> bool:
@@ -242,17 +222,24 @@ def arc_in_disk(arc: Arc, other: Disk) -> bool:
 
 
 @dataclass(frozen=True)
-class Lens:
-    """Closed intersection A cap B of two overlapping disks."""
+class _TwoDiskRegion:
+    """A region cut out of two overlapping disks a and b."""
 
     a: Disk
     b: Disk
 
-    @property
+    @functools.cached_property
     def corners(self) -> tuple[complex, complex]:
+        """circle_intersections' (u, v): the boundary of a enters b at u.
+        Computed once per object, when first read."""
         return circle_intersections(self.a, self.b)
 
+
+class Lens(_TwoDiskRegion):
+    """Closed intersection A cap B of two overlapping disks: an eye."""
+
     def boundary_arcs(self) -> tuple[Arc, Arc]:
+        """The arc of a from u to v, then the arc of b from v to u."""
         u, v = self.corners
         return arc_between(self.a, u, v), arc_between(self.b, v, u)
 
@@ -264,15 +251,11 @@ class Lens:
         return (u + v) / 2
 
 
-@dataclass(frozen=True)
-class Lune:
+class Lune(_TwoDiskRegion):
     """Closed difference A \\ int(B) of two overlapping disks."""
 
-    a: Disk
-    b: Disk
-
     def boundary_arcs(self) -> tuple[Arc, Arc]:
-        u, v = circle_intersections(self.a, self.b)
+        u, v = self.corners
         # part of the boundary of a outside b, plus part of boundary of b
         # inside a traversed backwards; as unoriented arcs:
         return arc_between(self.a, v, u), arc_between(self.b, v, u)
@@ -288,24 +271,39 @@ class Lune:
         return self.a.center + self.a.radius * axis
 
 
-def _region_arcs(region) -> list[Arc]:
-    return list(region.boundary_arcs())
+def boundary_crossings(r1, r2):
+    """Transverse crossings of the boundaries of two regions (Disk, Lens or
+    Lune), found lazily: (arc of r1, arc of r2, point) in boundary_arcs
+    order."""
+    arcs2 = r2.boundary_arcs()
+    for a1 in r1.boundary_arcs():
+        for a2 in arcs2:
+            for p in arc_crossings(a1, a2):
+                yield a1, a2, p
+
+
+def eye_nesting(eye: Lens, eye_t: Lens) -> str | None:
+    """Which of two eyes whose boundaries do not cross contains the other:
+    "fwd" (eye_t inside eye), "rev" (eye inside eye_t) or None (disjoint)."""
+    if all(eye.contains(z) for z in eye_t.corners):
+        return "fwd"
+    if all(eye_t.contains(z) for z in eye.corners):
+        return "rev"
+    return None
 
 
 def regions_meet(r1, r2) -> bool:
-    """Whether two closed lens/lune regions intersect (exact circle tests)."""
-    for a1 in _region_arcs(r1):
-        for a2 in _region_arcs(r2):
-            for p in arc_crossings(a1, a2):
-                if r1.contains(p) and r2.contains(p):
-                    return True
+    """Whether two closed regions intersect (exact circle tests)."""
+    for _a1, _a2, p in boundary_crossings(r1, r2):
+        if r1.contains(p) and r2.contains(p):
+            return True
     # no boundary crossing: disjoint or nested
     if r2.contains(r1.sample_point()) or r1.contains(r2.sample_point()):
         return True
-    for a1 in _region_arcs(r1):
+    for a1 in r1.boundary_arcs():
         if r2.contains(complex(a1.point(0.5))):
             return True
-    for a2 in _region_arcs(r2):
+    for a2 in r2.boundary_arcs():
         if r1.contains(complex(a2.point(0.5))):
             return True
     return False

@@ -10,6 +10,7 @@ must come out strictly positive.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,8 +26,8 @@ from .geom import (
     Lune,
     arc_between,
     arc_circle_crossings,
-    arc_crossings,
     arc_in_disk,
+    boundary_crossings,
     center_distance,
     circle_intersections,
     disk_relation,
@@ -34,7 +35,6 @@ from .geom import (
     overlap_angle,
     overlaps,
     regions_meet,
-    triple_intersection_nonempty,
 )
 
 TWO_PI = 2 * math.pi
@@ -139,11 +139,10 @@ def meat_hypothesis(disks) -> bool:
     if not _no_containment(dm, D) or not _no_containment(dp, D):
         return False
     try:
-        if triple_intersection_nonempty(dm, dp, D):
-            return False
+        # labels in str order keep the pairs (dm, dp), (dm, D), (dp, D)
+        return is_thin(DiskConfiguration(enumerate((dm, dp, D))))[0]
     except DiskrigError:
         return False
-    return True
 
 
 def _meat_margin(d) -> float:
@@ -406,13 +405,13 @@ class EyeQuadruple:
     At: Disk
     Bt: Disk
 
-    def corners(self):
-        u, v = circle_intersections(self.A, self.B)
-        ut, vt = circle_intersections(self.At, self.Bt)
-        return u, v, ut, vt
+    @functools.cached_property
+    def E(self) -> Lens:
+        return Lens(self.A, self.B)
 
-    def eye_regions(self):
-        return Lens(self.A, self.B), Lens(self.At, self.Bt)
+    @functools.cached_property
+    def Et(self) -> Lens:
+        return Lens(self.At, self.Bt)
 
 
 def quadruple_general_position(q: EyeQuadruple) -> bool:
@@ -430,19 +429,20 @@ def eye_boundary_crossings(q: EyeQuadruple) -> int:
 def eye_boundary_crossing_pairs(q: EyeQuadruple):
     """Eye-boundary crossing points tagged by (plain circle, tilde circle):
     each tag is ("A"|"B", "At"|"Bt")."""
-    E, Et = q.eye_regions()
-    arcs = list(zip(("A", "B"), E.boundary_arcs()))
-    arcs_t = list(zip(("At", "Bt"), Et.boundary_arcs()))
-    return [((name, name_t), z) for name, a in arcs for name_t, b in arcs_t for z in arc_crossings(a, b)]
+    return [
+        (("A" if a.disk is q.A else "B", "At" if b.disk is q.At else "Bt"), z)
+        for a, b, z in boundary_crossings(q.E, q.Et)
+    ]
 
 
 def check_eye_lemmas(q: EyeQuadruple) -> dict:
     """Verify every applicable eye-lemma conclusion on the quadruple."""
     if not quadruple_general_position(q):
         raise HypothesisUnmet("quadruple not in general position")
-    u, v, ut, vt = q.corners()
-    E, Et = q.eye_regions()
-    n_cross = eye_boundary_crossings(q)
+    E, Et = q.E, q.Et
+    (u, v), (ut, vt) = E.corners, Et.corners
+    tags = sorted(t for t, _z in eye_boundary_crossing_pairs(q))
+    n_cross = len(tags)
     report = {"crossings": n_cross, "lem1_ok": n_cross in (0, 2, 4, 6)}
 
     a_meet = regions_meet(Lune(q.A, q.B), Lune(q.At, q.Bt))
@@ -453,12 +453,11 @@ def check_eye_lemmas(q: EyeQuadruple) -> dict:
         ok = not (Et.contains(u) or Et.contains(v) or E.contains(ut) or E.contains(vt))
         report["lem2_ok"] = ok
 
-    report["lem3"] = _lem3_report(q)
+    report["lem3"] = _lem3_report(q, a_meet, b_meet)
 
     if n_cross == 4 and E.contains(ut, strict=True) and E.contains(vt, strict=True) and not Et.contains(u) and not Et.contains(v):
         # the threaded configuration also requires the crossings to pair the
         # tilde eye arcs with the opposite plain circles
-        tags = sorted(t for t, _z in eye_boundary_crossing_pairs(q))
         if tags == [("A", "Bt"), ("A", "Bt"), ("B", "At"), ("B", "At")]:
             report["lem4_ok"] = (not a_meet) and (not b_meet)
 
@@ -467,24 +466,22 @@ def check_eye_lemmas(q: EyeQuadruple) -> dict:
     return report
 
 
-def _lem3_report(q: EyeQuadruple):
+def _lem3_report(q: EyeQuadruple, a_meet: bool, b_meet: bool):
     """The four disjointness implications; each entry is (hypothesis_held,
-    conclusion_ok or None)."""
-    u, v, ut, vt = q.corners()
-    arc_at = arc_between(q.At, ut, vt)  # [u~ -> v~] along the eye boundary of At
-    arc_bt = arc_between(q.Bt, vt, ut)
-    arc_a = arc_between(q.A, u, v)
-    arc_b = arc_between(q.B, v, u)
+    conclusion_ok or None).  a_meet and b_meet say whether the A-side and
+    B-side difference regions meet."""
+    arc_a, arc_b = q.E.boundary_arcs()
+    arc_at, arc_bt = q.Et.boundary_arcs()  # [u~ -> v~] along At, then [v~ -> u~] along Bt
     out = []
     cases = [
-        (arc_at, q.A, arc_bt, lambda: not regions_meet(Lune(q.B, q.A), Lune(q.Bt, q.At))),
-        (arc_bt, q.B, arc_at, lambda: not regions_meet(Lune(q.A, q.B), Lune(q.At, q.Bt))),
-        (arc_a, q.At, arc_b, lambda: not regions_meet(Lune(q.Bt, q.At), Lune(q.B, q.A))),
-        (arc_b, q.Bt, arc_a, lambda: not regions_meet(Lune(q.At, q.Bt), Lune(q.A, q.B))),
+        (arc_at, q.A, arc_bt, not b_meet),
+        (arc_bt, q.B, arc_at, not a_meet),
+        (arc_a, q.At, arc_b, not b_meet),
+        (arc_b, q.Bt, arc_a, not a_meet),
     ]
     for inside_arc, big, other_arc, conclusion in cases:
         hyp = arc_in_disk(inside_arc, big) and len(arc_circle_crossings(other_arc, big)) > 0
-        out.append((hyp, conclusion() if hyp else None))
+        out.append((hyp, conclusion if hyp else None))
     return out
 
 

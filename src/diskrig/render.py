@@ -53,8 +53,8 @@ def render_svg(config: DiskConfiguration, *, second=None, overlays=()) -> str:
             x, y = cv.pt(d.center)
             out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(cv.r(d.radius))}" {style}/>')
     if "eyes" in overlays:
-        for eye in eyes(config):
-            for z in (eye.corner_u, eye.corner_v):
+        for eye in eyes(config).values():
+            for z in eye.corners:
                 x, y = cv.pt(z)
                 out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.0" fill="black"/>')
     if "H" in overlays and second is not None:

@@ -29,6 +29,7 @@ from .config import DiskConfiguration, contact_graph
 from .errors import (
     ExtraneousContact,
     InconsistentPlacement,
+    InvalidTriangulation,
     Nonconvergence,
     TriangleViolation,
     UnsupportedAngle,
@@ -49,20 +50,20 @@ class Triangulation:
         edge_faces = {}
         for f in self.faces:
             if len(set(f)) != 3:
-                raise ValueError(f"degenerate face {f}")
+                raise InvalidTriangulation(f"degenerate face {f}")
             for k in range(3):
                 e = frozenset((f[k], f[(k + 1) % 3]))
                 edge_faces.setdefault(e, []).append(tuple(f))
         for e, fs in edge_faces.items():
             if len(fs) > 2:
-                raise ValueError(f"edge {tuple(e)} lies in {len(fs)} faces")
+                raise InvalidTriangulation(f"edge {tuple(e)} lies in {len(fs)} faces")
         self.edge_faces = edge_faces
         self.boundary_edges = {e for e, fs in edge_faces.items() if len(fs) == 1}
         self.boundary_vertices = sorted({v for e in self.boundary_edges for v in e}, key=str)
         self.interior_vertices = [v for v in self.vertices if v not in set(self.boundary_vertices)]
         for v in self.interior_vertices:
             if not self._link_is_cycle(v):
-                raise ValueError(f"link of interior vertex {v} is not a cycle")
+                raise InvalidTriangulation(f"link of interior vertex {v} is not a cycle")
 
     def _link_is_cycle(self, v):
         star = [f for f in self.faces if v in f]

@@ -5,16 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import geom
-from .config import DiskConfiguration, neighbours
-from .errors import ObservationViolated
-from .geom import (
-    Disk,
-    DiskRelation,
-    circle_intersections,
-    disk_relation,
-    overlap_angle,
-    overlaps,
-)
+from .config import DiskConfiguration, eye_of_pair, neighbours
+from .errors import NotTransverse, ObservationViolated
+from .geom import Disk, DiskRelation, boundary_crossings, disk_relation, eye_nesting, overlap_angle
 
 
 @dataclass
@@ -43,32 +36,6 @@ def _containment_direction(d: Disk, dt: Disk) -> str | None:
     return None
 
 
-def eye_containment(a: Disk, b: Disk, at: Disk, bt: Disk) -> str | None:
-    """Whether one of the eyes E = a cap b, E~ = at cap bt contains the other:
-    returns "fwd" (E~ inside E), "rev", or None."""
-    crossings = 0
-    for d1 in (a, b):
-        for d2 in (at, bt):
-            if overlaps(d1, d2):
-                for z in circle_intersections(d1, d2):
-                    if _on_eye_boundary(z, d1, a, b) and _on_eye_boundary(z, d2, at, bt):
-                        crossings += 1
-    if crossings:
-        return None
-    u, v = circle_intersections(a, b)
-    ut, vt = circle_intersections(at, bt)
-    if a.contains(ut) and b.contains(ut) and a.contains(vt) and b.contains(vt):
-        return "fwd"
-    if at.contains(u) and bt.contains(u) and at.contains(v) and bt.contains(v):
-        return "rev"
-    return None
-
-
-def _on_eye_boundary(z: complex, carrier: Disk, a: Disk, b: Disk) -> bool:
-    other = b if carrier is a else a
-    return other.contains(z)
-
-
 def subsumptive_subsets(config: DiskConfiguration, config_tilde: DiskConfiguration) -> SubsumptionReport:
     """Maximal subsumptive subsets (connected same-direction containment
     components of the contact graph), their isolation, H graphs, sinks, and
@@ -79,7 +46,6 @@ def subsumptive_subsets(config: DiskConfiguration, config_tilde: DiskConfigurati
         if d is not None:
             directions[v] = d
     adj = neighbours(config)
-    contacts = config.contacts()
     seen = set()
     subsets = []
     for v in sorted(directions, key=str):
@@ -101,11 +67,11 @@ def subsumptive_subsets(config: DiskConfiguration, config_tilde: DiskConfigurati
         isolated = True
         for i in comp:
             for j in adj[i] - comp:
-                if contacts[frozenset((i, j))].relation is not DiskRelation.OVERLAPPING:
-                    continue
-                if eye_containment(
-                    config.disks[i], config.disks[j], config_tilde.disks[i], config_tilde.disks[j]
-                ):
+                try:
+                    eye, eye_t = eye_of_pair(config, i, j), eye_of_pair(config_tilde, i, j)
+                except NotTransverse:
+                    continue  # a tangency, or no tilde eye: nothing to nest
+                if next(boundary_crossings(eye, eye_t), None) is None and eye_nesting(eye, eye_t):
                     isolated = False
         hu, h, ties = _build_h(config, config_tilde, comp, direction, adj)
         # the report stays tolerant of inputs outside the same-incidence

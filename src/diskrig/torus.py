@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geom
 from .boundary import SampledLoopMap, _refine, _winding_of_closed, loop_index
-from .config import Eye
 from .errors import (
     AlternationViolated,
     BasePointOnBoundary,
@@ -25,14 +24,14 @@ from .errors import (
     PathThroughTorusPoint,
 )
 from .geom import (
-    Arc,
     Disk,
     DiskRelation,
+    Lens,
     Lune,
-    arc_between,
     arc_contains_angle,
-    arc_crossings,
+    boundary_crossings,
     disk_relation,
+    eye_nesting,
     regions_meet,
 )
 
@@ -48,25 +47,11 @@ class ArcChain:
     """Closed positively oriented curve made of CCW circular arcs."""
 
     pieces: list  # of Arc
-    marks: dict = field(default_factory=dict)  # name -> absolute param in [0,1)
 
     def __post_init__(self):
         self._lens = np.array([p.length() for p in self.pieces])
         self.total = float(self._lens.sum())
         self._cum = np.concatenate([[0.0], np.cumsum(self._lens)]) / self.total
-
-    @classmethod
-    def from_disk(cls, disk: Disk) -> "ArcChain":
-        return cls([Arc(disk, 0.0, TWO_PI)])
-
-    @classmethod
-    def from_eye(cls, eye: Eye) -> "ArcChain":
-        a1 = arc_between(eye.disk_i, eye.corner_u, eye.corner_v)
-        a2 = arc_between(eye.disk_j, eye.corner_v, eye.corner_u)
-        chain = cls([a1, a2])
-        chain.marks["u"] = 0.0
-        chain.marks["v"] = float(chain._cum[1])
-        return chain
 
     def point(self, s):
         s = np.asarray(s, dtype=float) % 1.0
@@ -110,14 +95,6 @@ class ArcChain:
         return best
 
 
-def chain_of(obj) -> ArcChain:
-    if isinstance(obj, Disk):
-        return ArcChain.from_disk(obj)
-    if isinstance(obj, Eye):
-        return ArcChain.from_eye(obj)
-    raise TypeError(f"cannot build a boundary chain from {type(obj)}")
-
-
 # --- parametrization ---------------------------------------------------------------
 
 
@@ -134,8 +111,8 @@ class TorusParametrization:
     chain: ArcChain
     chain_t: ArcChain
     crossings: list
-    region: Disk | Eye  # the region bounded by chain
-    region_t: Disk | Eye
+    region: Disk | Lens  # the region bounded by chain
+    region_t: Disk | Lens
 
     @property
     def M(self) -> int:
@@ -148,20 +125,18 @@ class TorusParametrization:
 def build_parametrization(k_obj, kt_obj) -> TorusParametrization:
     """Locate and classify all boundary crossings; verifies the alternation law
     along both curves."""
-    chain = chain_of(k_obj)
-    chain_t = chain_of(kt_obj)
-    crossings = []
+    chain = ArcChain(list(k_obj.boundary_arcs()))
+    chain_t = ArcChain(list(kt_obj.boundary_arcs()))
     for piece in chain.pieces:
         for piece_t in chain_t.pieces:
             rel = disk_relation(piece.disk, piece_t.disk)
             if rel in (DiskRelation.EXTERNALLY_TANGENT, DiskRelation.INTERNALLY_TANGENT):
                 raise NotTransverse("tangent circles in the pair")
-            for z in arc_crossings(piece, piece_t):
-                tangent = 1j * (z - piece.disk.center)
-                entering = (tangent.conjugate() * (piece_t.disk.center - z)).real > 0
-                crossings.append(
-                    Crossing("p" if entering else "pt", chain.param_of(z), chain_t.param_of(z), z)
-                )
+    crossings = []
+    for piece, piece_t, z in boundary_crossings(k_obj, kt_obj):
+        tangent = 1j * (z - piece.disk.center)
+        entering = (tangent.conjugate() * (piece_t.disk.center - z)).real > 0
+        crossings.append(Crossing("p" if entering else "pt", chain.param_of(z), chain_t.param_of(z), z))
     _check_alternation(crossings)
     return TorusParametrization(chain, chain_t, crossings, k_obj, kt_obj)
 
@@ -464,19 +439,18 @@ def _gap_midpoints(vals):
 # --- zero-index eye maps and three-point prescriptions -------------------------------
 
 
-def check_eye_pair_hypotheses(eye: Eye, eye_t: Eye):
+def check_eye_pair_hypotheses(eye: Lens, eye_t: Lens):
     """Hypotheses of the zero-index proposition: neither eye contains the
     other and both pairs of difference regions meet."""
     param = build_parametrization(eye, eye_t)
     if param.M == 0:
-        lens, lens_t = eye.lens, eye_t.lens
-        if lens_t.contains(lens.corners[0]) or lens.contains(lens_t.corners[0]):
+        if eye_nesting(eye, eye_t):
             raise HypothesesViolated("one eye contains the other")
         return param  # disjoint eyes: the trivial case needs no further hypotheses
     if param.M > 3:
         raise HypothesesViolated(f"eye boundaries cross {2 * param.M} > 6 times")
-    a, b = eye.disk_i, eye.disk_j
-    at, bt = eye_t.disk_i, eye_t.disk_j
+    a, b = eye.a, eye.b
+    at, bt = eye_t.a, eye_t.b
     if not regions_meet(Lune(a, b), Lune(at, bt)):
         raise HypothesesViolated("A-side difference regions do not meet")
     if not regions_meet(Lune(b, a), Lune(bt, at)):
@@ -484,16 +458,14 @@ def check_eye_pair_hypotheses(eye: Eye, eye_t: Eye):
     return param
 
 
-def find_zero_index_eye_map(eye: Eye, eye_t: Eye) -> GraphMap:
+def find_zero_index_eye_map(eye: Lens, eye_t: Lens) -> GraphMap:
     """Faithful (corner-respecting) indexable map with eta = 0, by exhaustive
-    monotone path search through the corner-pair waypoint."""
+    monotone path search through the corner-pair waypoint.  Each eye's chain
+    starts at its corner u; its corner v ends the first arc."""
     param = check_eye_pair_hypotheses(eye, eye_t)
-    base_s = param.chain.marks["u"]
-    base_st = param.chain_t.marks["u"]
-    cx = (param.chain.marks["v"] - base_s) % 1.0
-    cy = (param.chain_t.marks["v"] - base_st) % 1.0
-    w_total = _base_windings(param, base_s, base_st)
-    routes = _route_search(param, base_s, base_st, [(cx, cy)], w_total, target=0)
+    cx, cy = float(param.chain._cum[1]), float(param.chain_t._cum[1])
+    w_total = _base_windings(param, 0.0, 0.0)
+    routes = _route_search(param, 0.0, 0.0, [(cx, cy)], w_total, target=0)
     for gmap in routes:
         report_eta = graph_eta(gmap)
         if report_eta == 0 and index_via_torus(gmap) == 0:

@@ -32,6 +32,41 @@ def grid_triple_oracle(a: Disk, b: Disk, c: Disk, n: int = 400):
     return best >= 0, abs(best)
 
 
+def triple_intersection_nonempty(a: Disk, b: Disk, c: Disk) -> bool:
+    """Whether the three closed disks share a common point: the reference for
+    is_thin, which reads the corners from the contact table instead.
+
+    Uses the boundary-point criterion: valid when no disk of the triple
+    contains another.  Tangency points count as witnesses.
+    """
+    from diskrig.errors import DegenerateTriple
+    from diskrig.geom import DiskRelation, circle_intersections, disk_relation, tangency_point
+
+    disks = (a, b, c)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            rel = disk_relation(disks[i], disks[j])
+            if rel in (
+                DiskRelation.FIRST_CONTAINS_SECOND,
+                DiskRelation.SECOND_CONTAINS_FIRST,
+                DiskRelation.INTERNALLY_TANGENT,
+                DiskRelation.EQUAL,
+            ):
+                raise DegenerateTriple(f"containment between disks {i} and {j}")
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        di, dj, dk = disks[i], disks[j], disks[k]
+        rel = disk_relation(di, dj)
+        if rel is DiskRelation.OVERLAPPING:
+            witnesses = circle_intersections(di, dj)
+        elif rel is DiskRelation.EXTERNALLY_TANGENT:
+            witnesses = (tangency_point(di, dj),)
+        else:
+            continue
+        if any(dk.contains(w) for w in witnesses):
+            return True
+    return False
+
+
 def random_disk(rng, center_scale=2.0, r_lo=0.4, r_hi=1.6) -> Disk:
     return Disk(complex(*rng.normal(0, center_scale, 2)), float(rng.uniform(r_lo, r_hi)))
 

@@ -242,6 +242,43 @@ def test_analyze_report(tmp_path, capsys):
     assert ["p3", "p4"] in subset["H"] and ["p4", "p3"] in subset["H"]
 
 
+def _disks_doc(path, disks):
+    """A configuration document of {id: (centre, radius)}."""
+    entries = [{"id": k, "cx": c.real, "cy": c.imag, "r": r} for k, (c, r) in disks.items()]
+    return _write(path, {"schema_version": 1, "disks": entries})
+
+
+def test_analyze_cross_edge_without_tilde_eye(tmp_path, capsys):
+    # the cross edge (1, 2) of the subsumptive subset {1} overlaps in c but
+    # not in c~: with no tilde eye there is nothing to nest, so {1} is isolated
+    pc = _disks_doc(tmp_path / "c.json", {1: (0j, 1.0), 2: (1.5 + 0j, 1.0)})
+    pt = _disks_doc(tmp_path / "ct.json", {1: (0j, 0.8), 2: (3.2 + 0j, 0.5)})
+    assert main(["--json", "analyze", pc, pt]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    (subset,) = payload["subsets"]
+    assert subset["vertices"] == ["1"] and subset["direction"] == "down" and subset["isolated"]
+    assert payload["lower_bound"] == 1
+
+
+def test_check_degenerate_radius_is_an_error(tmp_path, capsys):
+    # docio accepts r = 1e-10, Disk rejects it: an error (2), not a failed
+    # predicate (1)
+    path = _disks_doc(tmp_path / "tiny.json", {"a": (0j, 1e-10)})
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius must exceed") and err.count("\n") == 1
+
+
+def test_solve_degenerate_face_is_an_error(tmp_path, capsys):
+    path = _write(
+        tmp_path / "face.json",
+        {"schema_version": 1, "disks": [], "triangulation": {"faces": [[0, 0, 1]], "boundary_radii": {}}},
+    )
+    assert main(["solve", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: degenerate face") and err.count("\n") == 1
+
+
 def test_compare_normalize_mode(tmp_path, capsys):
     import numpy as np
 

@@ -15,10 +15,10 @@ from diskrig.config import (
     is_thin,
 )
 from diskrig.errors import ContainmentViolation, DiskrigError, HypothesesViolated
-from diskrig.geom import Disk, circle_intersections, meets, triple_intersection_nonempty
+from diskrig.geom import Disk, Lens, circle_intersections, meets
 from diskrig.moebius import apply_disk, compose, inversion, similarity
 
-from conftest import grid_triple_oracle
+from conftest import grid_triple_oracle, triple_intersection_nonempty
 
 
 def test_configuration_invariant():
@@ -127,16 +127,17 @@ def test_eyes():
     tangent = DiskConfiguration(
         [(0, Disk(0j, 1)), (1, Disk(2 + 0j, 1)), (2, Disk(1 + math.sqrt(3) * 1j, 1))]
     )
-    assert eyes(tangent) == []
+    assert eyes(tangent) == {}
 
-    pair = DiskConfiguration([("a", Disk(0j, 1)), ("b", Disk(1 + 0j, 1))])
-    (eye,) = eyes(pair)
-    assert abs(eye.corner_u - (0.5 - math.sqrt(3) / 2 * 1j)) < 1e-12
-    assert abs(eye.corner_v - (0.5 + math.sqrt(3) / 2 * 1j)) < 1e-12
+    pair = DiskConfiguration([("b", Disk(1 + 0j, 1)), ("a", Disk(0j, 1))])
+    ((key, eye),) = eyes(pair).items()
+    assert key == ("a", "b") and eye == Lens(Disk(0j, 1), Disk(1 + 0j, 1))
+    u, v = eye.corners
+    assert abs(u - (0.5 - math.sqrt(3) / 2 * 1j)) < 1e-12
+    assert abs(v - (0.5 + math.sqrt(3) / 2 * 1j)) < 1e-12
 
     chain = DiskConfiguration([(1, Disk(0j, 1)), (2, Disk(1.2 + 0j, 1)), (3, Disk(2.4 + 0j, 1))])
-    keys = sorted(e.pair for e in eyes(chain))
-    assert keys == [(1, 2), (2, 3)]
+    assert sorted(eyes(chain)) == [(1, 2), (2, 3)]
 
 
 def test_eye_corner_alternation(rng):
@@ -146,7 +147,7 @@ def test_eye_corner_alternation(rng):
         a, b = random_overlapping_pair(rng)
         cfg = DiskConfiguration([("a", a), ("b", b)])
         eye = eye_of_pair(cfg, "a", "b")
-        t = a.angle_of(eye.corner_u)
+        t = a.angle_of(eye.corners[0])
         assert b.contains(a.point_at(t + 1e-5), strict=True)
         assert not b.contains(a.point_at(t - 1e-5))
 

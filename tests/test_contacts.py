@@ -38,7 +38,7 @@ def _corpus_pair(k):
 
 
 def _eye_data(config):
-    return [(e.pair, e.corner_u, e.corner_v) for e in eyes(config)]
+    return [(pair, *e.corners) for pair, e in eyes(config).items()]
 
 
 @EXAMPLES
@@ -115,9 +115,9 @@ def test_tolerance_override_rebuilds_the_table(monkeypatch):
         assert inc.edges == {ab}
         kinds = [ref.kind for ref in cx.corners[ab]]
         if inc.theta[ab] > 0:
-            assert [e.pair for e in eyes(c)] == [("a", "b")] and kinds == ["u", "v"]
+            assert list(eyes(c)) == [("a", "b")] and kinds == ["u", "v"]
             return True
-        assert inc.theta[ab] == 0.0 and eyes(c) == [] and kinds == ["t"]
+        assert inc.theta[ab] == 0.0 and eyes(c) == {} and kinds == ["t"]
         return False
 
     assert reads_as_overlapping()

@@ -11,16 +11,17 @@ from diskrig.geom import (
     Lens,
     Lune,
     arc_in_disk,
+    boundary_crossings,
     circle_intersections,
     disk_relation,
+    eye_nesting,
     lens_in_disk,
     overlap_angle,
     regions_meet,
     solve_apollonius,
-    triple_intersection_nonempty,
 )
 
-from conftest import grid_triple_oracle, random_overlapping_pair
+from conftest import grid_triple_oracle, random_overlapping_pair, triple_intersection_nonempty
 
 
 def test_disk_numpy_center_is_complex():
@@ -182,6 +183,30 @@ def test_region_predicates():
     # a lune nested inside the other pair's disk difference
     big_a, big_b = Disk(0j, 4.0), Disk(7.5 + 0j, 4.0)
     assert regions_meet(Lune(big_a, big_b), Lune(a, b))
+
+
+def test_boundary_crossings_and_nesting():
+    a, b = Disk(0j, 1.2), Disk(1.0 + 0j, 1.2)
+    (arc,) = a.boundary_arcs()
+    assert (arc.a0, arc.da) == (0.0, 2 * math.pi)
+    # two circles cross at their two intersection points, in the order of
+    # circle_intersections
+    assert [p for _x, _y, p in boundary_crossings(a, b)] == list(circle_intersections(a, b))
+    eye = Lens(a, b)
+    # the arc of a runs from u to v, the arc of b from v back to u
+    (u, v), (arc_a, arc_b) = eye.corners, eye.boundary_arcs()
+    assert max(abs(arc_a.start - u), abs(arc_a.end - v), abs(arc_b.start - v), abs(arc_b.end - u)) < 1e-12
+    # a lens and a disk through it: each crossing names the arc it lies on
+    cut = Disk(0.5 + 1.0j, 0.5)
+    got = list(boundary_crossings(eye, cut))
+    assert [x.disk for x, _y, _p in got] == [a, b] and all(y.disk == cut for _x, y, _p in got)
+    # the lazy generator stops at the first crossing
+    assert next(boundary_crossings(eye, Lens(Disk(0.5 + 1.0j, 0.5), Disk(0.5 + 1.5j, 0.5))), None) is not None
+    small = Lens(Disk(0.3 + 0j, 0.6), Disk(0.7 + 0j, 0.6))
+    assert next(boundary_crossings(eye, small), None) is None
+    assert eye_nesting(eye, small) == "fwd" and eye_nesting(small, eye) == "rev"
+    far = Lens(Disk(10 + 0j, 1.0), Disk(11 + 0j, 1.0))
+    assert eye_nesting(eye, far) is None
 
 
 def test_arc_in_disk():

@@ -205,8 +205,8 @@ def _threaded_eyes_instance():
 
 def test_threaded_eyes_lem4_conclusions():
     q = _threaded_eyes_instance()
-    u, v, ut, vt = q.corners()
-    E, Et = q.eye_regions()
+    E, Et = q.E, q.Et
+    (u, v), (ut, vt) = E.corners, Et.corners
     assert eye_boundary_crossings(q) == 4
     assert E.contains(ut, strict=True) and E.contains(vt, strict=True)
     assert not Et.contains(u) and not Et.contains(v)
@@ -233,8 +233,8 @@ def test_lem5_instances(rng):
         q = generate_eye_quadruple(rng, mode="rotate")
         if q is None:
             continue
-        u, v, ut, vt = q.corners()
-        E, Et = q.eye_regions()
+        E, Et = q.E, q.Et
+        (u, _v), (ut, _vt) = E.corners, Et.corners
         if not (Et.contains(u, strict=True) and E.contains(ut, strict=True)):
             continue
         report = check_eye_lemmas(q)

@@ -1,11 +1,29 @@
+import collections
+import json
+import os
+
 import numpy as np
 import pytest
 
 from diskrig import geom
-from diskrig.config import DiskConfiguration, contact_graph
-from diskrig.errors import DiskrigError, ObservationViolated
-from diskrig.geom import Disk, DiskRelation, disk_relation
+from diskrig.config import DiskConfiguration, contact_graph, eye_of_pair, neighbours
+from diskrig.docio import read_document
+from diskrig.errors import DiskrigError, NotTransverse
+from diskrig.geom import (
+    Disk,
+    DiskRelation,
+    Lens,
+    boundary_crossings,
+    circle_intersections,
+    disk_relation,
+    eye_nesting,
+    overlaps,
+)
 from diskrig.subsumption import build_H, find_sink, index_lower_bound, subsumptive_subsets
+
+from conftest import random_overlapping_pair
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus")
 
 SHIFT_GRAPH_SOLID = {
     "p1": Disk(4.5 - 0.33j, 1.1),
@@ -207,8 +225,6 @@ def test_at_most_one_cross_eye_containment(rng):
     # for every maximal subsumptive subset, at most one cross pair
     # (i inside, j outside) has nested eyes
     from diskrig.experiments import generate_experiment_pair
-    from diskrig.geom import overlaps
-    from diskrig.subsumption import eye_containment
 
     checked = 0
     for _ in range(60):
@@ -226,7 +242,7 @@ def test_at_most_one_cross_eye_containment(rng):
                         continue
                     if not overlaps(c.disks[i], c.disks[j]):
                         continue
-                    if eye_containment(c.disks[i], c.disks[j], ct.disks[i], ct.disks[j]):
+                    if _nested(Lens(c.disks[i], c.disks[j]), Lens(ct.disks[i], ct.disks[j])):
                         crossings += 1
             assert crossings <= 1
             checked += 1
@@ -317,11 +333,82 @@ def test_isolation_detects_eye_containment():
     c = DiskConfiguration([(0, Disk(0j, 1.0)), (1, Disk(1.4 + 0j, 1.0)), (2, Disk(2.8 + 0j, 1.0))])
     ct = DiskConfiguration([(0, Disk(-0.02 + 0j, 0.8)), (1, Disk(1.45 + 0j, 0.8)), (2, Disk(3.0 + 0j, 1.0))])
     assert contact_graph(c).same_combinatorics(contact_graph(ct))
-    from diskrig.subsumption import eye_containment
-
-    assert eye_containment(c.disks[1], c.disks[2], ct.disks[1], ct.disks[2]) == "fwd"
+    assert _nested(eye_of_pair(c, 1, 2), eye_of_pair(ct, 1, 2)) == "fwd"
     rep = subsumptive_subsets(c, ct)
     (info,) = rep.subsets
     assert info.vertices == frozenset({0, 1})
     assert info.isolated is False
     assert rep.lower_bound == 0
+
+
+def _nested(eye, eye_t):
+    """The isolation test of subsumptive_subsets: None when the boundaries
+    cross, else eye_nesting."""
+    return None if next(boundary_crossings(eye, eye_t), None) is not None else eye_nesting(eye, eye_t)
+
+
+def _reference_eye_containment(a: Disk, b: Disk, at: Disk, bt: Disk) -> str | None:
+    """The former subsumption.eye_containment, kept as the oracle of _nested:
+    crossings counted circle by circle, a crossing of circles d1 and d2 lying
+    on an eye's boundary when the eye's other disk contains it."""
+    crossings = 0
+    for d1, o1 in ((a, b), (b, a)):
+        for d2, o2 in ((at, bt), (bt, at)):
+            if overlaps(d1, d2):
+                for z in circle_intersections(d1, d2):
+                    if o1.contains(z) and o2.contains(z):
+                        crossings += 1
+    if crossings:
+        return None
+    u, v = circle_intersections(a, b)
+    ut, vt = circle_intersections(at, bt)
+    if a.contains(ut) and b.contains(ut) and a.contains(vt) and b.contains(vt):
+        return "fwd"
+    if at.contains(u) and bt.contains(u) and at.contains(v) and bt.contains(v):
+        return "rev"
+    return None
+
+
+def test_eye_nesting_matches_reference(rng):
+    # random eye pairs, and eyes dilated about their centre (by s < 1 the
+    # tilde eye nests inside, by s > 1 it contains the eye)
+    seen = collections.Counter()
+    for k in range(800):
+        a, b = random_overlapping_pair(rng)
+        if k % 2:
+            at, bt = random_overlapping_pair(rng)
+        else:
+            p, s = sum(Lens(a, b).corners) / 2, rng.uniform(0.6, 1.6)
+            at, bt = (Disk(p + (d.center - p) * s, d.radius * s) for d in (a, b))
+        try:
+            want = _reference_eye_containment(a, b, at, bt)
+        except NotTransverse:
+            continue
+        eye, eye_t = Lens(a, b), Lens(at, bt)
+        assert _nested(eye, eye_t) == want
+        if next(boundary_crossings(eye, eye_t), None) is None:
+            # the containment test check_eye_pair_hypotheses made at M = 0
+            (u, _v), (ut, _vt) = eye.corners, eye_t.corners
+            assert bool(eye_nesting(eye, eye_t)) == (eye_t.contains(u) or eye.contains(ut))
+        seen[want] += 1
+    assert min(seen["fwd"], seen["rev"]) >= 100 and seen[None] >= 300
+
+
+def test_isolation_tests_on_the_corpora_match_reference():
+    # every isolation test subsumptive_subsets makes on the index_theorem and
+    # cli_pairs corpora: none nests, by either test
+    results = []
+    for name in ("index_theorem", "cli_pairs"):
+        with open(os.path.join(CORPUS, name, "manifest.json")) as fh:
+            items = json.load(fh)["items"]
+        for item in items:
+            c, ct = (read_document(os.path.join(CORPUS, name, f)).to_configuration() for f in item["files"])
+            adj = neighbours(c)
+            for info in subsumptive_subsets(c, ct).subsets:
+                for i in info.vertices:
+                    for j in adj[i] - info.vertices:
+                        if overlaps(c.disks[i], c.disks[j]):
+                            old = _reference_eye_containment(c.disks[i], c.disks[j], ct.disks[i], ct.disks[j])
+                            results.append((_nested(eye_of_pair(c, i, j), eye_of_pair(ct, i, j)), old))
+    assert len(results) == 342
+    assert set(results) == {(None, None)}

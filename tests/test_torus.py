@@ -14,8 +14,9 @@ from diskrig.errors import (
     NotTransverse,
     PathThroughTorusPoint,
 )
-from diskrig.geom import Disk
+from diskrig.geom import Arc, Disk, arc_between
 from diskrig.torus import (
+    ArcChain,
     _base_windings,
     build_parametrization,
     check_eye_pair_hypotheses,
@@ -73,6 +74,20 @@ def test_parametrization_tangent_raises():
         build_parametrization(Disk(0j, 1.0), Disk(2 + 0j, 1.0))
 
 
+def test_chains_match_the_former_constructors(rng):
+    # differential oracle: ArcChain.from_disk was the full circle from angle
+    # 0; ArcChain.from_eye ran from corner u along disk i to corner v, then
+    # along disk j back to u, with the corners of the pair's contact
+    for _ in range(100):
+        a, b = random_overlapping_pair(rng)
+        cfg = DiskConfiguration([("a", a), ("b", b)])
+        (contact,) = cfg.contacts().values()
+        u, v = contact.corners
+        from_eye = [arc_between(contact.disk_i, u, v), arc_between(contact.disk_j, v, u)]
+        assert ArcChain(list(eye_of_pair(cfg, "a", "b").boundary_arcs())).pieces == from_eye
+        assert ArcChain(list(a.boundary_arcs())).pieces == [Arc(a, 0.0, 2 * math.pi)]
+
+
 def test_parametrization_six_crossing_eyes():
     E, Et = _six_crossing_eyes(0)
     par = build_parametrization(E, Et)
@@ -92,7 +107,7 @@ def test_local_windings_four_crossing(rng):
         E = _eye(a.center, a.radius, b.center, b.radius)
         shift = complex(*rng.normal(0, 0.25, 2))
         rot = np.exp(1j * rng.uniform(0.3, 1.2))
-        piv = (E.corner_u + E.corner_v) / 2
+        piv = sum(E.corners) / 2
         f = lambda z: piv + (z - piv) * rot + shift
         Et = _eye(f(a.center), a.radius, f(b.center), b.radius)
         try:
@@ -216,7 +231,7 @@ def test_windings_by_membership_match_sampled(rng, kind):
             a, b = random_overlapping_pair(rng)
             k_obj = _eye(a.center, a.radius, b.center, b.radius)
             # an overlapping copy, turned about the eye's centre and shifted
-            piv = (k_obj.corner_u + k_obj.corner_v) / 2
+            piv = sum(k_obj.corners) / 2
             rot, shift = np.exp(1j * rng.uniform(0, 1.2)), complex(*rng.normal(0, 0.25, 2))
             kt_obj = _eye(piv + (a.center - piv) * rot + shift, a.radius, piv + (b.center - piv) * rot + shift, b.radius)
         try:
@@ -288,14 +303,16 @@ def test_zero_index_six_crossing():
 def test_zero_index_respects_corners():
     E, Et = _six_crossing_eyes(0)
     g = find_zero_index_eye_map(E, Et)
-    # u -> u~ and v -> v~ exactly (faithfulness)
+    # u -> u~ and v -> v~ exactly (faithfulness); each chain starts at its u,
+    # and its v ends the first arc
     par = g.param
-    xu = (par.chain.marks["u"] - g.base_s) % 1.0
-    xv = (par.chain.marks["v"] - g.base_s) % 1.0
-    assert abs(g.source_point(xu) - E.corner_u) < 1e-9
-    assert abs(g.image_point(xu) - Et.corner_u) < 1e-9
-    assert abs(g.source_point(xv) - E.corner_v) < 1e-9
-    assert abs(g.image_point(xv) - Et.corner_v) < 1e-7
+    xu = (0.0 - g.base_s) % 1.0
+    xv = (par.chain._cum[1] - g.base_s) % 1.0
+    (u, v), (ut, vt) = E.corners, Et.corners
+    assert abs(g.source_point(xu) - u) < 1e-9
+    assert abs(g.image_point(xu) - ut) < 1e-9
+    assert abs(g.source_point(xv) - v) < 1e-9
+    assert abs(g.image_point(xv) - vt) < 1e-7
 
 
 def test_eye_containment_hypothesis_violated():
