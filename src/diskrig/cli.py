@@ -17,14 +17,14 @@ import numpy as np
 from . import geom
 from .boundary import build_faithful_map, fixed_point_index
 from .config import contact_graph, is_general_position, is_thin
-from .docio import ConfigDocument, canonical_text, read_document, write_document
-from .errors import DiskrigError, IncidenceMismatch, IOFailure
+from .docio import ConfigDocument, canonical_text, read_document, write_document, write_text
+from .errors import ConditionFailed, DiskrigError, IncidenceMismatch, IOFailure
 from .lemmas import SUITES, run_suite
-from .moebius import align, fit_similarity
+from .moebius import EPSILONS, align, fit_similarity, normalize_pair
 from .render import render_svg, render_torus_svg
 from .solver import FixedBoundaryRadii, Triangulation, layout, solve_radii
 from .subsumption import index_lower_bound
-from .torus import build_parametrization, default_base, random_monotone_graph
+from .torus import build_parametrization, random_monotone_graph
 
 log = logging.getLogger("diskrig")
 
@@ -126,19 +126,8 @@ def cmd_solve(args) -> int:
     verts = sorted({v for f in doc.faces for v in f}, key=str)
     tri = Triangulation(verts, [tuple(f) for f in doc.faces])
     theta = {frozenset((i, j)): t for i, j, t in doc.edges}
-    boundary = {k: v for k, v in doc.boundary_radii.items()}
-    if not boundary:
-        boundary = {v: 1.0 for v in tri.boundary_vertices}
-    else:
-        keyed = {}
-        for v in tri.boundary_vertices:
-            if v in boundary:
-                keyed[v] = boundary[v]
-            elif str(v) in boundary:
-                keyed[v] = boundary[str(v)]
-            else:
-                keyed[v] = 1.0
-        boundary = keyed
+    # JSON object keys are strings
+    boundary = {v: doc.boundary_radii.get(str(v), 1.0) for v in tri.boundary_vertices}
     radii = solve_radii(tri, theta, FixedBoundaryRadii(boundary))
     cfg = layout(tri, radii, theta)
     out_doc = ConfigDocument.from_configuration(cfg, contact_graph(cfg))
@@ -147,7 +136,7 @@ def cmd_solve(args) -> int:
     else:
         sys.stdout.write(canonical_text(out_doc))
     if args.svg:
-        _write(args.svg, render_svg(cfg, overlays=("labels",)))
+        write_text(args.svg, render_svg(cfg, overlays=("labels",)))
     return 0
 
 
@@ -172,33 +161,22 @@ def cmd_compare(args) -> int:
 
 
 def _compare_normalize(cfg, cfg_t, args) -> int:
-    from .errors import ConditionFailed
-    from .moebius import normalize_pair
-
-    epsilons = [args.epsilon] if args.epsilon is not None else [2.0**-k for k in range(1, 14)]
-    last = None
-    for eps in epsilons:
-        try:
-            res = normalize_pair(cfg, cfg_t, args.mode, eps)
-            payload = {
-                "mode": args.mode,
-                "epsilon": eps,
-                "anchors": [str(a) for a in res.anchor_vertices],
-                "checks": {k: bool(v) for k, v in res.checks.items()},
-                "conditions_hold": True,
-            }
-            _emit(payload, args.json)
-            return 0
-        except ConditionFailed as exc:
-            last = exc
+    epsilons = EPSILONS if args.epsilon is None else (args.epsilon,)
+    try:
+        res = normalize_pair(cfg, cfg_t, args.mode, epsilons)
+    except ConditionFailed as exc:
+        payload = {"mode": args.mode, "conditions_hold": False, "last_failures": exc.failures, "scanned": list(epsilons)}
+        _emit(payload, args.json)
+        return 1
     payload = {
         "mode": args.mode,
-        "conditions_hold": False,
-        "last_failures": last.failures if last else [],
-        "scanned": epsilons,
+        "epsilon": res.epsilon,
+        "anchors": [str(a) for a in res.anchor_vertices],
+        "checks": {k: bool(v) for k, v in res.checks.items()},
+        "conditions_hold": True,
     }
     _emit(payload, args.json)
-    return 1
+    return 0
 
 
 def cmd_render(args) -> int:
@@ -213,11 +191,11 @@ def cmd_render(args) -> int:
         param = build_parametrization(cfg.disks[key], second.disks[key])
         gmap = None
         if args.seed is not None:
-            gmap = random_monotone_graph(param, np.random.default_rng(args.seed), *default_base(param))
+            gmap = random_monotone_graph(param, np.random.default_rng(args.seed))
         text = render_torus_svg(param, gmap)
     else:
         text = render_svg(cfg, second=second, overlays=overlays)
-    _write(args.out, text)
+    write_text(args.out, text)
     return 0
 
 
@@ -226,14 +204,6 @@ def _coerce_label(raw, labels):
         if str(k) == str(raw):
             return k
     raise IOFailure(f"no disk with id {raw}")
-
-
-def _write(path, text):
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IOFailure(str(exc)) from exc
 
 
 def cmd_lemmas(args) -> int:

@@ -41,11 +41,11 @@ class Contact:
         read."""
         return overlap_angle(self.disk_i, self.disk_j)
 
-    @property
+    @functools.cached_property
     def corners(self) -> tuple:
         """circle_intersections' (u, v) of an overlap, or the tangency point.
-        Computed on each read, not with the table, so that a near-tangent
-        overlap whose corners nothing reads does not fail."""
+        Computed once, when first read, not with the table, so that a
+        near-tangent overlap whose corners nothing reads does not fail."""
         if self.relation is DiskRelation.OVERLAPPING:
             return circle_intersections(self.disk_i, self.disk_j)
         return (tangency_point(self.disk_i, self.disk_j),)

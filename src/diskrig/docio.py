@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 from .config import DiskConfiguration
-from .errors import ParseError, SchemaError
+from .errors import IOFailure, ParseError, SchemaError
 from .geom import Disk
 
 SCHEMA_VERSION = 1
@@ -135,5 +135,13 @@ def write_document(doc: ConfigDocument, path):
     text = canonical_text(doc)
     # canonical text must round-trip through the parser
     document_from_obj(json.loads(text))
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_text(path, text)
+
+
+def write_text(path, text):
+    """Write the text to the path, raising IOFailure when it cannot."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IOFailure(str(exc)) from exc

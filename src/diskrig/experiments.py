@@ -14,7 +14,7 @@ from .errors import CoincidentCorner, CombinatoricsMismatch, NearFixedPoint
 from .geom import Disk, DiskRelation, center_distance
 from .moebius import MoebiusMap, apply_disk, compose, dilation_about, inversion, similarity
 from .solver import FixedBoundaryRadii, flower, layout, solve_radii
-from .subsumption import index_lower_bound, subsumptive_subsets
+from .subsumption import subsumptive_subsets
 
 TWO_PI = 2 * math.pi
 
@@ -247,7 +247,8 @@ def run_main_theorem_trial(rng):
 def _main_theorem_trial_once(rng):
     c, ct, fmap = generate_experiment_pair(rng)
     eta = fixed_point_index(fmap).eta
-    bound = index_lower_bound(c, ct)
+    report = subsumptive_subsets(c, ct)
+    bound = report.lower_bound
     theorem_ok = eta >= bound
     try:
         variant = build_faithful_map(c, ct, rng=rng, n_random_pins=2)
@@ -273,6 +274,6 @@ def _main_theorem_trial_once(rng):
         "theorem_ok": theorem_ok,
         "obs_a_ok": lhs_a == rhs_a,
         "main_b_ok": ok_b,
-        "report": subsumptive_subsets(c, ct),
+        "report": report,
         "pair": (c, ct),
     }

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geom
+from .config import DiskConfiguration, is_general_position, neighbours
 from .errors import (
     ConditionFailed,
     DegenerateInput,
@@ -261,56 +262,46 @@ def _nested_strictly(a: Disk, b: Disk) -> bool:
     return rel in (DiskRelation.FIRST_CONTAINS_SECOND, DiskRelation.SECOND_CONTAINS_FIRST)
 
 
-def _tangency_only_vertices(config, incidence):
-    out = []
-    for v in config.labels:
-        touching = [e for e in incidence.edges if v in e]
-        if touching and all(abs(incidence.theta[e]) <= 1e-12 for e in touching):
-            out.append(v)
-    return out
+# the epsilons that normalize_pair tries, largest first
+EPSILONS = tuple(2.0**-k for k in range(1, 14))
 
 
-def normalize_pair(config, config_tilde, theorem_mode: str, epsilon: float) -> NormalizationResult:
+def normalize_pair(config, config_tilde, theorem_mode: str, epsilons=EPSILONS) -> NormalizationResult:
     """Carry out the mode's enumerated normalization steps and check the
-    bracketed conditions for the given epsilon.
+    bracketed conditions for each epsilon in turn.
 
-    Modes: "Sphere", "PlanePlane", "HypHyp", "PlaneVsHyp".  Raises
-    NoAnchorFound when the mode's required anchors do not exist and
-    ConditionFailed when the final checks fail at this epsilon.
+    Modes: "Sphere", "PlanePlane", "HypHyp", "PlaneVsHyp".  Epsilon enters
+    only the final 1+epsilon dilation of C, so the rest of the normalization,
+    C~'s images among it, is built once.  Returns the result of the first
+    epsilon whose checks hold.  Raises NoAnchorFound when the mode's required
+    anchors do not exist and ConditionFailed, with the last epsilon's
+    failures, when the checks fail at every epsilon.
     """
-    from .config import DiskConfiguration, contact_graph, is_general_position
-
     if theorem_mode not in _BUILDERS:
         raise ValueError(f"unknown mode {theorem_mode}")
-    m_c, m_t, anchors, outer = _BUILDERS[theorem_mode](config, config_tilde, contact_graph(config), epsilon)
-
-    checks = {}
-    mapped = {}
-    mapped_t = {}
-    for v in config.labels:
-        if v in outer:
-            continue
-        mapped[v] = apply_disk(m_c, config.disks[v])
-        mapped_t[v] = apply_disk(m_t, config_tilde.disks[v])
-    for v in anchors:
-        if v in outer:
-            comp_c, comp_t = outer[v]
-            # containment of complements is reversed
-            checks[f"nested[{v}]"] = _nested_strictly(comp_c, comp_t)
-        else:
-            checks[f"nested[{v}]"] = _nested_strictly(mapped[v], mapped_t[v])
-    order = [v for v in config.labels if v in mapped]
-    cfg = DiskConfiguration([(v, mapped[v]) for v in order])
+    if not epsilons:
+        raise ValueError("no epsilon to try")
+    m_c0, m_t, anchors, pivot, outer = _BUILDERS[theorem_mode](config, config_tilde)
+    order = [v for v in config.labels if v != outer]
+    mapped_t = {v: apply_disk(m_t, config_tilde.disks[v]) for v in order}
     cfg_t = DiskConfiguration([(v, mapped_t[v]) for v in order])
-    gp, _report = is_general_position(cfg, cfg_t)
-    for v, (comp_c, comp_t) in outer.items():
-        gp = gp and _outer_general_position(comp_c, comp_t, mapped, mapped_t)
-    checks["general_position"] = gp
-
-    result = NormalizationResult(m_c, m_t, epsilon, anchors, checks, outer)
-    if not result.ok:
-        raise ConditionFailed(epsilon, [k for k, v in checks.items() if not v])
-    return result
+    comp_t = None if outer is None else _complement_record(m_t, config_tilde.disks[outer])
+    for epsilon in epsilons:
+        m_c = compose(dilation_about(mapped_t[pivot].center, 1 + epsilon), m_c0)
+        mapped = {v: apply_disk(m_c, config.disks[v]) for v in order}
+        complements = {} if outer is None else {outer: (_complement_record(m_c, config.disks[outer]), comp_t)}
+        # the disk over infinity is checked through its complement records,
+        # whose containment is reversed
+        pairs = {v: (mapped[v], mapped_t[v]) for v in order} | complements
+        checks = {f"nested[{v}]": _nested_strictly(*pairs[v]) for v in anchors}
+        gp, _report = is_general_position(DiskConfiguration([(v, mapped[v]) for v in order]), cfg_t)
+        if outer is not None:
+            gp = gp and _outer_general_position(*complements[outer], mapped, mapped_t)
+        checks["general_position"] = gp
+        result = NormalizationResult(m_c, m_t, epsilon, anchors, checks, complements)
+        if result.ok:
+            return result
+    raise ConditionFailed(epsilon, [k for k, ok in checks.items() if not ok])
 
 
 def _outer_general_position(comp_c: Disk, comp_t: Disk, mapped: dict, mapped_t: dict) -> bool:
@@ -359,34 +350,34 @@ def _anchor_step(config, config_tilde, m_c, m_t, exclude, skip, ordinal):
     return v, m_c, m_t
 
 
-def _dilate(m_c, m_t, disk_t, epsilon) -> MoebiusMap:
-    """C's map followed by the 1+epsilon dilation about the center of the
-    image of disk_t under C~'s map."""
-    return compose(dilation_about(apply_disk(m_t, disk_t).center, 1 + epsilon), m_c)
+# Each builder returns (C's map before the dilation, C~'s map, the anchors,
+# the anchor about whose C~ image C is dilated, the vertex mapped over
+# infinity or None).
 
 
-def _normalize_plane_vs_hyp(config, config_tilde, inc, epsilon):
+def _normalize_plane_vs_hyp(config, config_tilde):
     a = sorted(config.labels, key=str)[0]
     scale = config_tilde.disks[a].radius / config.disks[a].radius
     m_c = compose(similarity(scale), translation(-config.disks[a].center))
     m_t = translation(-config_tilde.disks[a].center)
     b, m_c, m_t = _anchor_step(config, config_tilde, m_c, m_t, {a}, (), "second")
-    return _dilate(m_c, m_t, config_tilde.disks[b], epsilon), m_t, [a, b], {}
+    return m_c, m_t, [a, b], b, None
 
 
-def _normalize_concentric_modes(config, config_tilde, inc, epsilon, dilation_anchor):
+def _normalize_concentric_modes(config, config_tilde, dilation_anchor):
     """Shared construction for the Sphere and PlanePlane modes: concentricize
     the (a, b) pair in each configuration (a tangency-only, b disjoint from a),
-    unit-normalize b, match the c anchors on the positive real axis, then
-    dilate one configuration by 1+epsilon about the stated anchor's center."""
-    a = b = None
-    for cand in _tangency_only_vertices(config, inc):
-        non_neighbors = [
-            v for v in sorted(config.labels, key=str) if v != cand and frozenset((cand, v)) not in inc.edges
-        ]
-        if non_neighbors:
-            a, b = cand, non_neighbors[0]
-            break
+    unit-normalize b and match the c anchors on the positive real axis; C is
+    dilated about the stated anchor's center, and D_a maps over infinity."""
+    contacts, adj = config.contacts(), neighbours(config)
+    pairs = (
+        (a, b)
+        for a in config.labels
+        if adj[a] and all(contacts[frozenset((a, w))].relation is DiskRelation.EXTERNALLY_TANGENT for w in adj[a])
+        for b in sorted(config.labels, key=str)
+        if b != a and b not in adj[a]
+    )
+    a, b = next(pairs, (None, None))
     if a is None:
         raise NoAnchorFound("no tangency-only vertex with a disjoint partner (augment first)")
     m_c = concentricize(config.disks[a], config.disks[b])
@@ -397,11 +388,7 @@ def _normalize_concentric_modes(config, config_tilde, inc, epsilon, dilation_anc
     m_c = compose(similarity(1 / img_b.radius, -img_b.center / img_b.radius), m_c)
     m_t = compose(similarity(1 / img_bt.radius, -img_bt.center / img_bt.radius), m_t)
     c, m_c, m_t = _anchor_step(config, config_tilde, m_c, m_t, {a, b}, {a}, "third")
-    m_c = _dilate(m_c, m_t, config_tilde.disks[{"b": b, "c": c}[dilation_anchor]], epsilon)
-    # D_a maps over infinity: record the bounded complements explicitly
-    comp_c = _complement_record(m_c, config.disks[a])
-    comp_t = _complement_record(m_t, config_tilde.disks[a])
-    return m_c, m_t, [a, b, c], {a: (comp_c, comp_t)}
+    return m_c, m_t, [a, b, c], {"b": b, "c": c}[dilation_anchor], a
 
 
 def _complement_record(m: MoebiusMap, disk: Disk) -> Disk:
@@ -429,7 +416,7 @@ def _hyp_translation_to_origin(d: Disk) -> MoebiusMap:
     return MoebiusMap(1, -w, -w.conjugate(), 1)
 
 
-def _normalize_hyp_hyp(config, config_tilde, inc, epsilon):
+def _normalize_hyp_hyp(config, config_tilde):
     labels = sorted(config.labels, key=str)
     a = None
     for v in labels:
@@ -444,7 +431,7 @@ def _normalize_hyp_hyp(config, config_tilde, inc, epsilon):
     rat = apply_disk(m_t, config_tilde.disks[a]).radius
     m_c = compose(similarity(rat / ra), m_c)
     b, m_c, m_t = _anchor_step(config, config_tilde, m_c, m_t, {a}, (), "second")
-    return _dilate(m_c, m_t, config_tilde.disks[b], epsilon), m_t, [a, b], {}
+    return m_c, m_t, [a, b], b, None
 
 
 # the final dilation is anchored at the common center of the c disks on the

@@ -25,12 +25,11 @@ from .errors import (
 )
 from .geom import (
     Disk,
-    DiskRelation,
     Lens,
     Lune,
     arc_contains_angle,
     boundary_crossings,
-    disk_relation,
+    circles_tangent,
     eye_nesting,
     regions_meet,
 )
@@ -127,11 +126,8 @@ def build_parametrization(k_obj, kt_obj) -> TorusParametrization:
     along both curves."""
     chain = ArcChain(list(k_obj.boundary_arcs()))
     chain_t = ArcChain(list(kt_obj.boundary_arcs()))
-    for piece in chain.pieces:
-        for piece_t in chain_t.pieces:
-            rel = disk_relation(piece.disk, piece_t.disk)
-            if rel in (DiskRelation.EXTERNALLY_TANGENT, DiskRelation.INTERNALLY_TANGENT):
-                raise NotTransverse("tangent circles in the pair")
+    if any(circles_tangent(p.disk, p_t.disk) for p in chain.pieces for p_t in chain_t.pieces):
+        raise NotTransverse("tangent circles in the pair")
     crossings = []
     for piece, piece_t, z in boundary_crossings(k_obj, kt_obj):
         tangent = 1j * (z - piece.disk.center)
@@ -405,11 +401,10 @@ def _route_search(param, base_s, base_st, waypoints, w_total, target):
     return results
 
 
-def random_monotone_graph(param: TorusParametrization, rng, base_s=None, base_st=None) -> GraphMap:
-    """A random valid monotone path map for the pair (used by the formula
-    equivalence experiments)."""
-    if base_s is None:
-        base_s, base_st = default_base(param)
+def random_monotone_graph(param: TorusParametrization, rng) -> GraphMap:
+    """A random valid monotone path map for the pair, based at default_base
+    (used by the formula equivalence experiments)."""
+    base_s, base_st = default_base(param)
     shifted = shifted_crossings(param, base_s, base_st)
     for _ in range(64):
         bits = rng.random(len(shifted)) < 0.5

@@ -323,6 +323,39 @@ def test_compare_normalize_modes_on_tangency_flower(tmp_path, capsys, mode, scal
     }
 
 
+def test_compare_normalize_reports_the_scan_on_equivalent_pair(tmp_path, capsys):
+    from diskrig.moebius import EPSILONS, apply_disk, similarity
+
+    cfg, _ = tangency_flower_pair()
+    m = similarity(1.3 + 0.4j, 2 - 1j)
+    paths = [str(tmp_path / name) for name in ("c.json", "ct.json")]
+    for c, path in zip((cfg, cfg.transformed(lambda d: apply_disk(m, d))), paths):
+        write_document(ConfigDocument.from_configuration(c), path)
+    code = main(["--json", "compare", *paths, "--mode", "PlanePlane"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload == {
+        "mode": "PlanePlane",
+        "conditions_hold": False,
+        "last_failures": ["nested[0]"],
+        "scanned": list(EPSILONS),
+    }
+
+
+def test_solve_to_unwritable_path_is_an_error(tmp_path, capsys):
+    doc = _write(
+        tmp_path / "f.json",
+        {
+            "schema_version": 1,
+            "disks": [],
+            "triangulation": {"faces": [[0, k, k % 6 + 1] for k in range(1, 7)], "boundary_radii": {}},
+        },
+    )
+    assert main(["solve", doc, "-o", str(tmp_path / "no" / "such" / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_render_overlays(tmp_path, tight_triple):
     out = tmp_path / "fig.svg"
     assert main(["render", tight_triple, "-o", str(out), "--overlay", "eyes,labels"]) == 0

@@ -45,6 +45,16 @@ def test_contact_graph_cases():
     assert abs(inc.theta[e] - 2 * math.pi / 3) < 1e-12
 
 
+def test_contact_corners_are_computed_once(monkeypatch):
+    from diskrig import config
+
+    calls = []
+    monkeypatch.setattr(config, "circle_intersections", lambda a, b: calls.append(1) or circle_intersections(a, b))
+    (contact,) = DiskConfiguration([("a", Disk(0j, 1)), ("b", Disk(1 + 0j, 1))]).contacts().values()
+    assert contact.corners == contact.corners == circle_intersections(contact.disk_i, contact.disk_j)
+    assert len(calls) == 1
+
+
 def test_is_thin_cases():
     tangent = DiskConfiguration(
         [(0, Disk(0j, 1)), (1, Disk(2 + 0j, 1)), (2, Disk(1 + math.sqrt(3) * 1j, 1))]

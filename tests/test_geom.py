@@ -185,6 +185,16 @@ def test_region_predicates():
     assert regions_meet(Lune(big_a, big_b), Lune(a, b))
 
 
+def test_regions_meet_on_disks():
+    # Disk, Lens and Lune share boundary_arcs and contains, so a disk is a
+    # region too
+    a = Disk(0j, 1.0)
+    assert not regions_meet(a, Disk(5 + 0j, 1.0))
+    assert regions_meet(a, Disk(0.2 + 0.1j, 0.3)) and regions_meet(Disk(0.2 + 0.1j, 0.3), a)
+    assert regions_meet(a, Disk(1.5 + 0j, 1.0))
+    assert regions_meet(Lens(a, Disk(1.5 + 0j, 1.0)), Disk(0.75 + 0j, 0.1))
+
+
 def test_boundary_crossings_and_nesting():
     a, b = Disk(0j, 1.2), Disk(1.0 + 0j, 1.2)
     (arc,) = a.boundary_arcs()

@@ -7,6 +7,7 @@ from diskrig.config import DiskConfiguration
 from diskrig.errors import ConditionFailed, DegenerateInput, MapsToInfinity, NoAnchorFound, UnboundedImage
 from diskrig.geom import Disk, overlap_angle
 from diskrig.moebius import (
+    EPSILONS,
     IDENTITY,
     MoebiusMap,
     align,
@@ -210,28 +211,63 @@ def test_fit_similarity_scale_quotient(rng):
 
 
 def _scan(cfg, cfg_t, mode):
-    for k in range(1, 14):
-        try:
-            return 2.0**-k, normalize_pair(cfg, cfg_t, mode, 2.0**-k)
-        except ConditionFailed:
-            continue
-    return None, None
+    try:
+        return normalize_pair(cfg, cfg_t, mode)
+    except ConditionFailed:
+        return None
 
 
 def test_normalize_modes_succeed_on_distinct_realizations():
     cfg, cfg_t = tangency_flower_pair()
     for mode in ("PlanePlane", "Sphere", "PlaneVsHyp"):
-        eps, res = _scan(cfg, cfg_t, mode)
+        res = _scan(cfg, cfg_t, mode)
         assert res is not None, f"{mode} never satisfied its conditions"
-        assert res.ok and res.epsilon == eps
+        assert res.ok and res.epsilon in EPSILONS
+
+
+def _flower_modes():
+    # HypHyp needs both configurations inside the unit disk
+    cfg, cfg_t = tangency_flower_pair()
+    shrink = lambda s, off: (lambda d: Disk(d.center * s + off, d.radius * s))
+    yield "HypHyp", cfg.transformed(shrink(0.18, 0)), cfg_t.transformed(shrink(0.16, 0.02))
+    for mode in ("Sphere", "PlanePlane", "PlaneVsHyp"):
+        yield mode, cfg, cfg_t
+
+
+def test_scan_returns_the_first_single_epsilon_success():
+    for mode, cfg, cfg_t in _flower_modes():
+        singles = []
+        for eps in EPSILONS:
+            try:
+                singles.append(normalize_pair(cfg, cfg_t, mode, (eps,)))
+            except ConditionFailed:
+                continue
+        assert singles, mode
+        assert normalize_pair(cfg, cfg_t, mode) == singles[0]
+
+
+def test_scan_builds_the_normalization_once(monkeypatch):
+    from diskrig import moebius
+
+    cfg, _ = tangency_flower_pair()
+    sim = similarity(1.3 + 0.4j, 2 - 1j)
+    equivalent = ("PlanePlane", cfg, cfg.transformed(lambda d: apply_disk(sim, d)))
+    for mode, c, ct in (equivalent, *_flower_modes()):
+        runs = []
+        builder = moebius._BUILDERS[mode]
+        monkeypatch.setitem(moebius._BUILDERS, mode, lambda *a, b=builder, runs=runs: runs.append(a) or b(*a))
+        try:
+            normalize_pair(c, ct, mode)
+        except ConditionFailed as exc:
+            # equivalent inputs fail at every epsilon, the last one reported
+            assert (mode, exc.epsilon) == ("PlanePlane", EPSILONS[-1])
+        monkeypatch.undo()
+        assert len(runs) == 1, mode
 
 
 def test_normalize_hyp_mode():
-    cfg, cfg_t = tangency_flower_pair()
-    shrink = lambda s, off: (lambda d: Disk(d.center * s + off, d.radius * s))
-    cfg_h = cfg.transformed(shrink(0.18, 0))
-    cfg_ht = cfg_t.transformed(shrink(0.16, 0.02))
-    eps, res = _scan(cfg_h, cfg_ht, "HypHyp")
+    mode, cfg_h, cfg_ht = next(_flower_modes())
+    res = _scan(cfg_h, cfg_ht, mode)
     assert res is not None
     da, dt = unit_disk_images(res)
     # the normalized unit-disk images must nest strictly
@@ -242,7 +278,7 @@ def test_normalize_hyp_mode():
 def test_normalize_epsilon_zero_fails():
     cfg, _ = tangency_flower_pair()
     with pytest.raises(ConditionFailed):
-        normalize_pair(cfg, cfg, "PlaneVsHyp", 0.0)
+        normalize_pair(cfg, cfg, "PlaneVsHyp", (0.0,))
 
 
 def test_normalize_equivalent_inputs_fail_at_c_anchor():
@@ -255,7 +291,7 @@ def test_normalize_equivalent_inputs_fail_at_c_anchor():
     failures = set()
     for k in range(1, 10):
         try:
-            normalize_pair(cfg, cfg_t, "PlanePlane", 2.0**-k)
+            normalize_pair(cfg, cfg_t, "PlanePlane", (2.0**-k,))
             raise AssertionError("equivalent inputs should not normalize")
         except ConditionFailed as exc:
             failures.update(exc.failures)
@@ -266,7 +302,7 @@ def test_normalize_no_anchor():
     # overlapping pair only: no tangency-only vertex for the concentric modes
     cfg = DiskConfiguration([("a", Disk(0j, 1.0)), ("b", Disk(1.2 + 0j, 1.0))])
     with pytest.raises(NoAnchorFound):
-        normalize_pair(cfg, cfg, "PlanePlane", 0.1)
+        normalize_pair(cfg, cfg, "PlanePlane", (0.1,))
 
 
 def test_augment_enables_anchor():

@@ -74,6 +74,15 @@ def test_parametrization_tangent_raises():
         build_parametrization(Disk(0j, 1.0), Disk(2 + 0j, 1.0))
 
 
+def test_chains_sharing_a_circle_raise():
+    # a shared circle is tangent to itself, so the pair is not transverse
+    a, b, bt = Disk(0j, 1.0), Disk(1.2 + 0j, 0.8), Disk(0.9 + 0.5j, 0.7)
+    with pytest.raises(NotTransverse):
+        build_parametrization(_eye(a.center, a.radius, b.center, b.radius), _eye(a.center, a.radius, bt.center, bt.radius))
+    with pytest.raises(NotTransverse):
+        build_parametrization(a, Disk(0j, 1.0))
+
+
 def test_chains_match_the_former_constructors(rng):
     # differential oracle: ArcChain.from_disk was the full circle from angle
     # 0; ArcChain.from_eye ran from corner u along disk i to corner v, then
@@ -189,8 +198,8 @@ def test_homotopic_paths_same_eta(rng):
     par = build_parametrization(Disk(0j, 1.0), Disk(1 + 0j, 1.0))
     base = default_base(par)
     for _ in range(20):
-        g1 = random_monotone_graph(par, rng, *base)
-        g2 = random_monotone_graph(par, rng, *base)
+        g1 = random_monotone_graph(par, rng)
+        g2 = random_monotone_graph(par, rng)
         from diskrig.torus import shifted_crossings
 
         a1 = [y < np.interp(x, g1.xs, g1.ys) for _k, x, y in shifted_crossings(par, *base)]
