@@ -11,6 +11,7 @@ additivity identities are then exact.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,13 +28,14 @@ from .errors import (
     NearFixedPoint,
     PointOnCurve,
 )
-from .geom import Disk, cyclic_spans
+from .geom import Disk, circle_arrays, cyclic_spans
 
 TWO_PI = 2 * math.pi
 BASE_STEP = TWO_PI / 512
 CORNER_WINDOW = 0.05
 CORNER_REFINE = 8
 MAX_DENSITY = 16  # densest sampling step: BASE_STEP / 16 = 2*pi/8192
+PASS_SAMPLES = 4096  # grid points one sampling pass holds, unless one arc needs more
 
 
 def _min_disp() -> float:
@@ -104,18 +106,49 @@ def sample_disk_boundary(disk: Disk, corners=()) -> OrientedCurve:
 def _arc_offsets(span: float, refine_start: bool, refine_end: bool, density: int = 1) -> np.ndarray:
     """Strictly increasing offsets in [0, span) starting at 0: uniform at the
     base step with x8 refinement inside the corner windows."""
+    return _arcs_offsets(np.array([span]), refine_start, refine_end, density)[1]
+
+
+def _grid_counts(spans, refine_start, refine_end, density: int):
+    """Per arc, the number of uniform points and of start- and end-window
+    points that _arcs_offsets draws before it merges them."""
     step = BASE_STEP / density
-    n = max(4, int(math.ceil(span / step)))
-    parts = [np.linspace(0.0, span, n, endpoint=False)]
     fine = step / CORNER_REFINE
-    win = min(CORNER_WINDOW, span / 2)
-    if refine_start:
-        parts.append(np.arange(0.0, win, fine))
-    if refine_end:
-        parts.append(span - np.arange(fine, win, fine))
-    pts = np.sort(np.concatenate(parts))
-    pts = pts[(pts >= 0.0) & (pts < span - 1e-15)]
-    return pts[np.diff(pts, prepend=-np.inf) > 0]  # drop equal neighbours
+    win = np.minimum(CORNER_WINDOW, spans / 2)
+    n = np.maximum(4, np.ceil(spans / step)).astype(np.intp)
+    n_start = np.ceil(win / fine).astype(np.intp) * refine_start
+    n_end = np.maximum(0, np.ceil((win - fine) / fine)).astype(np.intp) * refine_end
+    return n, n_start, n_end
+
+
+def _ramp(counts):
+    """0, 1, ..., count - 1 for each count in turn."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _arcs_offsets(spans, refine_start, refine_end, density: int):
+    """(arc, offset) of every arc's grid, by arc and then offset: each arc's
+    offsets are those of _arc_offsets, bit for bit, since the points are
+    np.linspace(0, span, n, endpoint=False), np.arange(0, win, fine) and
+    span - np.arange(fine, win, fine) written out as numpy computes them."""
+    spans = np.asarray(spans, dtype=float)
+    fine = BASE_STEP / density / CORNER_REFINE
+    n, n_start, n_end = _grid_counts(spans, refine_start, refine_end, density)
+    arcs = np.arange(len(spans))
+    end_arc = np.repeat(arcs, n_end)
+    arc = np.concatenate([np.repeat(arcs, n), np.repeat(arcs, n_start), end_arc])
+    off = np.concatenate([
+        _ramp(n) * np.repeat(spans / n, n) + 0.0,
+        0.0 + _ramp(n_start) * fine,
+        spans[end_arc] - (fine + _ramp(n_end) * fine),
+    ])
+    order = np.lexsort((off, arc))
+    arc, off = arc[order], off[order]
+    keep = (off >= 0.0) & (off < spans[arc] - 1e-15)
+    arc, off = arc[keep], off[keep]
+    rises = np.ones(len(off), dtype=bool)  # drop equal neighbours within an arc
+    rises[1:] = (off[1:] > off[:-1]) | (arc[1:] != arc[:-1])
+    return arc[rises], off[rises]
 
 
 # --- boundary complexes ----------------------------------------------------------
@@ -163,7 +196,11 @@ class BoundaryComplex:
 
     def curve_samples(self, density: int = 1):
         """Sample points of each curve."""
-        return [np.concatenate([pts for _v, _t, pts in _sample_arcs(self.config.disks, c.arcs(), density)]) for c in self.curves]
+        labels = self.config.labels
+        circles = circle_arrays([self.config.disks[v] for v in labels])
+        code = {v: k for k, v in enumerate(labels)}
+        on_circles = lambda codes, thetas: (_on_circles(*circles, codes, thetas),)
+        return [pts for (pts,) in _sample_curves([c.arcs() for c in self.curves], density, code, on_circles)]
 
 
 def boundary_complex(config: DiskConfiguration) -> BoundaryComplex:
@@ -258,41 +295,120 @@ def _free_arcs(disk, vertex, intervals, marks):
     return arcs
 
 
-def _sample_arcs(disks, arcs, density: int):
-    """(vertex, thetas, points) of each (vertex, a0, da, refine_start,
-    refine_end) arc, on the circle of disks[vertex]."""
-    for v, a0, da, refine_start, refine_end in arcs:
-        disk = disks[v]
-        ang = a0 + _arc_offsets(da, refine_start, refine_end, density)
-        yield v, ang, disk.center + disk.radius * np.exp(1j * ang)
+def _pass_ends(sizes):
+    """End of each run of consecutive arcs that one sampling pass takes: as
+    many whole arcs as hold at most PASS_SAMPLES grid points together, or one
+    arc that alone holds more."""
+    start, total = 0, 0
+    for k, size in enumerate(sizes):
+        if total + size > PASS_SAMPLES and k > start:
+            yield k
+            start, total = k, 0
+        total += size
+    yield len(sizes)
+
+
+def _sample_curves(curves, density: int, code: dict, points):
+    """The samples of closed curves, each a list of (vertex, a0, da,
+    refine_start, refine_end) arcs, taken in passes over whole consecutive
+    arcs of all the curves: points(codes, thetas) returns a tuple of sample
+    arrays for the angles of one pass on the circles of vertex codes
+    code[vertex].  Returns each curve's list of arrays, in arc order."""
+    if not curves:
+        return []
+    arcs = [a for arcs in curves for a in arcs]
+    codes = np.array([code[a[0]] for a in arcs], dtype=np.intp)
+    a0, da, refine_start, refine_end = np.array([a[1:] for a in arcs], dtype=float).T
+    refine_start, refine_end = refine_start != 0, refine_end != 0
+    curve_of_arc = np.repeat(np.arange(len(curves)), [len(arcs) for arcs in curves])
+    pieces = [[] for _ in curves]
+    lo = 0
+    for hi in _pass_ends(sum(_grid_counts(da, refine_start, refine_end, density)).tolist()):
+        arc, off = _arcs_offsets(da[lo:hi], refine_start[lo:hi], refine_end[lo:hi], density)
+        arc += lo
+        samples = points(codes[arc], a0[arc] + off)
+        # cut the pass where each curve starts: a curve within one pass is a
+        # view of it, and only a curve that spans passes is copied
+        if curve_of_arc[lo] == curve_of_arc[hi - 1]:
+            pieces[curve_of_arc[lo]].append(samples)
+        else:
+            held, starts = np.unique(curve_of_arc[arc], return_index=True)
+            for c, *piece in zip(held, *(np.split(s, starts[1:]) for s in samples)):
+                pieces[c].append(piece)
+        lo = hi
+    return [p[0] if len(p) == 1 else [np.concatenate(s) for s in zip(*p)] for p in pieces]
+
+
+def _on_circles(center, radius, codes, thetas):
+    return center[codes] + radius[codes] * np.exp(1j * thetas)
 
 
 # --- the faithful correspondence -------------------------------------------------
 
 
+def _interpolate(theta, idx, t0, t1, span, span_t):
+    """Node idx's piece of a circle map, proportional in angle, at theta."""
+    return t1[idx] + ((theta - t0[idx]) % TWO_PI) / span[idx] * span_t[idx]
+
+
 @dataclass
 class VertexArcMap:
-    """Orientation-preserving circle map pinned at the node angles."""
+    """Orientation-preserving circle map pinned at the node angles.  The
+    node arrays are built when the map is first evaluated; the nodes do not
+    change after that."""
 
     disk: Disk
     disk_t: Disk
     nodes: list  # sorted (theta, theta_t)
 
+    @functools.cached_property
+    def arrays(self):
+        """(t0, t1, span, span_t): node angles and the span to the next node,
+        on the source and the target circle."""
+        t0 = np.array([n[0] for n in self.nodes], dtype=float)
+        t1 = np.array([n[1] for n in self.nodes], dtype=float)
+        return t0, t1, np.array(cyclic_spans(t0), dtype=float), np.array(cyclic_spans(t1), dtype=float)
+
     def eval_theta(self, theta):
         theta = np.asarray(theta, dtype=float)
         if not self.nodes:
             return theta
-        t0 = np.array([n[0] for n in self.nodes])
-        t1 = np.array([n[1] for n in self.nodes])
-        idx = np.argmin((theta[..., None] - t0) % TWO_PI, axis=-1)
-        span = np.array(cyclic_spans(t0))[idx]
-        span_t = np.array(cyclic_spans(t1))[idx]
-        frac = ((theta - t0[idx]) % TWO_PI) / span
-        return t1[idx] + frac * span_t
+        t0 = self.arrays[0]
+        # the last node at or before theta; -1 (before the first) is the last
+        idx = np.searchsorted(t0, theta % TWO_PI, side="right") - 1
+        return _interpolate(theta, idx, *self.arrays)
 
-    def eval_point(self, theta):
-        tt = self.eval_theta(theta)
-        return self.disk_t.center + self.disk_t.radius * np.exp(1j * tt)
+
+class _NodeTable:
+    """The nodes of all vertex maps of a faithful map in one table, ordered
+    by vertex code (listing order) and then angle, so one searchsorted finds
+    the node of every sample of a pass, whatever its vertex: complex keys
+    code + i*angle compare lexicographically, and exactly."""
+
+    def __init__(self, config, vmaps):
+        maps = [vmaps[v] for v in config.labels]
+        self.code = {v: k for k, v in enumerate(config.labels)}
+        self.circles = circle_arrays([config.disks[v] for v in config.labels])
+        self.circles_t = circle_arrays([m.disk_t for m in maps])
+        sizes = np.array([len(m.nodes) for m in maps], dtype=np.intp)
+        self.first = np.cumsum(sizes) - sizes
+        self.last = self.first + sizes - 1
+        self.unmapped = sizes == 0  # no nodes: the identity in angle
+        self.arrays = [np.concatenate(column) for column in zip(*(m.arrays for m in maps))]
+        self.keys = np.repeat(np.arange(len(maps)), sizes) + 1j * self.arrays[0]
+
+    def points(self, codes, thetas):
+        """(source, image) points of the samples at angles thetas on the
+        circles of the vertex codes."""
+        src = _on_circles(*self.circles, codes, thetas)
+        if self.unmapped.all():
+            return src, _on_circles(*self.circles_t, codes, thetas)
+        idx = np.searchsorted(self.keys, codes + 1j * (thetas % TWO_PI), side="right") - 1
+        idx = np.where(idx < self.first[codes], self.last[codes], idx)
+        tt = _interpolate(thetas, idx, *self.arrays)
+        if self.unmapped.any():
+            tt = np.where(self.unmapped[codes], thetas, tt)
+        return src, _on_circles(*self.circles_t, codes, tt)
 
 
 @dataclass
@@ -325,33 +441,36 @@ class FaithfulMap:
     # map after build_faithful_map, so the report holds while EPS_GEOM does
     _index: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _loop(self, arcs, density: int) -> SampledLoopMap:
-        """The closed curve of the arcs and its image, each arc mapped by its
-        own vertex map."""
-        pieces = list(_sample_arcs(self.config.disks, arcs, density))
-        src = np.concatenate([pts for _v, _t, pts in pieces])
-        return SampledLoopMap(src, np.concatenate([self.vmaps[v].eval_point(t) for v, t, _p in pieces]))
+    @functools.cached_property
+    def _nodes(self) -> _NodeTable:
+        return _NodeTable(self.config, self.vmaps)
+
+    def _loops(self, curves, density: int) -> list:
+        """The closed curves of the arc lists and their images, each arc
+        mapped by its own vertex map."""
+        table = self._nodes
+        return [SampledLoopMap(src, dst) for src, dst in _sample_curves(curves, density, table.code, table.points)]
 
     def loops(self, density: int = 1):
-        return [self._loop(self.complex_src.curves[si].arcs(), density) for si, _di in self.pairing]
+        return self._loops([self.complex_src.curves[si].arcs() for si, _di in self.pairing], density)
 
     def subset_loops(self, subset, density: int = 1):
         """Sampled loops of the faithful map restricted to the union of the
         given vertex subset (uses the same vertex maps, so additivity
         identities are exact)."""
-        return [self._loop(c.arcs(), density) for c in boundary_complex(self.config.restricted(subset)).curves]
+        return self._loops([c.arcs() for c in boundary_complex(self.config.restricted(subset)).curves], density)
 
     def disk_loop(self, vertex, density: int = 1) -> SampledLoopMap:
         """delta_v: the induced map on the full circle of one disk."""
         angles = [t for t, _t in self.vmaps[vertex].nodes]
         arcs = [(vertex, t, span, True, True) for t, span in zip(angles, cyclic_spans(angles))]
-        return self._loop(arcs or [(vertex, 0.0, TWO_PI, False, False)], density)
+        return self._loops([arcs or [(vertex, 0.0, TWO_PI, False, False)]], density)[0]
 
     def eye_loop(self, i, j, density: int = 1) -> SampledLoopMap:
         """epsilon_ij: the induced map on the eye boundary of pair {i, j}."""
         arcs = eye_of_pair(self.config, i, j).boundary_arcs()
         pair = self.config.contacts()[frozenset((i, j))].pair  # the eye's orientation
-        return self._loop([(k, arc.a0, arc.da, True, True) for k, arc in zip(pair, arcs)], density)
+        return self._loops([[(k, arc.a0, arc.da, True, True) for k, arc in zip(pair, arcs)]], density)[0]
 
 
 def _match_curves(cx_src: BoundaryComplex, cx_dst: BoundaryComplex):

@@ -8,12 +8,15 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import geom
 from .errors import ContainmentViolation, HypothesesViolated, NotTransverse
 from .geom import (
     Disk,
     DiskRelation,
     Lens,
+    circle_arrays,
     circle_intersections,
     circles_tangent,
     cyclic_spans,
@@ -148,18 +151,24 @@ def is_thin(config: DiskConfiguration, *, interiors_only: bool = False):
     the third disk."""
     adj = neighbours(config)
     contacts = config.contacts()
-    for i, j, k in itertools.combinations(config.labels, 3):
-        # a common point needs every pair of the three to meet
-        if not (j in adj[i] and k in adj[i] and k in adj[j]):
-            continue
-        if any(
-            config.disks[third].contains(w)
-            for pair, third in (((i, j), k), ((i, k), j), ((j, k), i))
-            for w in contacts[frozenset(pair)].corners
-        ):
-            if interiors_only and not _triple_interior_witness(config.disks[i], config.disks[j], config.disks[k]):
-                continue
-            return False, (i, j, k)
+    pos = {v: n for n, v in enumerate(config.labels)}
+    # a common point needs every pair of the three to meet: walk the
+    # triangles of the contact graph, i before j before k in listing order,
+    # which is the order of itertools.combinations
+    for i in config.labels:
+        later = sorted((v for v in adj[i] if pos[v] > pos[i]), key=pos.__getitem__)
+        for n, j in enumerate(later):
+            for k in later[n + 1 :]:
+                if k not in adj[j]:
+                    continue
+                if any(
+                    config.disks[third].contains(w)
+                    for pair, third in (((i, j), k), ((i, k), j), ((j, k), i))
+                    for w in contacts[frozenset(pair)].corners
+                ):
+                    if interiors_only and not _triple_interior_witness(config.disks[i], config.disks[j], config.disks[k]):
+                        continue
+                    return False, (i, j, k)
     return True, None
 
 
@@ -175,26 +184,45 @@ def _triple_interior_witness(a: Disk, b: Disk, c: Disk) -> bool:
     return False
 
 
+# the prefilter of is_general_position passes every pair within this much of
+# a test's EPS_GEOM bound, beyond any rounding of its numpy distances
+_PREFILTER_SLACK = 1e-9
+
+
 def is_general_position(config: DiskConfiguration, config_tilde: DiskConfiguration):
     """(flag, report): every cross pair transverse as closed Jordan domains and
     no pair-intersection point of one configuration on a boundary circle of
-    the other."""
+    the other.
+
+    One numpy pass over all cross pairs, and one over all corner-circle
+    pairs, picks the candidates within EPS_GEOM + _PREFILTER_SLACK of a
+    test's bound; the scalar tests run only on those, in the same order as
+    over every pair."""
+    near = 2 * geom.EPS_GEOM + _PREFILTER_SLACK
     report = []
-    for i in config.labels:
-        for j in config_tilde.labels:
-            a, b = config.disks[i], config_tilde.disks[j]
-            if circles_tangent(a, b):
-                report.append(("tangential_cross_pair", i, j))
-            if abs(a.center - b.center) <= geom.EPS_GEOM and abs(a.radius - b.radius) <= geom.EPS_GEOM:
-                report.append(("coincident_boundaries", i, j))
+    c, r = circle_arrays([config.disks[v] for v in config.labels])
+    ct, rt = circle_arrays([config_tilde.disks[v] for v in config_tilde.labels])
+    dist = np.abs(c[:, None] - ct[None, :])
+    # coincident circles are internally tangent too: |d - |r - rt|| <= max(d, |r - rt|)
+    candidates = np.minimum(np.abs(dist - (r[:, None] + rt[None, :])), np.abs(dist - np.abs(r[:, None] - rt[None, :])))
+    for n, m in zip(*np.nonzero(candidates <= near)):
+        i, j = config.labels[n], config_tilde.labels[m]
+        a, b = config.disks[i], config_tilde.disks[j]
+        if circles_tangent(a, b):
+            report.append(("tangential_cross_pair", i, j))
+        if abs(a.center - b.center) <= geom.EPS_GEOM and abs(a.radius - b.radius) <= geom.EPS_GEOM:
+            report.append(("coincident_boundaries", i, j))
     # the corners of each configuration's contact table against every circle
     # of the other
-    for cfg, other in ((config, config_tilde), (config_tilde, config)):
-        for c in cfg.contacts().values():
-            for kind, p in c.named_corners():
-                for j, d in other.items():
-                    if abs(abs(p - d.center) - d.radius) <= geom.EPS_GEOM:
-                        report.append(("special_point_on_circle", (*c.pair, kind), j))
+    for cfg, other, (oc, orad) in ((config, config_tilde, (ct, rt)), (config_tilde, config, (c, r))):
+        corners = [(contact, kind, p) for contact in cfg.contacts().values() for kind, p in contact.named_corners()]
+        p = np.array([z for _c, _k, z in corners], dtype=complex)
+        off_circle = np.abs(np.abs(p[:, None] - oc[None, :]) - orad[None, :])
+        for n, m in zip(*np.nonzero(off_circle <= near)):
+            (contact, kind, z), j = corners[n], other.labels[m]
+            d = other.disks[j]
+            if abs(abs(z - d.center) - d.radius) <= geom.EPS_GEOM:
+                report.append(("special_point_on_circle", (*contact.pair, kind), j))
     return (len(report) == 0), report
 
 

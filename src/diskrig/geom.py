@@ -178,6 +178,11 @@ def arc_between(disk: Disk, za: complex, zb: complex) -> Arc:
     return Arc(disk, a0, da)
 
 
+def circle_arrays(disks) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and radius arrays of a list of disks, in its order."""
+    return np.array([d.center for d in disks], dtype=complex), np.array([d.radius for d in disks], dtype=float)
+
+
 def cyclic_spans(angles) -> list:
     """Span from each angle to the next, cyclically; a lone angle spans the
     full turn."""

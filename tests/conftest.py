@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -95,3 +96,20 @@ def tangency_flower_pair():
     other = {k: [1.3, 0.8, 1.1, 0.9, 1.2, 1.0][k - 1] for k in range(1, 7)}
     cfg_t = layout(tri, solve_radii(tri, {}, FixedBoundaryRadii(other)), {})
     return cfg, cfg_t
+
+
+def _is_thin_reference(config, *, interiors_only=False):
+    """is_thin as it was when every triple with a meeting pair was tested:
+    the oracle for the walk over contact-graph triangles."""
+    from diskrig.config import _triple_interior_witness
+    from diskrig.geom import meets
+
+    for i, j, k in itertools.combinations(config.labels, 3):
+        a, b, c = config.disks[i], config.disks[j], config.disks[k]
+        if not (meets(a, b) or meets(a, c) or meets(b, c)):
+            continue
+        if triple_intersection_nonempty(a, b, c):
+            if interiors_only and not _triple_interior_witness(a, b, c):
+                continue
+            return False, (i, j, k)
+    return True, None

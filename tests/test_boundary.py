@@ -5,15 +5,21 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diskrig.boundary import (
     BASE_STEP,
     CORNER_REFINE,
     CORNER_WINDOW,
+    PASS_SAMPLES,
     CornerRef,
     SampledLoopMap,
     _arc_offsets,
+    _arcs_offsets,
+    _grid_counts,
     _refine,
+    _sample_curves,
     boundary_complex,
     build_faithful_map,
     fixed_point_index,
@@ -23,7 +29,7 @@ from diskrig.boundary import (
     signed_area,
     winding_number,
 )
-from diskrig.config import DiskConfiguration
+from diskrig.config import DiskConfiguration, eye_of_pair
 from diskrig.errors import (
     CoincidentCorner,
     CombinatoricsMismatch,
@@ -31,7 +37,7 @@ from diskrig.errors import (
     NearFixedPoint,
     PointOnCurve,
 )
-from diskrig.geom import Disk, DiskRelation, circle_intersections, disk_relation, tangency_point
+from diskrig.geom import Disk, DiskRelation, circle_intersections, cyclic_spans, disk_relation, tangency_point
 from diskrig.moebius import apply_disk, dilation_about
 
 NEGIDX_C = DiskConfiguration([(1, Disk(3.18 - 0.05j, 1.51)), (2, Disk(5.02 + 0.05j, 1.43))])
@@ -360,6 +366,21 @@ def _reference_arc_offsets(span, refine_start, refine_end, density=1):
     return np.array(sorted(p for p in pts if 0.0 <= p < span - 1e-15))
 
 
+def _reference_eval_theta(vm, theta):
+    """VertexArcMap.eval_theta as it was: the node with the least forward
+    angle to theta, found by an argmin over all nodes."""
+    theta = np.asarray(theta, dtype=float)
+    if not vm.nodes:
+        return theta
+    t0 = np.array([n[0] for n in vm.nodes])
+    t1 = np.array([n[1] for n in vm.nodes])
+    idx = np.argmin((theta[..., None] - t0) % (2 * math.pi), axis=-1)
+    span = np.array(cyclic_spans(t0))[idx]
+    span_t = np.array(cyclic_spans(t1))[idx]
+    frac = ((theta - t0[idx]) % (2 * math.pi)) / span
+    return t1[idx] + frac * span_t
+
+
 def _reference_eval_vmaps(vmaps, verts, thetas):
     out = np.empty(len(thetas), dtype=complex)
     groups = {}
@@ -367,20 +388,27 @@ def _reference_eval_vmaps(vmaps, verts, thetas):
         groups.setdefault(v, []).append(idx)
     for v, idxs in groups.items():
         sel = np.asarray(idxs)
-        out[sel] = vmaps[v].eval_point(thetas[sel])
+        vm = vmaps[v]
+        out[sel] = vm.disk_t.center + vm.disk_t.radius * np.exp(1j * _reference_eval_theta(vm, thetas[sel]))
     return out
 
 
-def _reference_loop(config, curve, vmaps, density):
+def _reference_loop(config, arcs, vmaps, density):
+    """A loop sampled arc by arc with the set-based grid, its image evaluated
+    vertex by vertex with the argmin."""
     pts, verts, thetas = [], [], []
-    for piece in curve.pieces:
-        disk = config.disks[piece.vertex]
-        offs = _reference_arc_offsets(piece.da, piece.start is not None, piece.end is not None, density)
-        ang = piece.a0 + offs
+    for v, a0, da, refine_start, refine_end in arcs:
+        disk = config.disks[v]
+        ang = a0 + _reference_arc_offsets(da, refine_start, refine_end, density)
         pts.append(disk.center + disk.radius * np.exp(1j * ang))
-        verts.extend([piece.vertex] * len(offs))
+        verts.extend([v] * len(ang))
         thetas.append(ang)
     return np.concatenate(pts), _reference_eval_vmaps(vmaps, verts, np.concatenate(thetas))
+
+
+def _assert_same_loop(loop, config, arcs, vmaps, density):
+    src, dst = _reference_loop(config, arcs, vmaps, density)
+    assert loop.src.tobytes() == src.tobytes() and loop.dst.tobytes() == dst.tobytes()
 
 
 def test_arc_offsets_match_set_reference(rng):
@@ -395,22 +423,118 @@ def test_arc_offsets_match_set_reference(rng):
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+# spans where the grid's points meet the corner windows or the span's end
+SPANS = st.one_of(
+    st.sampled_from([2 * math.pi, 0.1, 0.1 + 1e-13, 0.1 - 1e-13, 3e-12, 2 * CORNER_WINDOW]),
+    st.floats(1e-12, 2 * math.pi),
+)
+ARCS = st.lists(st.tuples(SPANS, st.booleans(), st.booleans()), min_size=1, max_size=16)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(arcs=ARCS, density=st.integers(1, 16))
+def test_arcs_offsets_match_set_reference(arcs, density):
+    spans, refine_start, refine_end = (np.array(col) for col in zip(*arcs))
+    arc, off = _arcs_offsets(spans, refine_start, refine_end, density)
+    assert np.all(np.diff(arc) >= 0)
+    for k, (span, rs, re) in enumerate(arcs):
+        want = _reference_arc_offsets(span, rs, re, density)
+        assert off[arc == k].tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(arcs=ARCS, a0=st.lists(st.floats(-math.pi, 2 * math.pi), min_size=27, max_size=27), density=st.sampled_from([1, 4, 16]), cuts=st.lists(st.integers(1, 26), max_size=3))
+@example(arcs=[(2 * math.pi, True, False), (1.0, True, True), (3e-12, False, True)] * 9, a0=[0.5] * 27, density=4, cuts=[4, 13])
+def test_sampling_passes_split_between_arcs(arcs, a0, density, cuts):
+    # one curve per run of arcs between the cuts; each pass takes whole
+    # consecutive arcs up to PASS_SAMPLES candidates, or one larger arc
+    arcs = [(k, a0[k], span, rs, re) for k, (span, rs, re) in enumerate(arcs)]
+    bounds = sorted({0, len(arcs), *(c for c in cuts if c < len(arcs))})
+    curves = [arcs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    passes = []
+
+    def points(codes, thetas):
+        passes.append(np.unique(codes))
+        return codes, thetas
+
+    got = _sample_curves(curves, density, {k: k for k in range(len(arcs))}, points)
+    assert len(got) == len(curves)
+    for (codes, thetas), curve in zip(got, curves):
+        want = [(v, a + _reference_arc_offsets(da, rs, re, density)) for v, a, da, rs, re in curve]
+        assert codes.tobytes() == np.concatenate([np.full(len(t), v) for v, t in want]).astype(codes.dtype).tobytes()
+        assert thetas.tobytes() == np.concatenate([t for _v, t in want]).tobytes()
+    counts = sum(_grid_counts(np.array([a[2] for a in arcs]), np.array([a[3] for a in arcs]), np.array([a[4] for a in arcs]), density))
+    assert np.array_equal(np.concatenate(passes), np.arange(len(arcs)))
+    assert all(len(p) == 1 or counts[p].sum() <= PASS_SAMPLES for p in passes)
+    if counts.sum() > PASS_SAMPLES:
+        assert len(passes) > 1
+
+
+def test_eval_theta_matches_argmin_reference(rng):
+    # the last node at or before theta mod 2 pi, found by searchsorted, is the
+    # node of least forward angle: at the nodes themselves, before the first
+    # node, at negative angles and where theta % 2 pi rounds up to 2 pi
+    c = DiskConfiguration([("k", Disk(0j, 1.0))])
+    ct = DiskConfiguration([("k", Disk(0.3 + 0.1j, 1.4))])
+    fmaps = [build_faithful_map(c, ct), build_faithful_map(c, ct, pins={"k": [(1 + 0j, 1.7 + 0.1j), (-1j, 0.3 - 1.3j)]})]
+    fmaps += [build_faithful_map(NEGIDX_C, NEGIDX_CT, pins=NEGIDX_PINS), build_faithful_map(NEGIDX_C, NEGIDX_CT, rng=rng, n_random_pins=3)]
+    # a vertex with no nodes, the identity in angle, among vertices with nodes
+    lone = DiskConfiguration(NEGIDX_C.items() + [(3, Disk(20 + 0j, 1.0))])
+    lone_t = DiskConfiguration(NEGIDX_CT.items() + [(3, Disk(20.5 + 0.2j, 1.1))])
+    fmaps.append(build_faithful_map(lone, lone_t))
+    for fmap in fmaps:
+        for v, vm in fmap.vmaps.items():
+            t0 = np.array([t for t, _t in vm.nodes])
+            thetas = [t0, t0 - 2 * math.pi, t0 + 2 * math.pi, np.nextafter(t0, -np.inf), np.nextafter(t0, np.inf)]
+            thetas += [np.array([-1e-17, -1e-300, -0.0, 0.0, 2 * math.pi, np.nextafter(2 * math.pi, 0), -2 * math.pi])]
+            thetas += [rng.uniform(-math.pi, 4 * math.pi, 200)]
+            if len(t0):
+                thetas += [np.linspace(-1, t0[0], 50)]
+            theta = np.concatenate(thetas)
+            want = _reference_eval_theta(vm, theta)
+            assert vm.eval_theta(theta).tobytes() == want.tobytes()
+            # the map's node table evaluates every vertex's samples at once
+            table = fmap._nodes
+            codes = np.full(len(theta), table.code[v])
+            _src, dst = table.points(codes, theta)
+            assert dst.tobytes() == (vm.disk_t.center + vm.disk_t.radius * np.exp(1j * want)).tobytes()
+    assert any(vm.nodes for fmap in fmaps for vm in fmap.vmaps.values())
+    assert any(not vm.nodes for fmap in fmaps for vm in fmap.vmaps.values())
+
+
+def _eye_arcs(config, i, j):
+    pair = config.contacts()[frozenset((i, j))].pair
+    return [(k, arc.a0, arc.da, True, True) for k, arc in zip(pair, eye_of_pair(config, i, j).boundary_arcs())]
+
+
+def _disk_arcs(vm, v):
+    angles = [t for t, _t in vm.nodes]
+    return [(v, t, span, True, True) for t, span in zip(angles, cyclic_spans(angles))] or [(v, 0.0, 2 * math.pi, False, False)]
+
+
 def test_loops_match_grouped_reference():
     items = [(k, Disk(2 * np.exp(2j * math.pi * k / 6), 1.2)) for k in range(6)]
     ring = DiskConfiguration(items)
     ring_t = ring.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d))
     fmaps = [build_faithful_map(NEGIDX_C, NEGIDX_CT, pins=NEGIDX_PINS), build_faithful_map(ring, ring_t)]
     for fmap in fmaps:
-        for density in (1, 2, 4, 8, 16):
+        for density in range(1, 17):
             loops = fmap.loops(density)
             assert len(loops) == len(fmap.pairing)
             for loop, (si, _di) in zip(loops, fmap.pairing):
-                src, dst = _reference_loop(fmap.config, fmap.complex_src.curves[si], fmap.vmaps, density)
-                assert loop.src.tobytes() == src.tobytes() and loop.dst.tobytes() == dst.tobytes()
-    sub = ring.restricted({0, 1, 2})
-    for loop, curve in zip(fmaps[1].subset_loops({0, 1, 2}, 2), boundary_complex(sub).curves):
-        src, dst = _reference_loop(sub, curve, fmaps[1].vmaps, 2)
-        assert loop.src.tobytes() == src.tobytes() and loop.dst.tobytes() == dst.tobytes()
+                _assert_same_loop(loop, fmap.config, fmap.complex_src.curves[si].arcs(), fmap.vmaps, density)
+            for v, vm in fmap.vmaps.items():
+                _assert_same_loop(fmap.disk_loop(v, density), fmap.config, _disk_arcs(vm, v), fmap.vmaps, density)
+            for c in fmap.config.contacts().values():
+                _assert_same_loop(fmap.eye_loop(*c.pair, density), fmap.config, _eye_arcs(fmap.config, *c.pair), fmap.vmaps, density)
+    for subset in ({0, 1, 2}, {1}):
+        sub = ring.restricted(subset)
+        for density in range(1, 17):
+            loops = fmaps[1].subset_loops(subset, density)
+            curves = boundary_complex(sub).curves
+            assert len(loops) == len(curves)
+            for loop, curve in zip(loops, curves):
+                _assert_same_loop(loop, sub, curve.arcs(), fmaps[1].vmaps, density)
 
 
 def test_refine_tries_every_density_then_reraises():

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskrig.config import (
     DiskConfiguration,
-    _triple_interior_witness,
     classify_triple,
     contact_graph,
     eye_of_pair,
@@ -14,11 +15,12 @@ from diskrig.config import (
     is_general_position,
     is_thin,
 )
+from diskrig import geom
 from diskrig.errors import ContainmentViolation, DiskrigError, HypothesesViolated
-from diskrig.geom import Disk, Lens, circle_intersections, meets
+from diskrig.geom import Disk, Lens, circle_intersections, circles_tangent
 from diskrig.moebius import apply_disk, compose, inversion, similarity
 
-from conftest import grid_triple_oracle, triple_intersection_nonempty
+from conftest import _is_thin_reference, grid_triple_oracle
 
 
 def test_configuration_invariant():
@@ -82,19 +84,6 @@ def test_is_thin_interiors_only_variant():
     assert is_thin(cfg, interiors_only=True)[0]
 
 
-def _is_thin_reference(config, *, interiors_only=False):
-    """is_thin as it was when a triple was skipped only if no pair met."""
-    for i, j, k in itertools.combinations(config.labels, 3):
-        a, b, c = config.disks[i], config.disks[j], config.disks[k]
-        if not (meets(a, b) or meets(a, c) or meets(b, c)):
-            continue
-        if triple_intersection_nonempty(a, b, c):
-            if interiors_only and not _triple_interior_witness(a, b, c):
-                continue
-            return False, (i, j, k)
-    return True, None
-
-
 @pytest.mark.parametrize("interiors_only", [False, True])
 def test_is_thin_matches_any_pair_filter(rng, interiors_only):
     # differential oracle: skipping every triple with a non-meeting pair gives
@@ -114,6 +103,131 @@ def test_is_thin_matches_any_pair_filter(rng, interiors_only):
         assert got == _is_thin_reference(cfg, interiors_only=interiors_only)
         verdicts.append(got[0])
     assert 20 < sum(verdicts) < len(verdicts) - 20
+
+
+# a fixed set of examples keeps tier-1 deterministic
+EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@EXAMPLES
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 9),
+    thin=st.booleans(),
+    interiors_only=st.booleans(),
+    order=st.randoms(use_true_random=False),
+)
+def test_is_thin_walks_contact_triangles(seed, n, thin, interiors_only, order):
+    # differential oracle: the triangles of the contact graph give the same
+    # flag and witness as every triple, in any listing order
+    from diskrig.experiments import random_thin_config
+
+    rng = np.random.default_rng(seed)
+    if thin:
+        cfg = random_thin_config(rng)
+    else:
+        while True:
+            items = [(k, Disk(complex(*rng.normal(0, 1.3, 2)), float(rng.uniform(0.4, 1.2)))) for k in range(n)]
+            try:
+                cfg = DiskConfiguration(items)
+                break
+            except ContainmentViolation:
+                continue
+    items = cfg.items()
+    order.shuffle(items)
+    cfg = DiskConfiguration(items)
+    assert is_thin(cfg, interiors_only=interiors_only) == _is_thin_reference(cfg, interiors_only=interiors_only)
+
+
+def _reference_is_general_position(config, config_tilde):
+    """is_general_position as it was: the scalar tests on every cross pair
+    and on every corner against every circle of the other configuration."""
+    report = []
+    for i in config.labels:
+        for j in config_tilde.labels:
+            a, b = config.disks[i], config_tilde.disks[j]
+            if circles_tangent(a, b):
+                report.append(("tangential_cross_pair", i, j))
+            if abs(a.center - b.center) <= geom.EPS_GEOM and abs(a.radius - b.radius) <= geom.EPS_GEOM:
+                report.append(("coincident_boundaries", i, j))
+    for cfg, other in ((config, config_tilde), (config_tilde, config)):
+        for c in cfg.contacts().values():
+            for kind, p in c.named_corners():
+                for j, d in other.items():
+                    if abs(abs(p - d.center) - d.radius) <= geom.EPS_GEOM:
+                        report.append(("special_point_on_circle", (*c.pair, kind), j))
+    return (len(report) == 0), report
+
+
+def _near_general_position_pair(rng, kind, delta):
+    """A chain C and a dilated copy with one disk replaced: a circle delta
+    from external or internal tangency with a circle of C, a copy of a disk of
+    C moved by delta, or a circle delta from a corner of C."""
+    from diskrig.experiments import random_chain_config
+
+    cfg = random_chain_config(rng)
+    p = complex(*rng.normal(0, 1, 2))
+    items = cfg.transformed(lambda d: Disk(p + (d.center - p) * 1.02, d.radius * 1.02)).items()
+    k = int(rng.integers(len(items)))
+    d = cfg.disks[items[k][0]]
+    r = items[k][1].radius
+    turn = np.exp(1j * rng.uniform(0, 2 * math.pi))
+    if kind == "external":
+        new = Disk(d.center + (d.radius + r + delta) * turn, r)
+    elif kind == "internal":
+        new = Disk(d.center + (abs(d.radius - r) + delta) * turn, r)
+    elif kind == "coincident":
+        new = Disk(d.center + abs(delta) * turn, d.radius + delta)
+    else:
+        corner = next(iter(cfg.contacts().values())).corners[int(rng.integers(2))]
+        new = Disk(corner + (r + delta) * turn, r)
+    items[k] = (items[k][0], new)
+    return cfg, DiskConfiguration(items)
+
+
+@EXAMPLES
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["external", "internal", "coincident", "corner", "random"]),
+    exponent=st.floats(-10, -6),
+    sign=st.sampled_from([-1, 1]),
+    eps=st.sampled_from([None, 1e-7]),
+)
+def test_general_position_prefilter_matches_every_pair(seed, kind, exponent, sign, eps):
+    # differential oracle: the candidates of the numpy prefilter give the
+    # report of the scalar tests on every pair, in the same order, under the
+    # default EPS_GEOM and under an override as --eps-geom makes it
+    from diskrig.experiments import random_chain_config
+
+    rng = np.random.default_rng(seed)
+    saved = geom.EPS_GEOM
+    geom.EPS_GEOM = eps or saved
+    try:
+        if kind == "random":
+            cfg, cfg_t = random_chain_config(rng), random_chain_config(rng)
+        else:
+            cfg, cfg_t = _near_general_position_pair(rng, kind, sign * 10**exponent)
+        assert is_general_position(cfg, cfg_t) == _reference_is_general_position(cfg, cfg_t)
+        assert is_general_position(cfg_t, cfg) == _reference_is_general_position(cfg_t, cfg)
+    except ContainmentViolation:
+        pass
+    finally:
+        geom.EPS_GEOM = saved
+
+
+def test_general_position_prefilter_reports_each_kind(rng):
+    # the differential test's pairs reach every kind of report
+    kinds = set()
+    for kind in ("external", "internal", "coincident", "corner"):
+        for _ in range(20):
+            try:
+                cfg, cfg_t = _near_general_position_pair(rng, kind, 1e-10)
+            except ContainmentViolation:
+                continue
+            gp, report = is_general_position(cfg, cfg_t)
+            assert (gp, report) == _reference_is_general_position(cfg, cfg_t)
+            kinds.update(entry[0] for entry in report)
+    assert kinds == {"tangential_cross_pair", "coincident_boundaries", "special_point_on_circle"}
 
 
 def test_general_position_cases(rng):
