@@ -11,7 +11,9 @@ additivity identities are then exact.
 """
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -106,12 +108,14 @@ def sample_disk_boundary(disk: Disk, corners=()) -> OrientedCurve:
 def _arc_offsets(span: float, refine_start: bool, refine_end: bool, density: int = 1) -> np.ndarray:
     """Strictly increasing offsets in [0, span) starting at 0: uniform at the
     base step with x8 refinement inside the corner windows."""
-    return _arcs_offsets(np.array([span]), refine_start, refine_end, density)[1]
+    spans = np.array([span])
+    return _arcs_offsets(spans, _grid_counts(spans, refine_start, refine_end, density), density)[1]
 
 
 def _grid_counts(spans, refine_start, refine_end, density: int):
     """Per arc, the number of uniform points and of start- and end-window
-    points that _arcs_offsets draws before it merges them."""
+    points that _arcs_offsets draws before it merges them; an arc without
+    refinement at an end draws no window points there."""
     step = BASE_STEP / density
     fine = step / CORNER_REFINE
     win = np.minimum(CORNER_WINDOW, spans / 2)
@@ -126,14 +130,14 @@ def _ramp(counts):
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _arcs_offsets(spans, refine_start, refine_end, density: int):
-    """(arc, offset) of every arc's grid, by arc and then offset: each arc's
-    offsets are those of _arc_offsets, bit for bit, since the points are
-    np.linspace(0, span, n, endpoint=False), np.arange(0, win, fine) and
-    span - np.arange(fine, win, fine) written out as numpy computes them."""
-    spans = np.asarray(spans, dtype=float)
+def _arcs_offsets(spans, counts, density: int):
+    """(arc, offset) of every arc's grid, by arc and then offset, given the
+    arcs' _grid_counts: each arc's offsets are those of _arc_offsets, bit for
+    bit, since the points are np.linspace(0, span, n, endpoint=False),
+    np.arange(0, win, fine) and span - np.arange(fine, win, fine) written out
+    as numpy computes them."""
     fine = BASE_STEP / density / CORNER_REFINE
-    n, n_start, n_end = _grid_counts(spans, refine_start, refine_end, density)
+    n, n_start, n_end = counts
     arcs = np.arange(len(spans))
     end_arc = np.repeat(arcs, n_end)
     arc = np.concatenate([np.repeat(arcs, n), np.repeat(arcs, n_start), end_arc])
@@ -195,12 +199,15 @@ class BoundaryComplex:
     corners: dict  # frozenset pair -> its CornerRefs, for every meeting pair
 
     def curve_samples(self, density: int = 1):
-        """Sample points of each curve."""
-        labels = self.config.labels
-        circles = circle_arrays([self.config.disks[v] for v in labels])
-        code = {v: k for k, v in enumerate(labels)}
-        on_circles = lambda codes, thetas: (_on_circles(*circles, codes, thetas),)
-        return [pts for (pts,) in _sample_curves([c.arcs() for c in self.curves], density, code, on_circles)]
+        """Sample points of each curve, arc by arc."""
+        disks = self.config.disks
+        return [
+            np.concatenate([
+                disks[v].center + disks[v].radius * np.exp(1j * (a0 + _arc_offsets(da, rs, re, density)))
+                for v, a0, da, rs, re in c.arcs()
+            ])
+            for c in self.curves
+        ]
 
 
 def boundary_complex(config: DiskConfiguration) -> BoundaryComplex:
@@ -311,32 +318,32 @@ def _pass_ends(sizes):
 def _sample_curves(curves, density: int, code: dict, points):
     """The samples of closed curves, each a list of (vertex, a0, da,
     refine_start, refine_end) arcs, taken in passes over whole consecutive
-    arcs of all the curves: points(codes, thetas) returns a tuple of sample
-    arrays for the angles of one pass on the circles of vertex codes
-    code[vertex].  Returns each curve's list of arrays, in arc order."""
+    arcs of all the curves: points(codes, thetas) returns the (source, image)
+    samples of one pass at the angles thetas on the circles of vertex codes
+    code[vertex].  Returns each curve's (source, image) samples, in arc order."""
     if not curves:
         return []
     arcs = [a for arcs in curves for a in arcs]
     codes = np.array([code[a[0]] for a in arcs], dtype=np.intp)
     a0, da, refine_start, refine_end = np.array([a[1:] for a in arcs], dtype=float).T
     refine_start, refine_end = refine_start != 0, refine_end != 0
-    curve_of_arc = np.repeat(np.arange(len(curves)), [len(arcs) for arcs in curves])
+    starts = list(itertools.accumulate((len(arcs) for arcs in curves[:-1]), initial=0))  # first arc of each curve
+    counts = _grid_counts(da, refine_start, refine_end, density)
     pieces = [[] for _ in curves]
     lo = 0
-    for hi in _pass_ends(sum(_grid_counts(da, refine_start, refine_end, density)).tolist()):
-        arc, off = _arcs_offsets(da[lo:hi], refine_start[lo:hi], refine_end[lo:hi], density)
+    for hi in _pass_ends(sum(counts).tolist()):
+        arc, off = _arcs_offsets(da[lo:hi], [c[lo:hi] for c in counts], density)
         arc += lo
-        samples = points(codes[arc], a0[arc] + off)
-        # cut the pass where each curve starts: a curve within one pass is a
-        # view of it, and only a curve that spans passes is copied
-        if curve_of_arc[lo] == curve_of_arc[hi - 1]:
-            pieces[curve_of_arc[lo]].append(samples)
-        else:
-            held, starts = np.unique(curve_of_arc[arc], return_index=True)
-            for c, *piece in zip(held, *(np.split(s, starts[1:]) for s in samples)):
-                pieces[c].append(piece)
+        src, dst = points(codes[arc], a0[arc] + off)
+        # cut the pass where each of its curves after the first starts: a
+        # curve within one pass is a view of it, and only a curve that spans
+        # passes is copied
+        first, end = bisect.bisect_right(starts, lo) - 1, bisect.bisect_left(starts, hi)
+        cuts = [0, *(int(np.searchsorted(arc, k)) for k in starts[first + 1:end]), len(arc)]
+        for c, a, b in zip(range(first, end), cuts, cuts[1:]):
+            pieces[c].append((src[a:b], dst[a:b]))
         lo = hi
-    return [p[0] if len(p) == 1 else [np.concatenate(s) for s in zip(*p)] for p in pieces]
+    return [p[0] if len(p) == 1 else tuple(np.concatenate(s) for s in zip(*p)) for p in pieces]
 
 
 def _on_circles(center, radius, codes, thetas):
@@ -346,16 +353,11 @@ def _on_circles(center, radius, codes, thetas):
 # --- the faithful correspondence -------------------------------------------------
 
 
-def _interpolate(theta, idx, t0, t1, span, span_t):
-    """Node idx's piece of a circle map, proportional in angle, at theta."""
-    return t1[idx] + ((theta - t0[idx]) % TWO_PI) / span[idx] * span_t[idx]
-
-
 @dataclass
 class VertexArcMap:
-    """Orientation-preserving circle map pinned at the node angles.  The
-    node arrays are built when the map is first evaluated; the nodes do not
-    change after that."""
+    """Orientation-preserving circle map pinned at the node angles, evaluated
+    through its faithful map's node table.  The node arrays are built when
+    that table is; the nodes do not change after that."""
 
     disk: Disk
     disk_t: Disk
@@ -368,15 +370,6 @@ class VertexArcMap:
         t0 = np.array([n[0] for n in self.nodes], dtype=float)
         t1 = np.array([n[1] for n in self.nodes], dtype=float)
         return t0, t1, np.array(cyclic_spans(t0), dtype=float), np.array(cyclic_spans(t1), dtype=float)
-
-    def eval_theta(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if not self.nodes:
-            return theta
-        t0 = self.arrays[0]
-        # the last node at or before theta; -1 (before the first) is the last
-        idx = np.searchsorted(t0, theta % TWO_PI, side="right") - 1
-        return _interpolate(theta, idx, *self.arrays)
 
 
 class _NodeTable:
@@ -403,9 +396,12 @@ class _NodeTable:
         src = _on_circles(*self.circles, codes, thetas)
         if self.unmapped.all():
             return src, _on_circles(*self.circles_t, codes, thetas)
+        # the last node of the vertex at or before the angle; a sample before
+        # its vertex's first node takes that vertex's last node
         idx = np.searchsorted(self.keys, codes + 1j * (thetas % TWO_PI), side="right") - 1
         idx = np.where(idx < self.first[codes], self.last[codes], idx)
-        tt = _interpolate(thetas, idx, *self.arrays)
+        t0, t1, span, span_t = self.arrays
+        tt = t1[idx] + ((thetas - t0[idx]) % TWO_PI) / span[idx] * span_t[idx]
         if self.unmapped.any():
             tt = np.where(self.unmapped[codes], thetas, tt)
         return src, _on_circles(*self.circles_t, codes, tt)

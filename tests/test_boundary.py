@@ -367,8 +367,9 @@ def _reference_arc_offsets(span, refine_start, refine_end, density=1):
 
 
 def _reference_eval_theta(vm, theta):
-    """VertexArcMap.eval_theta as it was: the node with the least forward
-    angle to theta, found by an argmin over all nodes."""
+    """A vertex map at theta as it was evaluated before the node table: the
+    node with the least forward angle to theta, found by an argmin over all
+    nodes."""
     theta = np.asarray(theta, dtype=float)
     if not vm.nodes:
         return theta
@@ -406,6 +407,11 @@ def _reference_loop(config, arcs, vmaps, density):
     return np.concatenate(pts), _reference_eval_vmaps(vmaps, verts, np.concatenate(thetas))
 
 
+def _piece_arcs(curve):
+    """A curve's arcs read from its pieces, refined where a piece ends at a corner."""
+    return [(p.vertex, p.a0, p.da, p.start is not None, p.end is not None) for p in curve.pieces]
+
+
 def _assert_same_loop(loop, config, arcs, vmaps, density):
     src, dst = _reference_loop(config, arcs, vmaps, density)
     assert loop.src.tobytes() == src.tobytes() and loop.dst.tobytes() == dst.tobytes()
@@ -435,7 +441,7 @@ ARCS = st.lists(st.tuples(SPANS, st.booleans(), st.booleans()), min_size=1, max_
 @given(arcs=ARCS, density=st.integers(1, 16))
 def test_arcs_offsets_match_set_reference(arcs, density):
     spans, refine_start, refine_end = (np.array(col) for col in zip(*arcs))
-    arc, off = _arcs_offsets(spans, refine_start, refine_end, density)
+    arc, off = _arcs_offsets(spans, _grid_counts(spans, refine_start, refine_end, density), density)
     assert np.all(np.diff(arc) >= 0)
     for k, (span, rs, re) in enumerate(arcs):
         want = _reference_arc_offsets(span, rs, re, density)
@@ -465,12 +471,16 @@ def test_sampling_passes_split_between_arcs(arcs, a0, density, cuts):
         assert thetas.tobytes() == np.concatenate([t for _v, t in want]).tobytes()
     counts = sum(_grid_counts(np.array([a[2] for a in arcs]), np.array([a[3] for a in arcs]), np.array([a[4] for a in arcs]), density))
     assert np.array_equal(np.concatenate(passes), np.arange(len(arcs)))
+    # a curve within one pass is a view of it; only a curve over several is copied
+    for (codes, _thetas), curve in zip(got, curves):
+        one_pass = any({a[0] for a in curve} <= set(p.tolist()) for p in passes)
+        assert (codes.base is not None) == one_pass
     assert all(len(p) == 1 or counts[p].sum() <= PASS_SAMPLES for p in passes)
     if counts.sum() > PASS_SAMPLES:
         assert len(passes) > 1
 
 
-def test_eval_theta_matches_argmin_reference(rng):
+def test_node_table_matches_argmin_reference(rng):
     # the last node at or before theta mod 2 pi, found by searchsorted, is the
     # node of least forward angle: at the nodes themselves, before the first
     # node, at negative angles and where theta % 2 pi rounds up to 2 pi
@@ -492,8 +502,6 @@ def test_eval_theta_matches_argmin_reference(rng):
                 thetas += [np.linspace(-1, t0[0], 50)]
             theta = np.concatenate(thetas)
             want = _reference_eval_theta(vm, theta)
-            assert vm.eval_theta(theta).tobytes() == want.tobytes()
-            # the map's node table evaluates every vertex's samples at once
             table = fmap._nodes
             codes = np.full(len(theta), table.code[v])
             _src, dst = table.points(codes, theta)
@@ -522,7 +530,7 @@ def test_loops_match_grouped_reference():
             loops = fmap.loops(density)
             assert len(loops) == len(fmap.pairing)
             for loop, (si, _di) in zip(loops, fmap.pairing):
-                _assert_same_loop(loop, fmap.config, fmap.complex_src.curves[si].arcs(), fmap.vmaps, density)
+                _assert_same_loop(loop, fmap.config, _piece_arcs(fmap.complex_src.curves[si]), fmap.vmaps, density)
             for v, vm in fmap.vmaps.items():
                 _assert_same_loop(fmap.disk_loop(v, density), fmap.config, _disk_arcs(vm, v), fmap.vmaps, density)
             for c in fmap.config.contacts().values():
@@ -534,7 +542,7 @@ def test_loops_match_grouped_reference():
             curves = boundary_complex(sub).curves
             assert len(loops) == len(curves)
             for loop, curve in zip(loops, curves):
-                _assert_same_loop(loop, sub, curve.arcs(), fmaps[1].vmaps, density)
+                _assert_same_loop(loop, sub, _piece_arcs(curve), fmaps[1].vmaps, density)
 
 
 def test_refine_tries_every_density_then_reraises():
