@@ -1,5 +1,5 @@
 """Sampled boundary curves, faithful correspondences, winding numbers, and the
-fixed-point index, including the multiply-connected sum and index additivity.
+fixed-point index, including the multiply-connected sum.
 
 The canonical faithful map is the arc-proportional one: every pair-intersection
 corner of one configuration is pinned to its counterpart, and each arc between
@@ -24,9 +24,7 @@ from .config import DiskConfiguration, contact_graph, eye_of_pair
 from .errors import (
     CoincidentCorner,
     CombinatoricsMismatch,
-    CornerOffBoundary,
     DegenerateContact,
-    GluingMismatch,
     NearFixedPoint,
     PointOnCurve,
 )
@@ -67,51 +65,6 @@ def _winding_of_closed(rel: np.ndarray) -> int:
     return int(n)
 
 
-@dataclass
-class OrientedCurve:
-    samples: np.ndarray
-    orientation: int  # +1 positive (counterclockwise), -1 negative
-
-    def __post_init__(self):
-        if len(self.samples) < 32:
-            raise ValueError("need at least 32 samples")
-
-
-def signed_area(samples: np.ndarray) -> float:
-    z = np.asarray(samples)
-    w = np.roll(z, -1)
-    return float(0.5 * np.sum(z.real * w.imag - z.imag * w.real))
-
-
-def sample_disk_boundary(disk: Disk, corners=()) -> OrientedCurve:
-    """Counterclockwise samples with max step 2*pi/512, corners included
-    exactly, and x8 refinement within 0.05 rad of each corner."""
-    thetas = []
-    for z in corners:
-        if abs(abs(z - disk.center) - disk.radius) > 1e-6 * max(1.0, disk.radius):
-            raise CornerOffBoundary(f"{z} not on boundary")
-        thetas.append(disk.angle_of(z))
-    if not thetas:
-        grid = np.arange(512) * BASE_STEP
-        return OrientedCurve(disk.center + disk.radius * np.exp(1j * grid), +1)
-    order = np.argsort([t % TWO_PI for t in thetas])
-    corner_pts = [corners[k] for k in order]
-    thetas = [thetas[k] % TWO_PI for k in order]
-    samples = []
-    for k, (t0, span) in enumerate(zip(thetas, cyclic_spans(thetas))):
-        pts = disk.center + disk.radius * np.exp(1j * (t0 + _arc_offsets(span, True, True)))
-        pts[0] = corner_pts[k]  # corners appear exactly as samples
-        samples.append(pts)
-    return OrientedCurve(np.concatenate(samples), +1)
-
-
-def _arc_offsets(span: float, refine_start: bool, refine_end: bool, density: int = 1) -> np.ndarray:
-    """Strictly increasing offsets in [0, span) starting at 0: uniform at the
-    base step with x8 refinement inside the corner windows."""
-    spans = np.array([span])
-    return _arcs_offsets(spans, _grid_counts(spans, refine_start, refine_end, density), density)[1]
-
-
 def _grid_counts(spans, refine_start, refine_end, density: int):
     """Per arc, the number of uniform points and of start- and end-window
     points that _arcs_offsets draws before it merges them; an arc without
@@ -132,10 +85,11 @@ def _ramp(counts):
 
 def _arcs_offsets(spans, counts, density: int):
     """(arc, offset) of every arc's grid, by arc and then offset, given the
-    arcs' _grid_counts: each arc's offsets are those of _arc_offsets, bit for
-    bit, since the points are np.linspace(0, span, n, endpoint=False),
-    np.arange(0, win, fine) and span - np.arange(fine, win, fine) written out
-    as numpy computes them."""
+    arcs' _grid_counts.  An arc's grid is strictly increasing offsets in
+    [0, span) from 0: uniform at the base step, with x8 refinement inside the
+    corner windows.  Its points are np.linspace(0, span, n, endpoint=False),
+    np.arange(0, win, fine) and span - np.arange(fine, win, fine), written
+    out as numpy computes them, so they keep every bit."""
     fine = BASE_STEP / density / CORNER_REFINE
     n, n_start, n_end = counts
     arcs = np.arange(len(spans))
@@ -197,17 +151,6 @@ class BoundaryComplex:
     config: DiskConfiguration
     curves: list
     corners: dict  # frozenset pair -> its CornerRefs, for every meeting pair
-
-    def curve_samples(self, density: int = 1):
-        """Sample points of each curve, arc by arc."""
-        disks = self.config.disks
-        return [
-            np.concatenate([
-                disks[v].center + disks[v].radius * np.exp(1j * (a0 + _arc_offsets(da, rs, re, density)))
-                for v, a0, da, rs, re in c.arcs()
-            ])
-            for c in self.curves
-        ]
 
 
 def boundary_complex(config: DiskConfiguration) -> BoundaryComplex:
@@ -622,47 +565,3 @@ def fixed_point_index(fmap: FaithfulMap) -> IndexReport:
     report = _refine(index_at)
     fmap._index = (eps, report)
     return report
-
-
-def index_additivity(map_k: SampledLoopMap, map_l: SampledLoopMap):
-    """Glue two loop maps along their (single) shared boundary arc and return
-    (eta(glued), eta(K) + eta(L))."""
-    key = lambda z: (round(z.real, 9), round(z.imag, 9))
-    keys_k = [key(z) for z in map_k.src]
-    keys_l = [key(z) for z in map_l.src]
-    shared = set(keys_k) & set(keys_l)
-    if len(shared) < 2:
-        raise GluingMismatch("no shared boundary arc")
-    lk = _rotate_shared_to_suffix(map_k, [k in shared for k in keys_k])
-    ll = _rotate_shared_to_suffix(map_l, [k in shared for k in keys_l])
-    (free_k_src, free_k_dst), (shared_k_src, shared_k_dst) = lk
-    (free_l_src, free_l_dst), (shared_l_src, shared_l_dst) = ll
-    agree = {key(z): w for z, w in zip(shared_k_src, shared_k_dst)}
-    for z, w in zip(shared_l_src, shared_l_dst):
-        w2 = agree.get(key(z))
-        if w2 is None or abs(w - w2) > 1e-7:
-            raise GluingMismatch("maps disagree on the shared arc")
-    glued = SampledLoopMap(
-        np.concatenate([free_k_src, free_l_src]), np.concatenate([free_k_dst, free_l_dst])
-    )
-    eta_glued = loop_index(glued)
-    eta_parts = loop_index(map_k) + loop_index(map_l)
-    return eta_glued, eta_parts
-
-
-def _rotate_shared_to_suffix(loop: SampledLoopMap, mask):
-    n = len(mask)
-    starts = [k for k in range(n) if mask[k] and not mask[(k - 1) % n]]
-    if len(starts) != 1:
-        raise GluingMismatch("shared samples are not a single contiguous arc")
-    s = starts[0]
-    idx = [(s + k) % n for k in range(n)]
-    shared_idx = [k for k in idx if mask[k]]
-    free_idx = [k for k in idx if not mask[k]]
-    # keep the two junction samples (arc endpoints) on the free part
-    free_idx = [shared_idx[-1]] + free_idx + [shared_idx[0]]
-    src, dst = np.asarray(loop.src), np.asarray(loop.dst)
-    return (
-        (src[free_idx], dst[free_idx]),
-        (src[shared_idx], dst[shared_idx]),
-    )

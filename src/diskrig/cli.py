@@ -187,8 +187,10 @@ def cmd_render(args) -> int:
     if "torus" in overlays:
         if not args.second or args.pair is None:
             raise IOFailure("--overlay torus needs --second FILE and --pair ID")
-        key = _coerce_label(args.pair, cfg.labels)
-        param = build_parametrization(cfg.disks[key], second.disks[key])
+        param = build_parametrization(
+            cfg.disks[_coerce_label(args.pair, cfg.labels, args.file)],
+            second.disks[_coerce_label(args.pair, second.labels, args.second)],
+        )
         gmap = None
         if args.seed is not None:
             gmap = random_monotone_graph(param, np.random.default_rng(args.seed))
@@ -199,11 +201,11 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _coerce_label(raw, labels):
+def _coerce_label(raw, labels, path):
     for k in labels:
         if str(k) == str(raw):
             return k
-    raise IOFailure(f"no disk with id {raw}")
+    raise IOFailure(f"no disk with id {raw} in {path}")
 
 
 def cmd_lemmas(args) -> int:
@@ -215,6 +217,16 @@ def cmd_lemmas(args) -> int:
         worst = min(worst, lo)
         print(f"{name}: count={len(margins)} min_margin={lo:.3e} max_margin={max(margins):.3e}")
     return 0 if worst > 1e-7 else 1
+
+
+def _positive_int(text) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemmas", help="run the inequality lemma suites")
     p.add_argument("--lemma", choices=sorted(SUITES))
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_positive_int, default=100)
     p.set_defaults(fn=cmd_lemmas)
     return ap
 

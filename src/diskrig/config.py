@@ -23,7 +23,6 @@ from .geom import (
     disk_relation,
     overlap_angle,
     overlaps,
-    solve_apollonius,
     tangency_point,
 )
 
@@ -103,8 +102,17 @@ class DiskConfiguration:
         return [(k, self.disks[k]) for k in self.labels]
 
     def restricted(self, subset) -> "DiskConfiguration":
+        """The sub-configuration of the labels in subset, in listing order.
+        Its contact table is the parent's entries whose pair lies in the
+        subset, the same Contacts in the same order: nothing is classified
+        again."""
         keep = set(subset)
-        return DiskConfiguration([(k, d) for k, d in self.items() if k in keep])
+        table = {e: c for e, c in self.contacts().items() if e <= keep}
+        sub = object.__new__(DiskConfiguration)
+        sub.labels = [k for k in self.labels if k in keep]
+        sub.disks = {k: self.disks[k] for k in sub.labels}
+        sub._contacts = (geom.EPS_GEOM, table)
+        return sub
 
     def transformed(self, fn) -> "DiskConfiguration":
         return DiskConfiguration([(k, fn(d)) for k, d in self.items()])
@@ -329,22 +337,3 @@ def classify_triple(a: Disk, b: Disk, x: Disk, role: str) -> TripleConfigCode:
     if key not in _CODE_TABLE:
         raise HypothesesViolated(f"signature {sorted(sig)} with v_in_x={v_in_x} matches no code")
     return TripleConfigCode(FAMILIES[role], _CODE_TABLE[key], (v_in_x, tuple(sorted(sig))))
-
-
-# --- interstice augmentation ---------------------------------------------------
-
-
-def augment_with_inscribed_disk(config: DiskConfiguration, face, label="aug"):
-    """Add the inscribed (Apollonius) disk of the face's interstice.
-
-    The face is a triple of vertex labels; the new disk is externally tangent
-    to all three face disks, realizing the tangency-only anchor needed by the
-    normalization procedures.
-    """
-    i, j, k = face
-    d = solve_apollonius(config.disks[i], config.disks[j], config.disks[k])
-    for v, other in config.items():
-        rel = disk_relation(d, other)
-        if rel not in (DiskRelation.DISJOINT, DiskRelation.EXTERNALLY_TANGENT):
-            raise ContainmentViolation(f"inscribed disk collides with {v}: {rel.value}")
-    return DiskConfiguration(config.items() + [(label, d)])

@@ -66,10 +66,6 @@ class PointOnCurve(DiskrigError):
     pass
 
 
-class CornerOffBoundary(DiskrigError):
-    pass
-
-
 class DegenerateContact(DiskrigError):
     pass
 
@@ -84,10 +80,6 @@ class CoincidentCorner(DiskrigError):
 
 class NearFixedPoint(DiskrigError):
     """Map not certifiably fixed-point-free at the current sampling density."""
-
-
-class GluingMismatch(DiskrigError):
-    pass
 
 
 class NoNonnegativeRoute(DiskrigError):

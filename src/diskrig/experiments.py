@@ -202,30 +202,6 @@ def main_b_identity(fmap: FaithfulMap, subset):
     return lhs, rhs
 
 
-def dj_regions_disjoint(config, config_t, j) -> bool:
-    """Grid detector for the excision hypothesis: d_j = D_j minus the others
-    and its counterpart do not meet."""
-    dj, djt = config.disks[j], config_t.disks[j]
-    lo_x = max(dj.center.real - dj.radius, djt.center.real - djt.radius)
-    hi_x = min(dj.center.real + dj.radius, djt.center.real + djt.radius)
-    lo_y = max(dj.center.imag - dj.radius, djt.center.imag - djt.radius)
-    hi_y = min(dj.center.imag + dj.radius, djt.center.imag + djt.radius)
-    if lo_x >= hi_x or lo_y >= hi_y:
-        return True
-    xs = np.linspace(lo_x, hi_x, 200)
-    ys = np.linspace(lo_y, hi_y, 200)
-    X, Y = np.meshgrid(xs, ys)
-    Z = X + 1j * Y
-    in_dj = np.abs(Z - dj.center) <= dj.radius
-    in_djt = np.abs(Z - djt.center) <= djt.radius
-    for v in config.labels:
-        if v == j:
-            continue
-        in_dj &= np.abs(Z - config.disks[v].center) > config.disks[v].radius
-        in_djt &= np.abs(Z - config_t.disks[v].center) > config_t.disks[v].radius
-    return not bool(np.any(in_dj & in_djt))
-
-
 def run_main_theorem_trial(rng):
     """One full experiment record: eta, lower bound, and identity checks.
 

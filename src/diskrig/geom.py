@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AngleUndefined, DegenerateDisk, DegenerateTriple, NotTransverse
+from .errors import AngleUndefined, DegenerateDisk, NotTransverse
 
 EPS_GEOM = 1e-9
 EPS_ANGLE = 1e-7
@@ -87,13 +87,6 @@ def circles_tangent(a: Disk, b: Disk) -> bool:
 
 def overlaps(a: Disk, b: Disk) -> bool:
     return disk_relation(a, b) is DiskRelation.OVERLAPPING
-
-
-def meets(a: Disk, b: Disk) -> bool:
-    return disk_relation(a, b) in (
-        DiskRelation.OVERLAPPING,
-        DiskRelation.EXTERNALLY_TANGENT,
-    )
 
 
 def center_distance(r_a: float, r_b: float, theta: float) -> float:
@@ -306,54 +299,3 @@ def regions_meet(r1, r2) -> bool:
 
 def lens_in_disk(lens: Lens, d: Disk) -> bool:
     return all(arc_in_disk(arc, d) for arc in lens.boundary_arcs())
-
-
-def solve_apollonius(d1: Disk, d2: Disk, d3: Disk) -> Disk:
-    """Disk externally tangent to all three given disks (inscribed in their
-    interstice).  Solves |c - c_i| = r + r_i by eliminating the quadratic terms."""
-    c1, c2, c3 = d1.center, d2.center, d3.center
-    r1, r2, r3 = d1.radius, d2.radius, d3.radius
-
-    def row(ci, ri, cj, rj):
-        # (|c-ci|^2 - (r+ri)^2) - (|c-cj|^2 - (r+rj)^2) = 0
-        ax = 2 * (cj.real - ci.real)
-        ay = 2 * (cj.imag - ci.imag)
-        ar = 2 * (ri - rj)
-        rhs = (abs(cj) ** 2 - abs(ci) ** 2) - (rj * rj - ri * ri)
-        return ax, ay, ar, rhs
-
-    a1x, a1y, a1r, b1 = row(c1, r1, c2, r2)
-    a2x, a2y, a2r, b2 = row(c1, r1, c3, r3)
-    det = a1x * a2y - a2x * a1y
-    if abs(det) < 1e-14:
-        raise DegenerateTriple("collinear centers in Apollonius solve")
-    # c = p + r*q  (componentwise affine in r)
-    px = (b1 * a2y - b2 * a1y) / det
-    py = (a1x * b2 - a2x * b1) / det
-    qx = -(a1r * a2y - a2r * a1y) / det
-    qy = -(a1x * a2r - a2x * a1r) / det
-    # plug into |c - c1|^2 = (r + r1)^2
-    ex, ey = px - c1.real, py - c1.imag
-    A = qx * qx + qy * qy - 1.0
-    B = 2 * (ex * qx + ey * qy) - 2 * r1
-    C = ex * ex + ey * ey - r1 * r1
-    if abs(A) < 1e-14:
-        roots = [-C / B]
-    else:
-        disc = B * B - 4 * A * C
-        if disc < 0:
-            raise DegenerateTriple("no real Apollonius solution")
-        roots = [(-B - math.sqrt(disc)) / (2 * A), (-B + math.sqrt(disc)) / (2 * A)]
-    best = None
-    for r in roots:
-        if r <= EPS_GEOM:
-            continue
-        c = complex(px + r * qx, py + r * qy)
-        cand = Disk(c, r)
-        # inscribed: externally tangent, not swallowing any input disk
-        if all(abs(c - d.center) > d.radius for d in (d1, d2, d3)):
-            if best is None or cand.radius < best.radius:
-                best = cand
-    if best is None:
-        raise DegenerateTriple("no inscribed Apollonius disk")
-    return best

@@ -293,24 +293,6 @@ def generate_contained_loops(rng, *, n=None) -> LemmaInstance:
     return LemmaInstance("contained_loops", {"solid": solid, "dashed": dashed})
 
 
-HEX_CHAIN_SOLID = [
-    Disk(1.56 + 1.01j, 1.56),
-    Disk(3.06 + 2.21j, 1.38),
-    Disk(4.83 + 1.66j, 1.21),
-    Disk(6.16 + 0.55j, 0.94),
-    Disk(5.68 - 1.41j, 1.62),
-    Disk(2.92 - 1.59j, 2.0),
-]
-HEX_CHAIN_NESTED = [
-    Disk(1.53 + 0.92j, 1.41),
-    Disk(3.03 + 2.28j, 1.25),
-    Disk(4.87 + 1.62j, 1.07),
-    Disk(6.12 + 0.57j, 0.82),
-    Disk(5.72 - 1.37j, 1.44),
-    Disk(2.99 - 1.5j, 1.77),
-]
-
-
 # --- hat / shoes / pop (three-disk configurations via the topological codes) -------------
 
 
@@ -420,10 +402,6 @@ def quadruple_general_position(q: EyeQuadruple) -> bool:
     if not overlaps(q.A, q.B) or not overlaps(q.At, q.Bt):
         return False
     return is_general_position(cfg, cfg_t)[0]
-
-
-def eye_boundary_crossings(q: EyeQuadruple) -> int:
-    return len(eye_boundary_crossing_pairs(q))
 
 
 def eye_boundary_crossing_pairs(q: EyeQuadruple):

@@ -68,10 +68,6 @@ def inversion(pole: complex = 0j) -> MoebiusMap:
     return MoebiusMap(0, 1, 1, -pole)
 
 
-def conjugation() -> MoebiusMap:
-    return MoebiusMap(1, 0, 0, 1, conjugate_first=True)
-
-
 def apply_point(m: MoebiusMap, z):
     """Image of a point (or numpy array of points)."""
     w = np.conj(z) if m.conjugate_first else np.asarray(z, dtype=complex)
@@ -443,9 +439,3 @@ _BUILDERS = {
     "HypHyp": _normalize_hyp_hyp,
     "PlaneVsHyp": _normalize_plane_vs_hyp,
 }
-
-
-def unit_disk_images(result: NormalizationResult) -> tuple[Disk, Disk]:
-    """Images of the unit disk under the two normalization maps (HypHyp mode)."""
-    unit = Disk(0j, 1.0)
-    return apply_disk(result.map_for_C, unit), apply_disk(result.map_for_Ctilde, unit)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from . import geom
 from .config import DiskConfiguration, eye_of_pair, neighbours
-from .errors import NotTransverse, ObservationViolated
+from .errors import IncidenceMismatch, NotTransverse, ObservationViolated
 from .geom import Disk, DiskRelation, boundary_crossings, disk_relation, eye_nesting, overlap_angle
 
 
@@ -40,6 +40,11 @@ def subsumptive_subsets(config: DiskConfiguration, config_tilde: DiskConfigurati
     """Maximal subsumptive subsets (connected same-direction containment
     components of the contact graph), their isolation, H graphs, sinks, and
     the main-theorem lower bound."""
+    only_c = sorted(map(str, set(config.labels) - set(config_tilde.labels)))
+    only_t = sorted(map(str, set(config_tilde.labels) - set(config.labels)))
+    if only_c or only_t:
+        sides = [f"{', '.join(ids)} only in {name}" for ids, name in ((only_c, "C"), (only_t, "C~")) if ids]
+        raise IncidenceMismatch("disk ids differ: " + "; ".join(sides))
     directions = {}
     for v in config.labels:
         d = _containment_direction(config.disks[v], config_tilde.disks[v])
@@ -151,20 +156,6 @@ def _has_cycle(subset, hu_edges):
             return True
         parent[ri] = rj
     return False
-
-
-def find_sink(config, config_tilde, subset):
-    """The unique vertex of the subset with no out-edge in H, if any."""
-    _hu, h, _ties = build_H(config, config_tilde, subset)
-    return _sink_of(frozenset(subset), h)
-
-
-def _sink_of(subset, h_edges):
-    outs = {i for i, _ in h_edges}
-    sinks = [v for v in sorted(subset, key=str) if v not in outs]
-    if len(sinks) > 1:
-        raise ObservationViolated(f"multiple sinks {sinks}")
-    return sinks[0] if sinks else None
 
 
 def index_lower_bound(config: DiskConfiguration, config_tilde: DiskConfiguration) -> int:

@@ -102,7 +102,10 @@ def _is_thin_reference(config, *, interiors_only=False):
     """is_thin as it was when every triple with a meeting pair was tested:
     the oracle for the walk over contact-graph triangles."""
     from diskrig.config import _triple_interior_witness
-    from diskrig.geom import meets
+    from diskrig.geom import DiskRelation, disk_relation
+
+    def meets(a, b):
+        return disk_relation(a, b) in (DiskRelation.OVERLAPPING, DiskRelation.EXTERNALLY_TANGENT)
 
     for i, j, k in itertools.combinations(config.labels, 3):
         a, b, c = config.disks[i], config.disks[j], config.disks[k]

@@ -15,7 +15,6 @@ from diskrig.boundary import (
     PASS_SAMPLES,
     CornerRef,
     SampledLoopMap,
-    _arc_offsets,
     _arcs_offsets,
     _grid_counts,
     _refine,
@@ -23,17 +22,13 @@ from diskrig.boundary import (
     boundary_complex,
     build_faithful_map,
     fixed_point_index,
-    index_additivity,
     loop_index,
-    sample_disk_boundary,
-    signed_area,
     winding_number,
 )
 from diskrig.config import DiskConfiguration, eye_of_pair
 from diskrig.errors import (
     CoincidentCorner,
     CombinatoricsMismatch,
-    CornerOffBoundary,
     NearFixedPoint,
     PointOnCurve,
 )
@@ -61,22 +56,6 @@ def test_winding_number_cases():
         winding_number(circ, 1 + 0j)
 
 
-def test_sample_disk_boundary():
-    curve = sample_disk_boundary(Disk(0j, 1.0))
-    assert len(curve.samples) == 512
-    curve = sample_disk_boundary(Disk(0j, 1.0), corners=[1 + 0j, -1 + 0j])
-    arr = np.asarray(curve.samples)
-    assert np.min(np.abs(arr - 1)) == 0.0
-    assert np.min(np.abs(arr + 1)) == 0.0
-    # corner refinement: spacing near the corner is 8x finer than the base step
-    angles = np.sort(np.angle(arr) % (2 * math.pi))
-    gaps = np.diff(angles)
-    near = gaps[angles[:-1] < 0.04]
-    assert near.max() <= (2 * math.pi / 512) / 8 + 1e-12
-    with pytest.raises(CornerOffBoundary):
-        sample_disk_boundary(Disk(0j, 1.0), corners=[2 + 0j])
-
-
 def test_boundary_complex_shapes():
     single = boundary_complex(DiskConfiguration([("a", Disk(0j, 1.0))]))
     assert len(single.curves) == 1
@@ -90,10 +69,12 @@ def test_boundary_complex_shapes():
     n = 6
     for k in range(n):
         ring_items.append((k, Disk(2 * np.exp(2j * math.pi * k / n), 1.2)))
-    ring = boundary_complex(DiskConfiguration(ring_items))
+    ring_config = DiskConfiguration(ring_items)
+    ring = boundary_complex(ring_config)
     assert len(ring.curves) == 2
-    areas = sorted(signed_area(pts) for pts in ring.curve_samples())
-    assert areas[0] < 0 < areas[1]  # inner curve clockwise, outer counterclockwise
+    ring_t = ring_config.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d))
+    windings = sorted(winding_number(loop.src, 0j) for loop in build_faithful_map(ring_config, ring_t).loops())
+    assert windings == [-1, 1]  # inner curve clockwise, outer counterclockwise
 
 
 def test_faithful_map_translation():
@@ -146,7 +127,7 @@ def test_faithful_map_reads_corners_from_its_complexes(monkeypatch, rng):
     # labels 0..11 list the pair (9, 10) against str order; a ring of
     # overlaps and a flower of tangencies
     from diskrig.config import contact_graph, eyes, is_general_position, is_thin
-    from diskrig.experiments import random_ring_config
+    from diskrig.experiments import main_b_identity, random_ring_config
     from diskrig.moebius import anchor_points
     from diskrig.solver import FixedBoundaryRadii, flower, layout, solve_radii
     from diskrig.subsumption import subsumptive_subsets
@@ -170,6 +151,9 @@ def test_faithful_map_reads_corners_from_its_complexes(monkeypatch, rng):
         for cfg in (c, ct):
             for read in (contact_graph, is_thin, eyes, boundary_complex, anchor_points):
                 read(cfg)
+        # a proper subset's loops read the restricted configuration's table
+        lhs, rhs = main_b_identity(fmap, set(c.labels[:5]))
+        assert lhs == rhs
         assert not any(calls[frozenset((id(cfg.disks[i]), id(cfg.disks[j])))] for cfg, i, j in pairs)
         # the table's corners and the complexes' corner refs match the oracle
         for cx in (fmap.complex_src, fmap.complex_dst):
@@ -260,49 +244,6 @@ def test_metric_disk_index_nonnegative(rng):
         if rel > d1.radius + d2.radius:
             assert eta == 0
         done += 1
-
-
-def test_index_additivity_disjoint_targets():
-    # a disk split along a chord, mapped by a common translation far away
-    n = 400
-    t = np.linspace(0, math.pi, n)
-    upper = np.concatenate([np.exp(1j * t[:-1]), np.linspace(-1, 1, n)[:-1]])
-    lower = np.concatenate([np.exp(1j * (t + math.pi))[:-1], np.linspace(1, -1, n)[:-1]])
-    shift = 7 + 2j
-    mk = SampledLoopMap(upper, upper + shift)
-    ml = SampledLoopMap(lower, lower + shift)
-    glued, parts = index_additivity(mk, ml)
-    assert glued == parts == 0
-
-
-def test_index_additivity_nested_target():
-    # glued disk maps into a larger concentric disk: 1 = eta_K + eta_L
-    n = 400
-    t = np.linspace(0, math.pi, n)
-    chord = np.linspace(-1, 1, n)
-    upper = np.concatenate([np.exp(1j * t[:-1]), chord[:-1]])
-    lower = np.concatenate([np.exp(1j * (t + math.pi))[:-1], (-chord)[:-1]])
-    f = lambda z: 3 * z - 0.6j  # expansion with fixed point 0.3j in the upper half
-    mk = SampledLoopMap(upper, f(upper))
-    ml = SampledLoopMap(lower, f(lower))
-    glued, parts = index_additivity(mk, ml)
-    assert glued == parts == 1
-    assert loop_index(mk) == 1 and loop_index(ml) == 0
-
-
-def test_index_additivity_shared_arc_cancels():
-    # displacement contributions along the shared arc cancel: the glued index
-    # equals the sum regardless of the map chosen on the shared arc
-    n = 300
-    t = np.linspace(0, math.pi, n)
-    chord = np.linspace(-1, 1, n)
-    upper = np.concatenate([np.exp(1j * t[:-1]), chord[:-1]])
-    lower = np.concatenate([np.exp(1j * (t + math.pi))[:-1], (-chord)[:-1]])
-    f = lambda z: z * np.exp(0.3j * np.abs(z)) + 4j
-    mk = SampledLoopMap(upper, f(upper))
-    ml = SampledLoopMap(lower, f(lower))
-    glued, parts = index_additivity(mk, ml)
-    assert glued == parts
 
 
 def test_index_stability_resample_and_jitter(rng):
@@ -424,7 +365,8 @@ def test_arc_offsets_match_set_reference(rng):
         for refine_start in (False, True):
             for refine_end in (False, True):
                 for density in range(1, 17):
-                    got = _arc_offsets(span, refine_start, refine_end, density)
+                    spans = np.array([span])
+                    got = _arcs_offsets(spans, _grid_counts(spans, refine_start, refine_end, density), density)[1]
                     want = _reference_arc_offsets(span, refine_start, refine_end, density)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 

@@ -390,6 +390,39 @@ def test_lemmas_command(capsys):
     assert "mogwai" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("count", ["0", "-3", "x"])
+def test_lemmas_count_must_be_positive(capsys, count):
+    with pytest.raises(SystemExit) as exc:
+        main(["lemmas", "--lemma", "mogwai", "--count", count])
+    assert exc.value.code == 2
+    assert "--count" in capsys.readouterr().err
+
+
+@pytest.fixture
+def different_ids(tmp_path):
+    """Two files whose disk ids differ: {1, 2} against {1, 3}."""
+    pc = _disks_doc(tmp_path / "c.json", {1: (0j, 1.0), 2: (1.5 + 0j, 1.0)})
+    pt = _disks_doc(tmp_path / "ct.json", {1: (0j, 0.8), 3: (1.5 + 0j, 1.0)})
+    return pc, pt
+
+
+@pytest.mark.parametrize("command", ["analyze", "render"])
+def test_different_disk_ids_are_an_error(tmp_path, capsys, different_ids, command):
+    pc, pt = different_ids
+    argv = ["analyze", pc, pt] if command == "analyze" else ["render", pc, "-o", str(tmp_path / "h.svg"), "--overlay", "H", "--second", pt]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: disk ids differ: 2 only in C; 3 only in C~\n"
+
+
+def test_render_torus_pair_missing_from_second_is_an_error(tmp_path, capsys, different_ids):
+    pc, pt = different_ids
+    argv = ["render", pc, "-o", str(tmp_path / "t.svg"), "--overlay", "torus", "--second", pt, "--pair", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: no disk with id 2 in {pt}\n"
+
+
 def test_round_trip_byte_identical(tmp_path, tangent_triple):
     doc = read_document(tangent_triple)
     p1 = tmp_path / "c1.json"

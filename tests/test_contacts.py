@@ -126,3 +126,49 @@ def test_tolerance_override_rebuilds_the_table(monkeypatch):
     monkeypatch.undo()
     assert geom.EPS_GEOM == 1e-9
     assert reads_as_overlapping()
+
+
+def _table_bits(config):
+    """Each entry of the contact table, in table order: its key, pair and
+    relation, and the bits of its theta and corners."""
+    return [
+        (e, c.pair, c.relation, np.float64(c.theta).tobytes(), np.array(c.corners).tobytes())
+        for e, c in config.contacts().items()
+    ]
+
+
+def _assert_restricted_as_fresh(config, subset):
+    """config.restricted(subset) reads as a configuration built afresh from
+    the same items: the same disks in the same order, and the same table."""
+    sub = config.restricted(subset)
+    fresh = DiskConfiguration([(k, d) for k, d in config.items() if k in subset])
+    assert sub.items() == fresh.items()
+    assert _table_bits(sub) == _table_bits(fresh)
+    return sub
+
+
+def test_restricted_table_matches_a_fresh_build(monkeypatch, rng):
+    # a ring of overlaps, the tangency flower, and a ring of twelve whose
+    # pair (9, 10) is listed against str order
+    from conftest import tangency_flower_pair
+    from diskrig.experiments import random_ring_config
+
+    ring = DiskConfiguration([(k, Disk(2 * np.exp(2j * math.pi * k / 6), 1.2)) for k in range(6)])
+    configs = (ring, tangency_flower_pair()[0], random_ring_config(rng, n=12))
+    for config in configs:
+        subsets = [set(config.labels), set(), {config.labels[0]}, set(config.labels[:3])]
+        subsets += [{v for v in config.labels if rng.random() < 0.5} for _ in range(12)]
+        for subset in subsets:
+            sub = _assert_restricted_as_fresh(config, subset)
+            # the sub-configuration shares the parent's Contacts
+            assert all(x is config.contacts()[e] for e, x in sub.contacts().items())
+    assert configs[2].contacts()[frozenset((9, 10))].pair == (10, 9)
+    # the pair (a, b) overlaps by 1e-6, and reads as tangent under
+    # EPS_GEOM = 1e-5: a restricted table is rebuilt like any other
+    c = DiskConfiguration([("a", Disk(0j, 1.0)), ("b", Disk(complex(2.0 - 1e-6, 0.0), 1.0)), ("c", Disk(5j, 1.0))])
+    sub = _assert_restricted_as_fresh(c, {"a", "b"})
+    assert sub.contacts()[frozenset("ab")].theta > 0
+    monkeypatch.setattr(geom, "EPS_GEOM", 1e-5)
+    assert sub.contacts()[frozenset("ab")].theta == 0.0
+    _assert_restricted_as_fresh(sub, {"a", "b"})
+    _assert_restricted_as_fresh(c, {"a", "b"})

@@ -18,7 +18,6 @@ from diskrig.geom import (
     lens_in_disk,
     overlap_angle,
     regions_meet,
-    solve_apollonius,
 )
 
 from conftest import grid_triple_oracle, random_overlapping_pair, triple_intersection_nonempty
@@ -224,14 +223,3 @@ def test_arc_in_disk():
     arc = Arc(d, 0.0, math.pi / 2)
     assert arc_in_disk(arc, Disk(0.5 + 0.5j, 1.2))
     assert not arc_in_disk(arc, Disk(-1 + 0j, 1.1))
-
-
-def test_apollonius_descartes():
-    # three mutually tangent unit disks: inner Soddy radius 1/(3+2*sqrt(3))
-    d1 = Disk(0j, 1.0)
-    d2 = Disk(2 + 0j, 1.0)
-    d3 = Disk(1 + math.sqrt(3) * 1j, 1.0)
-    inner = solve_apollonius(d1, d2, d3)
-    assert abs(inner.radius - 1 / (3 + 2 * math.sqrt(3))) < 1e-12
-    for d in (d1, d2, d3):
-        assert abs(abs(inner.center - d.center) - (inner.radius + d.radius)) < 1e-9

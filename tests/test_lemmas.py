@@ -5,15 +5,13 @@ import pytest
 from diskrig.errors import HypothesisUnmet
 from diskrig.geom import Disk
 from diskrig.lemmas import (
-    HEX_CHAIN_NESTED,
-    HEX_CHAIN_SOLID,
     SUITES,
     EyeQuadruple,
     LemmaInstance,
     check,
     check_eye_lemmas,
     contained_loops_hypothesis,
-    eye_boundary_crossings,
+    eye_boundary_crossing_pairs,
     finlandia_hypothesis,
     generate_contained_loops,
     generate_eye_quadruple,
@@ -26,6 +24,24 @@ from diskrig.lemmas import (
 )
 
 N_SMALL = 120  # per-suite count for the unit tests; the acceptance run uses 1000
+
+# a closed chain of six overlapping disks and a nested copy of it
+HEX_CHAIN_SOLID = [
+    Disk(1.56 + 1.01j, 1.56),
+    Disk(3.06 + 2.21j, 1.38),
+    Disk(4.83 + 1.66j, 1.21),
+    Disk(6.16 + 0.55j, 0.94),
+    Disk(5.68 - 1.41j, 1.62),
+    Disk(2.92 - 1.59j, 2.0),
+]
+HEX_CHAIN_NESTED = [
+    Disk(1.53 + 0.92j, 1.41),
+    Disk(3.03 + 2.28j, 1.25),
+    Disk(4.87 + 1.62j, 1.07),
+    Disk(6.12 + 0.57j, 0.82),
+    Disk(5.72 - 1.37j, 1.44),
+    Disk(2.99 - 1.5j, 1.77),
+]
 
 
 @pytest.mark.parametrize("lemma", sorted(SUITES))
@@ -207,7 +223,7 @@ def test_threaded_eyes_lem4_conclusions():
     q = _threaded_eyes_instance()
     E, Et = q.E, q.Et
     (u, v), (ut, vt) = E.corners, Et.corners
-    assert eye_boundary_crossings(q) == 4
+    assert len(eye_boundary_crossing_pairs(q)) == 4
     assert E.contains(ut, strict=True) and E.contains(vt, strict=True)
     assert not Et.contains(u) and not Et.contains(v)
     report = check_eye_lemmas(q)

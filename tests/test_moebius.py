@@ -15,7 +15,6 @@ from diskrig.moebius import (
     apply_point,
     compose,
     concentricize,
-    conjugation,
     dilation_about,
     fit_similarity,
     from_three_points,
@@ -24,9 +23,7 @@ from diskrig.moebius import (
     normalize_pair,
     similarity,
     translation,
-    unit_disk_images,
 )
-from diskrig.solver import FixedBoundaryRadii, flower, layout, solve_radii
 
 from conftest import random_overlapping_pair, tangency_flower_pair
 
@@ -136,7 +133,7 @@ def test_anti_moebius_reverses_winding():
 
     d = Disk(0.3 + 0.2j, 1.0)
     pts = d.center + d.radius * np.exp(1j * np.linspace(0, 2 * math.pi, 256, endpoint=False))
-    m = compose(similarity(1.3 - 0.4j, 2j), conjugation())
+    m = compose(similarity(1.3 - 0.4j, 2j), MoebiusMap(1, 0, 0, 1, conjugate_first=True))
     img = apply_point(m, pts)
     center_img = apply_point(m, d.center)
     assert winding_number(pts, d.center) == 1
@@ -269,7 +266,8 @@ def test_normalize_hyp_mode():
     mode, cfg_h, cfg_ht = next(_flower_modes())
     res = _scan(cfg_h, cfg_ht, mode)
     assert res is not None
-    da, dt = unit_disk_images(res)
+    unit = Disk(0j, 1.0)
+    da, dt = apply_disk(res.map_for_C, unit), apply_disk(res.map_for_Ctilde, unit)
     # the normalized unit-disk images must nest strictly
     gap = abs(da.center - dt.center)
     assert gap + min(da.radius, dt.radius) < max(da.radius, dt.radius)
@@ -303,15 +301,3 @@ def test_normalize_no_anchor():
     cfg = DiskConfiguration([("a", Disk(0j, 1.0)), ("b", Disk(1.2 + 0j, 1.0))])
     with pytest.raises(NoAnchorFound):
         normalize_pair(cfg, cfg, "PlanePlane", (0.1,))
-
-
-def test_augment_enables_anchor():
-    from diskrig.config import augment_with_inscribed_disk, contact_graph
-
-    tri = flower(6)
-    cfg = layout(tri, solve_radii(tri, {}, FixedBoundaryRadii({k: 1.0 for k in range(1, 7)})), {})
-    aug = augment_with_inscribed_disk(cfg, (0, 1, 2))
-    inc = contact_graph(aug)
-    edges_of_aug = [e for e in inc.edges if "aug" in e]
-    assert len(edges_of_aug) == 3
-    assert all(inc.theta[e] == 0.0 for e in edges_of_aug)

@@ -1,0 +1,69 @@
+"""Every function, class and method of diskrig is reached from outside the
+unit tests: named in the package itself (outside its own definition), in the
+benchmark, or in the acceptance suite.  What only unit tests reach is deleted
+together with the tests that exist only for it, or listed in EXEMPT with the
+reason it stays."""
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import diskrig
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "diskrig"
+READERS = [*sorted((ROOT / "bench").glob("*.py")), *sorted((ROOT / "bench" / "tests").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+
+# reached only from the unit tests, and kept
+EXEMPT = {
+    # the only check of the torus parametrization's three-point prescriptions
+    "three_point_map",
+    "source_point",
+    "image_point",
+    # the strict check of the observations on the shift graph H, which
+    # subsumptive_subsets reports without raising
+    "build_H",
+    # raised by the tests' reference triple-intersection oracle of is_thin
+    "DegenerateTriple",
+}
+
+# a string that is a dotted identifier names code: the benchmark's tracer
+# wraps functions by such names; free text and docstrings name nothing
+DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def _names(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and DOTTED.fullmatch(n.value):
+            yield from n.value.split(".")
+
+
+def _definitions(tree):
+    """(qualified name, node) of each module-level function and class, and of
+    each method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__")):
+                    yield f"{node.name}.{m.name}", m
+
+
+def test_no_api_that_only_unit_tests_reach():
+    trees = {path: ast.parse(path.read_text()) for path in [*sorted(SRC.glob("*.py")), *READERS]}
+    used = Counter(name for tree in trees.values() for name in _names(tree))
+    unreached = [
+        f"{path.name}: {qualname}"
+        for path, tree in trees.items()
+        if path.parent == SRC
+        for qualname, node in _definitions(tree)
+        if node.name not in EXEMPT
+        and node.name not in diskrig.__all__
+        and used[node.name] == Counter(_names(node))[node.name]
+    ]
+    assert unreached == []

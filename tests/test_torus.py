@@ -374,12 +374,12 @@ def test_three_point_map_transverse(rng):
 
 
 def test_lem1_crossing_count_law(rng):
-    from diskrig.lemmas import eye_boundary_crossings, generate_eye_quadruple
+    from diskrig.lemmas import eye_boundary_crossing_pairs, generate_eye_quadruple
 
     done = 0
     while done < 1000:
         q = generate_eye_quadruple(rng, mode="rotate" if done % 2 else "free")
         if q is None:
             continue
-        assert eye_boundary_crossings(q) in (0, 2, 4, 6)
+        assert len(eye_boundary_crossing_pairs(q)) in (0, 2, 4, 6)
         done += 1
