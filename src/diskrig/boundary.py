@@ -100,7 +100,11 @@ def _arcs_offsets(spans, counts, density: int):
         0.0 + _ramp(n_start) * fine,
         spans[end_arc] - (fine + _ramp(n_end) * fine),
     ])
-    order = np.lexsort((off, arc))
+    # complex keys arc + i*off sort by arc and then offset, exactly; a stable
+    # sort keeps the order of equal points
+    key = np.empty(len(arc), dtype=complex)
+    key.real, key.imag = arc, off
+    order = np.argsort(key, kind="stable")
     arc, off = arc[order], off[order]
     keep = (off >= 0.0) & (off < spans[arc] - 1e-15)
     arc, off = arc[keep], off[keep]
@@ -117,11 +121,13 @@ class CornerRef:
     """Identity of a corner: the pair, oriented as its Contact in the
     configuration's contact table (str order of the labels), and which
     intersection point: 'u' and 'v' are circle_intersections' corners for
-    that orientation, 't' marks a tangency."""
+    that orientation, 't' marks a tangency.  angles holds the point's angle
+    on the circle of each disk of the pair, in pair order."""
 
     pair: tuple
     kind: str
     point: complex
+    angles: tuple = field(default=(), repr=False, compare=False)
 
 
 @dataclass
@@ -158,20 +164,25 @@ def boundary_complex(config: DiskConfiguration) -> BoundaryComplex:
     labeled by owning disk and corners at pair-intersection points."""
     covered = {i: [] for i in config.labels}  # (start_angle, end_angle, start_ref, end_ref)
     markers = {i: [] for i in config.labels}  # tangency splits: (angle, ref)
+    named = [(e, c, list(c.named_corners())) for e, c in config.contacts().items()]
+    # every corner's angle on both circles of its pair, in one numpy pass
+    angles = iter(np.angle(np.array(
+        [z - d.center for _e, c, points in named for _k, z in points for d in (c.disk_i, c.disk_j)], dtype=complex
+    )).tolist())
     corners = {}
-    for e, c in config.contacts().items():
-        refs = tuple(CornerRef(c.pair, kind, z) for kind, z in c.named_corners())
+    for e, c, points in named:
+        refs = tuple(CornerRef(c.pair, kind, z, (next(angles), next(angles))) for kind, z in points)
         corners[e] = refs
         if len(refs) == 1:
             (tref,) = refs
-            for v in c.pair:
-                markers[v].append((config.disks[v].angle_of(tref.point), tref))
+            for v, t in zip(c.pair, tref.angles):
+                markers[v].append((t, tref))
             continue
         uref, vref = refs
-        si, sj = uref.pair
+        si, sj = c.pair
         # boundary of disk si inside disk sj runs u -> v; of sj inside si runs v -> u
-        covered[si].append((config.disks[si].angle_of(uref.point), config.disks[si].angle_of(vref.point), uref, vref))
-        covered[sj].append((config.disks[sj].angle_of(vref.point), config.disks[sj].angle_of(uref.point), vref, uref))
+        covered[si].append((uref.angles[0], vref.angles[0], uref, vref))
+        covered[sj].append((vref.angles[1], uref.angles[1], vref, uref))
     free = {}
     for i in config.labels:
         free[i] = _free_arcs(config.disks[i], i, covered[i], markers[i])
@@ -357,9 +368,6 @@ class SampledLoopMap:
     src: np.ndarray
     dst: np.ndarray
 
-    def displacement(self):
-        return self.dst - self.src
-
 
 @dataclass
 class IndexReport:
@@ -473,8 +481,8 @@ def build_faithful_map(config, config_tilde, *, pins=None, rng=None, n_random_pi
         for ref, ref_t in zip(refs, cx_t.corners[e]):
             if abs(ref.point - ref_t.point) <= _min_disp():
                 raise CoincidentCorner(f"corner of pair {ref.pair} is fixed")
-            for v in ref.pair:
-                pinned[v].append((config.disks[v].angle_of(ref.point) % TWO_PI, config_tilde.disks[v].angle_of(ref_t.point) % TWO_PI))
+            for v, t, t_t in zip(ref.pair, ref.angles, ref_t.angles):
+                pinned[v].append((t % TWO_PI, t_t % TWO_PI))
     vmaps = {}
     for v in config.labels:
         d, dt = config.disks[v], config_tilde.disks[v]
@@ -537,15 +545,76 @@ def _refine(index_at):
 
 
 def loop_index(loop: SampledLoopMap) -> int:
-    disp = loop.displacement()
-    rel = np.abs(disp)
-    if np.min(rel) <= _min_disp():
-        raise NearFixedPoint(f"min displacement {np.min(rel):.3g}")
-    chord = np.abs(np.diff(loop.src, append=loop.src[:1])) + np.abs(np.diff(loop.dst, append=loop.dst[:1]))
-    gap = np.minimum(rel, np.roll(rel, -1)) - chord
-    if np.min(gap) <= 0:
-        raise NearFixedPoint("displacement certificate fails between samples")
-    return _winding_of_closed(disp)
+    """The displacement winding of one loop, certified fixed-point free."""
+    return _certify([loop])[0][0]
+
+
+def _successor(x, starts, last, out=None):
+    """x at each sample's successor: the next sample of its loop, or, at the
+    last sample of a loop, the loop's first."""
+    out = np.empty_like(x) if out is None else out
+    out[:-1] = x[1:]
+    out[last] = x[starts]
+    return out
+
+
+def _certify(loops):
+    """(winding of each loop, smallest displacement) of the loops, each
+    certified fixed-point free: every displacement exceeds _min_disp(), and
+    between consecutive samples the displacement cannot vanish, as it moves
+    by at most the source and image chords.  Runs of consecutive loops that
+    hold at most PASS_SAMPLES samples together are certified in one numpy
+    pass.  Raises as the first loop that fails, checked in order for its
+    displacement, its gap and its winding residual."""
+    per_curve, min_disp = [], math.inf
+    sizes = [len(loop.src) for loop in loops]
+    lo = 0
+    for hi in _pass_ends(sizes):
+        run = loops[lo:hi]
+        # a lone loop is read in place; the loops of a longer run are copied
+        # into one array
+        src = run[0].src if len(run) == 1 else np.concatenate([loop.src for loop in run])
+        dst = run[0].dst if len(run) == 1 else np.concatenate([loop.dst for loop in run])
+        starts = np.array(list(itertools.accumulate(sizes[lo:hi - 1], initial=0)), dtype=np.intp)
+        last = np.append(starts[1:], len(src)) - 1
+        successor = functools.partial(_successor, starts=starts, last=last)
+        # in-place operations keep the bits of the expressions they spell out
+        # and hold fewer sample-sized arrays at once
+        disp = dst - src
+        rel = np.abs(disp)
+        low = np.minimum.reduceat(rel, starts)
+        moved = successor(src)
+        moved -= src
+        chord = np.abs(moved)
+        moved = successor(dst, out=moved)
+        moved -= dst
+        chord += np.abs(moved)
+        del moved
+        gap = successor(rel)
+        np.minimum(rel, gap, out=gap)
+        gap -= chord
+        del chord
+        gap = np.minimum.reduceat(gap, starts)
+        ang = np.angle(disp)
+        del disp
+        turn = successor(ang)
+        turn -= ang
+        turn += math.pi
+        turn %= TWO_PI
+        turn -= math.pi
+        turns = np.add.reduceat(turn, starts) / TWO_PI
+        for m, g, total in zip(low.tolist(), gap.tolist(), turns.tolist()):
+            if m <= _min_disp():
+                raise NearFixedPoint(f"min displacement {m:.3g}")
+            if g <= 0:
+                raise NearFixedPoint("displacement certificate fails between samples")
+            n = round(total)
+            if abs(total - n) >= 0.01:
+                raise PointOnCurve(f"winding residual {total - n:.3g} too large; refine sampling")
+            per_curve.append(int(n))
+            min_disp = min(min_disp, m)
+        lo = hi
+    return per_curve, min_disp
 
 
 def fixed_point_index(fmap: FaithfulMap) -> IndexReport:
@@ -557,9 +626,7 @@ def fixed_point_index(fmap: FaithfulMap) -> IndexReport:
         return fmap._index[1]
 
     def index_at(density):
-        loops = fmap.loops(density)
-        per_curve = [loop_index(l) for l in loops]
-        min_disp = min(float(np.min(np.abs(l.displacement()))) for l in loops)
+        per_curve, min_disp = _certify(fmap.loops(density))
         return IndexReport(int(sum(per_curve)), per_curve, min_disp)
 
     report = _refine(index_at)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geom
 from .boundary import build_faithful_map, fixed_point_index
-from .config import contact_graph, is_general_position, is_thin
+from .config import contact_graph, is_general_position, is_thin, require_same_ids
 from .docio import ConfigDocument, canonical_text, read_document, write_document, write_text
 from .errors import ConditionFailed, DiskrigError, IncidenceMismatch, IOFailure
 from .lemmas import SUITES, run_suite
@@ -70,6 +70,7 @@ def cmd_check(args) -> int:
 def cmd_index(args) -> int:
     cfg = read_document(args.fileC).to_configuration()
     cfg_t = read_document(args.fileCt).to_configuration()
+    require_same_ids(cfg, cfg_t)
     inc, inc_t = contact_graph(cfg), contact_graph(cfg_t)
     if not inc.same_combinatorics(inc_t):
         raise IncidenceMismatch("contact graphs differ")

@@ -4,14 +4,13 @@ general-position predicates, eyes, and the three-disk topological classifier.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geom
-from .errors import ContainmentViolation, HypothesesViolated, NotTransverse
+from .errors import ContainmentViolation, HypothesesViolated, IncidenceMismatch, NotTransverse
 from .geom import (
     Disk,
     DiskRelation,
@@ -21,10 +20,16 @@ from .geom import (
     circles_tangent,
     cyclic_spans,
     disk_relation,
-    overlap_angle,
+    overlap_cosine,
     overlaps,
     tangency_point,
 )
+
+
+# the numpy prefilters of _classify and is_general_position pass every pair
+# within this much of a scalar test's EPS_GEOM bound, beyond any rounding of
+# their numpy distances
+_PREFILTER_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,12 +41,9 @@ class Contact:
     relation: DiskRelation  # OVERLAPPING or EXTERNALLY_TANGENT
     disk_i: Disk = field(repr=False)
     disk_j: Disk = field(repr=False)
-
-    @functools.cached_property
-    def theta(self) -> float:
-        """Overlap angle, exactly 0 for a tangency; computed once, when first
-        read."""
-        return overlap_angle(self.disk_i, self.disk_j)
+    # overlap_angle of the pair, exactly 0 for a tangency; computed with the
+    # table
+    theta: float = field(repr=False, compare=False)
 
     @functools.cached_property
     def corners(self) -> tuple:
@@ -72,16 +74,35 @@ class DiskConfiguration:
 
     def _classify(self) -> dict:
         """Classify every pair once: the contact table of the meeting pairs,
-        raising ContainmentViolation where one disk contains another."""
-        table = {}
-        for i, j in itertools.combinations(sorted(self.labels, key=str), 2):
-            a, b = self.disks[i], self.disks[j]
+        raising ContainmentViolation where one disk contains another.
+
+        One numpy pass over all pairs picks the candidates, whose centres lie
+        within r_i + r_j + 2 EPS_GEOM + _PREFILTER_SLACK; every other pair is
+        disjoint.  disk_relation classifies the candidates in combinations
+        order of the str-sorted labels, as it would every pair, and one
+        arccos gives the overlap angles."""
+        labels = sorted(self.labels, key=str)
+        disks = [self.disks[v] for v in labels]
+        c, r = circle_arrays(disks)
+        near = np.abs(c[:, None] - c) <= r[:, None] + r + (2 * geom.EPS_GEOM + _PREFILTER_SLACK)
+        meeting, cosines = [], []
+        for n, m in zip(*(k.tolist() for k in np.nonzero(near))):
+            if n >= m:
+                continue
+            a, b = disks[n], disks[m]
             rel = disk_relation(a, b)
-            if rel in (DiskRelation.OVERLAPPING, DiskRelation.EXTERNALLY_TANGENT):
-                table[frozenset((i, j))] = Contact((i, j), rel, a, b)
-            elif rel is not DiskRelation.DISJOINT:
-                raise ContainmentViolation(f"disk {i} vs {j}: {rel.value}")
-        return table
+            if rel is DiskRelation.OVERLAPPING:
+                cosines.append(overlap_cosine(a, b))
+            elif rel is DiskRelation.DISJOINT:
+                continue
+            elif rel is not DiskRelation.EXTERNALLY_TANGENT:
+                raise ContainmentViolation(f"disk {labels[n]} vs {labels[m]}: {rel.value}")
+            meeting.append((labels[n], labels[m], rel, a, b))
+        thetas = iter(np.arccos(cosines).tolist())
+        return {
+            frozenset((i, j)): Contact((i, j), rel, a, b, next(thetas) if rel is DiskRelation.OVERLAPPING else 0.0)
+            for i, j, rel, a, b in meeting
+        }
 
     def contacts(self) -> dict:
         """The contact table: frozenset pair -> Contact for every overlapping
@@ -133,6 +154,16 @@ class IncidenceData:
         if not self.edges:
             return 0.0
         return max(abs(self.theta[e] - other.theta[e]) for e in self.edges)
+
+
+def require_same_ids(config: DiskConfiguration, config_tilde: DiskConfiguration) -> None:
+    """Raise IncidenceMismatch naming the disk ids that only one of C and C~
+    has."""
+    only_c = sorted(map(str, set(config.labels) - set(config_tilde.labels)))
+    only_t = sorted(map(str, set(config_tilde.labels) - set(config.labels)))
+    if only_c or only_t:
+        sides = [f"{', '.join(ids)} only in {name}" for ids, name in ((only_c, "C"), (only_t, "C~")) if ids]
+        raise IncidenceMismatch("disk ids differ: " + "; ".join(sides))
 
 
 def contact_graph(config: DiskConfiguration) -> IncidenceData:
@@ -190,11 +221,6 @@ def _triple_interior_witness(a: Disk, b: Disk, c: Disk) -> bool:
             if z.contains((u + v) / 2, strict=True):
                 return True
     return False
-
-
-# the prefilter of is_general_position passes every pair within this much of
-# a test's EPS_GEOM bound, beyond any rounding of its numpy distances
-_PREFILTER_SLACK = 1e-9
 
 
 def is_general_position(config: DiskConfiguration, config_tilde: DiskConfiguration):

@@ -102,9 +102,15 @@ def overlap_angle(a: Disk, b: Disk) -> float:
         return 0.0
     if rel is not DiskRelation.OVERLAPPING:
         raise AngleUndefined(f"pair is {rel.value}; overlap angle needs contact")
+    return float(np.arccos(overlap_cosine(a, b)))
+
+
+def overlap_cosine(a: Disk, b: Disk) -> float:
+    """The cosine of the overlap angle of an overlapping pair, clamped to
+    [-1, 1]: what overlap_angle takes the arccos of."""
     d = abs(a.center - b.center)
     x = (d * d - a.radius * a.radius - b.radius * b.radius) / (2 * a.radius * b.radius)
-    return float(np.arccos(np.clip(x, -1.0, 1.0)))
+    return min(max(x, -1.0), 1.0)
 
 
 def circle_intersections(a: Disk, b: Disk) -> tuple[complex, complex]:

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import geom
-from .config import DiskConfiguration, eye_of_pair, neighbours
-from .errors import IncidenceMismatch, NotTransverse, ObservationViolated
+from .config import DiskConfiguration, eye_of_pair, neighbours, require_same_ids
+from .errors import NotTransverse, ObservationViolated
 from .geom import Disk, DiskRelation, boundary_crossings, disk_relation, eye_nesting, overlap_angle
 
 
@@ -40,11 +40,7 @@ def subsumptive_subsets(config: DiskConfiguration, config_tilde: DiskConfigurati
     """Maximal subsumptive subsets (connected same-direction containment
     components of the contact graph), their isolation, H graphs, sinks, and
     the main-theorem lower bound."""
-    only_c = sorted(map(str, set(config.labels) - set(config_tilde.labels)))
-    only_t = sorted(map(str, set(config_tilde.labels) - set(config.labels)))
-    if only_c or only_t:
-        sides = [f"{', '.join(ids)} only in {name}" for ids, name in ((only_c, "C"), (only_t, "C~")) if ids]
-        raise IncidenceMismatch("disk ids differ: " + "; ".join(sides))
+    require_same_ids(config, config_tilde)
     directions = {}
     for v in config.labels:
         d = _containment_direction(config.disks[v], config_tilde.disks[v])

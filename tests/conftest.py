@@ -116,3 +116,32 @@ def _is_thin_reference(config, *, interiors_only=False):
                 continue
             return False, (i, j, k)
     return True, None
+
+
+def _reference_classify(items):
+    """DiskConfiguration._classify as it was: disk_relation on every pair, in
+    combinations order of the str-sorted labels, and each overlap angle by
+    its own scalar arccos; the oracle of the prefiltered contact table.
+    Returns (key, pair, relation, theta) of each meeting pair in table order,
+    or raises ContainmentViolation at the first pair where one disk contains
+    the other."""
+    from diskrig.errors import ContainmentViolation
+    from diskrig.geom import DiskRelation, disk_relation
+
+    disks = dict(items)
+    table = []
+    for i, j in itertools.combinations(sorted(disks, key=str), 2):
+        a, b = disks[i], disks[j]
+        rel = disk_relation(a, b)
+        if rel is DiskRelation.OVERLAPPING:
+            d = abs(a.center - b.center)
+            x = (d * d - a.radius * a.radius - b.radius * b.radius) / (2 * a.radius * b.radius)
+            theta = float(np.arccos(np.clip(x, -1.0, 1.0)))
+        elif rel is DiskRelation.EXTERNALLY_TANGENT:
+            theta = 0.0
+        elif rel is DiskRelation.DISJOINT:
+            continue
+        else:
+            raise ContainmentViolation(f"disk {i} vs {j}: {rel.value}")
+        table.append((frozenset((i, j)), (i, j), rel, theta))
+    return table

@@ -6,7 +6,6 @@ lines; the whole suite is sized to finish in a few minutes.
 import math
 
 import numpy as np
-import pytest
 
 from diskrig.boundary import build_faithful_map, fixed_point_index, loop_index
 from diskrig.config import DiskConfiguration, contact_graph, eye_of_pair

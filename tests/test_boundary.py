@@ -16,24 +16,30 @@ from diskrig.boundary import (
     CornerRef,
     SampledLoopMap,
     _arcs_offsets,
+    _certify,
     _grid_counts,
     _refine,
     _sample_curves,
+    _winding_of_closed,
     boundary_complex,
     build_faithful_map,
     fixed_point_index,
     loop_index,
     winding_number,
 )
+from diskrig import geom
 from diskrig.config import DiskConfiguration, eye_of_pair
 from diskrig.errors import (
     CoincidentCorner,
     CombinatoricsMismatch,
+    DiskrigError,
     NearFixedPoint,
     PointOnCurve,
 )
 from diskrig.geom import Disk, DiskRelation, circle_intersections, cyclic_spans, disk_relation, tangency_point
 from diskrig.moebius import apply_disk, dilation_about
+
+from conftest import _reference_classify
 
 NEGIDX_C = DiskConfiguration([(1, Disk(3.18 - 0.05j, 1.51)), (2, Disk(5.02 + 0.05j, 1.43))])
 NEGIDX_CT = DiskConfiguration([(1, Disk(2.85 - 0.02j, 1.46)), (2, Disk(5.54 + 0.05j, 1.57))])
@@ -126,7 +132,7 @@ def _count_disk_relation(monkeypatch):
 def test_faithful_map_reads_corners_from_its_complexes(monkeypatch, rng):
     # labels 0..11 list the pair (9, 10) against str order; a ring of
     # overlaps and a flower of tangencies
-    from diskrig.config import contact_graph, eyes, is_general_position, is_thin
+    from diskrig.config import _PREFILTER_SLACK, contact_graph, eyes, is_general_position, is_thin
     from diskrig.experiments import main_b_identity, random_ring_config
     from diskrig.moebius import anchor_points
     from diskrig.solver import FixedBoundaryRadii, flower, layout, solve_radii
@@ -140,8 +146,16 @@ def test_faithful_map_reads_corners_from_its_complexes(monkeypatch, rng):
         c = DiskConfiguration(items)
         ct = c.transformed(lambda d: Disk(d.center * 1.05 + 0.01j, d.radius * 1.05))
         pairs = [(cfg, i, j) for cfg in (c, ct) for i, j in itertools.combinations(cfg.labels, 2)]
-        # building a configuration classifies each pair once ...
-        assert [calls[frozenset((id(cfg.disks[i]), id(cfg.disks[j])))] for cfg, i, j in pairs] == [1] * len(pairs)
+        # building a configuration classifies once every pair within the
+        # prefilter's margin of meeting, and no pair twice ...
+        margin = 2 * geom.EPS_GEOM + _PREFILTER_SLACK
+        near = [abs(cfg.disks[i].center - cfg.disks[j].center) <= cfg.disks[i].radius + cfg.disks[j].radius + margin for cfg, i, j in pairs]
+        assert [calls[frozenset((id(cfg.disks[i]), id(cfg.disks[j])))] for cfg, i, j in pairs] == [int(x) for x in near]
+        assert 0 < sum(near) < len(pairs)
+        # ... into the table that classifying every pair gives ...
+        for cfg in (c, ct):
+            want = [(e, pair, rel, np.float64(theta).tobytes()) for e, pair, rel, theta in _reference_classify(cfg.items())]
+            assert [(e, x.pair, x.relation, np.float64(x.theta).tobytes()) for e, x in cfg.contacts().items()] == want
         # ... and no reader of its contacts classifies a pair again
         calls.clear()
         fmap = build_faithful_map(c, ct)
@@ -485,6 +499,106 @@ def test_loops_match_grouped_reference():
             assert len(loops) == len(curves)
             for loop, curve in zip(loops, curves):
                 _assert_same_loop(loop, sub, _piece_arcs(curve), fmaps[1].vmaps, density)
+
+
+def _reference_loop_index(loop):
+    """loop_index as it was, one loop at a time: the oracle of the batched
+    certificate."""
+    disp = loop.dst - loop.src
+    rel = np.abs(disp)
+    if np.min(rel) <= 10 * geom.EPS_GEOM:
+        raise NearFixedPoint(f"min displacement {np.min(rel):.3g}")
+    chord = np.abs(np.diff(loop.src, append=loop.src[:1])) + np.abs(np.diff(loop.dst, append=loop.dst[:1]))
+    gap = np.minimum(rel, np.roll(rel, -1)) - chord
+    if np.min(gap) <= 0:
+        raise NearFixedPoint("displacement certificate fails between samples")
+    return _winding_of_closed(disp)
+
+
+def _reference_certify(loops):
+    """fixed_point_index's windings and smallest displacement as they were
+    computed, loop by loop."""
+    per_curve = [_reference_loop_index(loop) for loop in loops]
+    return per_curve, min(float(np.min(np.abs(loop.dst - loop.src))) for loop in loops)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the DiskrigError it raises."""
+    try:
+        return fn(*args)
+    except DiskrigError as exc:
+        return type(exc), str(exc)
+
+
+def _synthetic_loop(rng, n, kind):
+    """A sampled circle of n points and an image of winding 1 (a contraction
+    towards an inner point), 0 (a translation) or -1 (a reflection, scaled
+    up), or one with a sample whose displacement is below the certificate's
+    floor ("fixed") or below its chord ("gap")."""
+    center, r = complex(*rng.normal(0, 1, 2)), float(rng.uniform(0.5, 2))
+    src = center + r * np.exp(1j * (rng.uniform(0, 2 * math.pi) + np.linspace(0, 2 * math.pi, n, endpoint=False)))
+    p = center + 0.3 * r * np.exp(1j * rng.uniform(0, 2 * math.pi))
+    dst = {"1": p + 0.5 * (src - p), "0": src + 3 + 1j, "-1": p + 2 * np.conj(src - p)}.get(kind, src + 3 + 1j)
+    k = int(rng.integers(n))
+    if kind == "fixed":
+        dst[k] = src[k] + 1e-12
+    elif kind == "gap":
+        dst[k] = src[k] + 1e-4
+    return SampledLoopMap(src, dst)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    loops=st.lists(st.tuples(st.integers(4, 3000), st.sampled_from(["1", "0", "-1", "1", "0", "fixed", "gap"])), min_size=1, max_size=12),
+    pass_samples=st.sampled_from([PASS_SAMPLES, 8, 1000, 5000]),
+)
+def test_certificate_runs_match_loop_by_loop_reference(seed, loops, pass_samples):
+    # differential oracle: certifying runs of loops in one pass gives each
+    # loop's winding and the smallest displacement, or raises the exception,
+    # with the message, of the first loop that fails, whatever the runs
+    from diskrig import boundary
+
+    rng = np.random.default_rng(seed)
+    loops = [_synthetic_loop(rng, n, kind) for n, kind in loops]
+    saved = boundary.PASS_SAMPLES
+    boundary.PASS_SAMPLES = pass_samples
+    try:
+        assert _outcome(_certify, loops) == _outcome(_reference_certify, loops)
+    finally:
+        boundary.PASS_SAMPLES = saved
+    for loop in loops:
+        assert _outcome(loop_index, loop) == _outcome(_reference_loop_index, loop)
+
+
+def test_certificate_of_faithful_maps_matches_loop_by_loop_reference(rng):
+    # the loops of faithful maps at several densities, certified in runs of
+    # many loops and in runs of one, against the reference; the plain
+    # negative-index map fails the certificate at density 1, which is also
+    # put after and before the two certified curves of a ring
+    from diskrig import boundary
+    from diskrig.experiments import random_ring_config
+
+    ring = random_ring_config(rng, n=12)
+    fmaps = [build_faithful_map(NEGIDX_C, NEGIDX_CT, pins=NEGIDX_PINS), build_faithful_map(NEGIDX_C, NEGIDX_CT)]
+    fmaps += [build_faithful_map(ring, ring.transformed(lambda d: Disk(d.center * 1.05 + 0.01j, d.radius * 1.05)))]
+    fmaps += [build_faithful_map(ring, ring.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d)))]
+    loop_lists = [fmap.loops(density) for fmap in fmaps for density in (1, 2, 4, 16)]
+    failing = fmaps[1].loops(1)
+    loop_lists += [fmaps[2].loops(1) + failing, failing + fmaps[3].loops(2)]
+    outcomes = []
+    for loops in loop_lists:
+        want = _outcome(_reference_certify, loops)
+        for pass_samples in (PASS_SAMPLES, 1000, 1):
+            saved = boundary.PASS_SAMPLES
+            boundary.PASS_SAMPLES = pass_samples
+            try:
+                assert _outcome(_certify, loops) == want
+            finally:
+                boundary.PASS_SAMPLES = saved
+        outcomes.append(want)
+    assert outcomes[-2] == outcomes[-1] == (NearFixedPoint, "displacement certificate fails between samples")
+    assert sum(isinstance(o[0], list) and len(o[0]) == 2 for o in outcomes) == 8
 
 
 def test_refine_tries_every_density_then_reraises():

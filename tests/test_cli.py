@@ -406,10 +406,14 @@ def different_ids(tmp_path):
     return pc, pt
 
 
-@pytest.mark.parametrize("command", ["analyze", "render"])
+@pytest.mark.parametrize("command", ["analyze", "render", "index"])
 def test_different_disk_ids_are_an_error(tmp_path, capsys, different_ids, command):
     pc, pt = different_ids
-    argv = ["analyze", pc, pt] if command == "analyze" else ["render", pc, "-o", str(tmp_path / "h.svg"), "--overlay", "H", "--second", pt]
+    argv = {
+        "analyze": ["analyze", pc, pt],
+        "render": ["render", pc, "-o", str(tmp_path / "h.svg"), "--overlay", "H", "--second", pt],
+        "index": ["index", pc, pt],
+    }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == "error: disk ids differ: 2 only in C; 3 only in C~\n"

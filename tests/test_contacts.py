@@ -13,11 +13,13 @@ from diskrig import geom
 from diskrig.boundary import boundary_complex, build_faithful_map, fixed_point_index
 from diskrig.config import DiskConfiguration, contact_graph, eyes
 from diskrig.docio import read_document
-from diskrig.errors import UnboundedImage
-from diskrig.experiments import random_bounded_moebius
-from diskrig.geom import Disk
+from diskrig.errors import ContainmentViolation, UnboundedImage
+from diskrig.experiments import random_bounded_moebius, random_chain_config
+from diskrig.geom import Disk, DiskRelation, circle_intersections, tangency_point
 from diskrig.moebius import apply_disk
 from diskrig.subsumption import index_lower_bound
+
+from conftest import _reference_classify
 
 CLI_PAIRS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus", "cli_pairs")
 N_PAIRS = 40
@@ -172,3 +174,94 @@ def test_restricted_table_matches_a_fresh_build(monkeypatch, rng):
     assert sub.contacts()[frozenset("ab")].theta == 0.0
     _assert_restricted_as_fresh(sub, {"a", "b"})
     _assert_restricted_as_fresh(c, {"a", "b"})
+
+
+def _classified(classify):
+    """The (key, pair, relation, theta, corners) rows that classify returns,
+    with theta and the corners as bits, or the message of the
+    ContainmentViolation it raises."""
+    try:
+        rows = classify()
+    except ContainmentViolation as exc:
+        return str(exc)
+    return [(e, pair, rel, np.float64(theta).tobytes(), np.array(corners).tobytes()) for e, pair, rel, theta, corners in rows]
+
+
+def _table_rows(config):
+    return [(e, c.pair, c.relation, c.theta, c.corners) for e, c in config.contacts().items()]
+
+
+def _reference_rows(items):
+    """_reference_classify's rows, with the corners computed as Contact
+    computed them before the prefilter."""
+    disks = dict(items)
+    rows = []
+    for e, pair, rel, theta in _reference_classify(items):
+        a, b = disks[pair[0]], disks[pair[1]]
+        rows.append((e, pair, rel, theta, circle_intersections(a, b) if rel is DiskRelation.OVERLAPPING else (tangency_point(a, b),)))
+    return rows
+
+
+def _near_contact_items(rng, n, kind, delta):
+    """A chain of n overlapping disks, labelled 0..n-1, and one more disk
+    labelled n: a circle delta from external or internal tangency with a disk
+    of the chain, a copy of one moved by delta, a disk inside one, or a random
+    disk; listed in a shuffled order."""
+    items = random_chain_config(rng, n).items()
+    d = items[int(rng.integers(n))][1]
+    turn = np.exp(1j * rng.uniform(0, 2 * math.pi))
+    r = d.radius * rng.uniform(0.3, 0.8)
+    new = {
+        "external": lambda: Disk(d.center + (d.radius + r + delta) * turn, r),
+        "internal": lambda: Disk(d.center + (d.radius - r + delta) * turn, r),
+        "coincident": lambda: Disk(d.center + abs(delta) * turn, d.radius + delta),
+        "contained": lambda: Disk(d.center + 0.1 * d.radius * turn, 0.5 * d.radius),
+        "random": lambda: Disk(complex(*rng.normal(0, 3, 2)), float(rng.uniform(0.3, 1.2))),
+    }[kind]()
+    items.append((n, new))
+    return [items[k] for k in rng.permutation(len(items))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 13),
+    kind=st.sampled_from(["external", "internal", "coincident", "contained", "random"]),
+    exponent=st.floats(-10, -6),
+    sign=st.sampled_from([-1, 1]),
+)
+def test_prefiltered_table_matches_every_pair(seed, n, kind, exponent, sign):
+    # differential oracle: the prefiltered table has the keys, order,
+    # relations and theta and corner bits of disk_relation on every pair, and
+    # raises at the same pair, under the default EPS_GEOM, under an override
+    # as --eps-geom makes it, and again once the override is lifted
+    items = _near_contact_items(np.random.default_rng(seed), n, kind, sign * 10**exponent)
+    got = _classified(lambda: _table_rows(DiskConfiguration(items)))
+    assert got == _classified(lambda: _reference_rows(items))
+    if isinstance(got, str):
+        return
+    config = DiskConfiguration(items)
+    saved = geom.EPS_GEOM
+    try:
+        for eps in (1e-7, 1e-5, saved):
+            geom.EPS_GEOM = eps
+            assert _classified(lambda: _table_rows(config)) == _classified(lambda: _reference_rows(items))
+    finally:
+        geom.EPS_GEOM = saved
+
+
+def test_prefiltered_table_reaches_every_outcome(rng):
+    # the differential test's configurations reach every relation the table
+    # keeps and every containment it refuses
+    seen = set()
+    for kind in ("external", "internal", "coincident", "contained"):
+        for exponent in (-10, -8.5, -6):
+            for sign in (-1, 1):
+                items = _near_contact_items(rng, 11, kind, sign * 10**exponent)
+                got = _classified(lambda: _table_rows(DiskConfiguration(items)))
+                assert got == _classified(lambda: _reference_rows(items))
+                if isinstance(got, str):
+                    seen.add(got.rpartition(": ")[2])
+                    continue
+                seen.update(rel.value for _e, _p, rel, _t, _c in got)
+    assert seen == {"Overlapping", "ExternallyTangent", "InternallyTangent", "FirstContainsSecond", "SecondContainsFirst", "Equal"}

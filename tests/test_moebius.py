@@ -15,10 +15,8 @@ from diskrig.moebius import (
     apply_point,
     compose,
     concentricize,
-    dilation_about,
     fit_similarity,
     from_three_points,
-    inverse,
     inversion,
     normalize_pair,
     similarity,

@@ -2,7 +2,8 @@
 unit tests: named in the package itself (outside its own definition), in the
 benchmark, or in the acceptance suite.  What only unit tests reach is deleted
 together with the tests that exist only for it, or listed in EXEMPT with the
-reason it stays."""
+reason it stays.  And every name that the package or the tests import is
+used where it is imported."""
 import ast
 import re
 from collections import Counter
@@ -12,6 +13,7 @@ import diskrig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "diskrig"
+TESTS = ROOT / "tests"
 READERS = [*sorted((ROOT / "bench").glob("*.py")), *sorted((ROOT / "bench" / "tests").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
 
 # reached only from the unit tests, and kept
@@ -67,3 +69,36 @@ def test_no_api_that_only_unit_tests_reach():
         and used[node.name] == Counter(_names(node))[node.name]
     ]
     assert unreached == []
+
+
+def _imported(tree):
+    """(name bound, line) of each import; __future__ imports bind nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _uses(tree, *, fixtures):
+    """Every name read in the module, each string listed in its __all__ and,
+    with fixtures, every function parameter, as pytest passes an imported
+    fixture to a parameter of that name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif fixtures and isinstance(node, ast.FunctionDef):
+            yield from (a.arg for a in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs])
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            yield from (c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant) and isinstance(c.value, str))
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
+        tree = ast.parse(path.read_text())
+        uses = set(_uses(tree, fixtures=path.parent == TESTS))
+        unused += [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in _imported(tree) if name not in uses]
+    assert unused == []

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from diskrig import geom
+from diskrig import geom, subsumption
 from diskrig.config import DiskConfiguration, contact_graph, eye_of_pair, neighbours
 from diskrig.docio import read_document
 from diskrig.errors import DiskrigError, NotTransverse
@@ -213,11 +213,17 @@ def test_two_cluster_bound():
 def test_hu_tree_property(rng):
     from diskrig.experiments import generate_experiment_pair
 
+    with_edges = 0
     for _ in range(25):
         c, ct, _f = generate_experiment_pair(rng)
-        rep = subsumptive_subsets(c, ct)  # raises ObservationViolated on cycles
+        rep = subsumptive_subsets(c, ct)
+        # H_u restricted to each subset is a forest: no cycle, so at most
+        # |V| - 1 edges
         for info in rep.subsets:
+            assert not subsumption._has_cycle(info.vertices, info.hu_edges)
             assert len(info.hu_edges) <= max(0, len(info.vertices) - 1)
+            with_edges += bool(info.hu_edges)
+    assert with_edges > 0
 
 
 def test_at_most_one_cross_eye_containment(rng):
