@@ -28,7 +28,7 @@ from .errors import (
     NearFixedPoint,
     PointOnCurve,
 )
-from .geom import Disk, circle_arrays, cyclic_spans
+from .geom import circle_arrays, cyclic_spans
 
 TWO_PI = 2 * math.pi
 BASE_STEP = TWO_PI / 512
@@ -36,6 +36,7 @@ CORNER_WINDOW = 0.05
 CORNER_REFINE = 8
 MAX_DENSITY = 16  # densest sampling step: BASE_STEP / 16 = 2*pi/8192
 PASS_SAMPLES = 4096  # grid points one sampling pass holds, unless one arc needs more
+WINDING_RESIDUAL = 0.01  # largest distance of a summed turn from a whole winding
 
 
 def _min_disp() -> float:
@@ -58,9 +59,14 @@ def _winding_of_closed(rel: np.ndarray) -> int:
     ang = np.angle(rel)
     d = np.diff(ang, append=ang[:1])
     d = (d + math.pi) % TWO_PI - math.pi
-    total = float(d.sum()) / TWO_PI
+    return _whole_turns(float(d.sum()) / TWO_PI)
+
+
+def _whole_turns(total: float) -> int:
+    """The winding that a summed turn of total revolutions reads, raising
+    PointOnCurve when it lies WINDING_RESIDUAL or more from a whole number."""
     n = round(total)
-    if abs(total - n) >= 0.01:
+    if abs(total - n) >= WINDING_RESIDUAL:
         raise PointOnCurve(f"winding residual {total - n:.3g} too large; refine sampling")
     return int(n)
 
@@ -307,42 +313,29 @@ def _on_circles(center, radius, codes, thetas):
 # --- the faithful correspondence -------------------------------------------------
 
 
-@dataclass
-class VertexArcMap:
-    """Orientation-preserving circle map pinned at the node angles, evaluated
-    through its faithful map's node table.  The node arrays are built when
-    that table is; the nodes do not change after that."""
-
-    disk: Disk
-    disk_t: Disk
-    nodes: list  # sorted (theta, theta_t)
-
-    @functools.cached_property
-    def arrays(self):
-        """(t0, t1, span, span_t): node angles and the span to the next node,
-        on the source and the target circle."""
-        t0 = np.array([n[0] for n in self.nodes], dtype=float)
-        t1 = np.array([n[1] for n in self.nodes], dtype=float)
-        return t0, t1, np.array(cyclic_spans(t0), dtype=float), np.array(cyclic_spans(t1), dtype=float)
-
-
 class _NodeTable:
     """The nodes of all vertex maps of a faithful map in one table, ordered
     by vertex code (listing order) and then angle, so one searchsorted finds
     the node of every sample of a pass, whatever its vertex: complex keys
     code + i*angle compare lexicographically, and exactly."""
 
-    def __init__(self, config, vmaps):
-        maps = [vmaps[v] for v in config.labels]
+    def __init__(self, config, config_t, nodes):
+        nodes = [nodes[v] for v in config.labels]
         self.code = {v: k for k, v in enumerate(config.labels)}
         self.circles = circle_arrays([config.disks[v] for v in config.labels])
-        self.circles_t = circle_arrays([m.disk_t for m in maps])
-        sizes = np.array([len(m.nodes) for m in maps], dtype=np.intp)
+        self.circles_t = circle_arrays([config_t.disks[v] for v in config.labels])
+        sizes = np.array([len(n) for n in nodes], dtype=np.intp)
         self.first = np.cumsum(sizes) - sizes
         self.last = self.first + sizes - 1
         self.unmapped = sizes == 0  # no nodes: the identity in angle
-        self.arrays = [np.concatenate(column) for column in zip(*(m.arrays for m in maps))]
-        self.keys = np.repeat(np.arange(len(maps)), sizes) + 1j * self.arrays[0]
+        # (t0, t1, span, span_t): node angles and the span to the next node,
+        # on the source and the target circle
+        t0 = [np.array([t for t, _t in n], dtype=float) for n in nodes]
+        t1 = [np.array([t for _t, t in n], dtype=float) for n in nodes]
+        spans = [cyclic_spans(t) for t in t0]
+        spans_t = [cyclic_spans(t) for t in t1]
+        self.arrays = [np.concatenate(column, dtype=float) for column in (t0, t1, spans, spans_t)]
+        self.keys = np.repeat(np.arange(len(nodes)), sizes) + 1j * self.arrays[0]
 
     def points(self, codes, thetas):
         """(source, image) points of the samples at angles thetas on the
@@ -378,28 +371,30 @@ class IndexReport:
 
 @dataclass
 class FaithfulMap:
+    """One orientation-preserving circle map per disk, pinned at its nodes:
+    nodes[v] holds vertex v's sorted (theta, theta_t) pins, between which the
+    map is linear in angle; a disk without nodes is the identity in angle."""
+
     config: DiskConfiguration
     config_t: DiskConfiguration
     complex_src: BoundaryComplex
-    complex_dst: BoundaryComplex
-    vmaps: dict
-    pairing: list  # (src curve index, dst curve index)
+    nodes: dict
     # (EPS_GEOM, IndexReport) of the last fixed_point_index; nothing changes a
     # map after build_faithful_map, so the report holds while EPS_GEOM does
     _index: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @functools.cached_property
-    def _nodes(self) -> _NodeTable:
-        return _NodeTable(self.config, self.vmaps)
+    def _table(self) -> _NodeTable:
+        return _NodeTable(self.config, self.config_t, self.nodes)
 
     def _loops(self, curves, density: int) -> list:
         """The closed curves of the arc lists and their images, each arc
         mapped by its own vertex map."""
-        table = self._nodes
+        table = self._table
         return [SampledLoopMap(src, dst) for src, dst in _sample_curves(curves, density, table.code, table.points)]
 
     def loops(self, density: int = 1):
-        return self._loops([self.complex_src.curves[si].arcs() for si, _di in self.pairing], density)
+        return self._loops([c.arcs() for c in self.complex_src.curves], density)
 
     def subset_loops(self, subset, density: int = 1):
         """Sampled loops of the faithful map restricted to the union of the
@@ -409,7 +404,7 @@ class FaithfulMap:
 
     def disk_loop(self, vertex, density: int = 1) -> SampledLoopMap:
         """delta_v: the induced map on the full circle of one disk."""
-        angles = [t for t, _t in self.vmaps[vertex].nodes]
+        angles = [t for t, _t in self.nodes[vertex]]
         arcs = [(vertex, t, span, True, True) for t, span in zip(angles, cyclic_spans(angles))]
         return self._loops([arcs or [(vertex, 0.0, TWO_PI, False, False)]], density)[0]
 
@@ -421,42 +416,25 @@ class FaithfulMap:
 
 
 def _match_curves(cx_src: BoundaryComplex, cx_dst: BoundaryComplex):
-    """Pair curves by arc-label combinatorics (cyclic signature match)."""
+    """Raise CombinatoricsMismatch unless each source curve, in order, takes
+    the first target curve not yet taken with the same arc labels up to
+    rotation."""
     if len(cx_src.curves) != len(cx_dst.curves):
         raise CombinatoricsMismatch(
             f"{len(cx_src.curves)} vs {len(cx_dst.curves)} boundary curves"
         )
-    used = set()
-    pairing = []
-    for si, c in enumerate(cx_src.curves):
+    free = [c.signature() for c in cx_dst.curves]
+    for c in cx_src.curves:
         sig = c.signature()
-        found = None
-        for di, ct in enumerate(cx_dst.curves):
-            if di in used:
-                continue
-            sig_t = ct.signature()
-            if len(sig) != len(sig_t):
-                continue
-            if _cyclic_equal(sig, sig_t):
-                found = di
-                break
+        found = next((k for k, sig_t in enumerate(free) if len(sig) == len(sig_t) and _cyclic_equal(sig, sig_t)), None)
         if found is None:
             raise CombinatoricsMismatch(f"no matching curve for signature {sig}")
-        used.add(found)
-        pairing.append((si, found))
-    return pairing
+        del free[found]
 
 
 def _cyclic_equal(a, b):
-    if len(a) != len(b):
-        return False
-    if len(a) == 1:
-        return a[0][0] == b[0][0]
-    n = len(a)
-    for r in range(n):
-        if all(a[k] == b[(k + r) % n] for k in range(n)):
-            return True
-    return False
+    """Whether the equally long lists a and b differ by a rotation."""
+    return any(a == b[r:] + b[:r] for r in range(len(b)))
 
 
 def build_faithful_map(config, config_tilde, *, pins=None, rng=None, n_random_pins=0) -> FaithfulMap:
@@ -465,16 +443,18 @@ def build_faithful_map(config, config_tilde, *, pins=None, rng=None, n_random_pi
     pins: optional {vertex: [(z, z_tilde), ...]} extra point identifications
     (points are projected onto the circles).  rng/n_random_pins inserts random
     monotone reparametrization nodes, producing a different faithful map with
-    the same corner structure.
+    the same corner structure.  Each random pin subdivides a span between two
+    nodes that the disk already has, so a disk without nodes stays the
+    identity in angle; only pins give such a disk another circle map.
     """
     if not contact_graph(config).same_combinatorics(contact_graph(config_tilde)):
         raise CombinatoricsMismatch("contact graphs differ")
     cx = boundary_complex(config)
     cx_t = boundary_complex(config_tilde)
-    pairing = _match_curves(cx, cx_t)
+    _match_curves(cx, cx_t)
 
     # each corner pins its angle on both disks of its pair
-    pinned = {v: [] for v in config.labels}
+    nodes = {v: [] for v in config.labels}
     for e, refs in cx.corners.items():
         if len(refs) != len(cx_t.corners[e]):
             raise CombinatoricsMismatch(f"pair {refs[0].pair} differs in contact type")
@@ -482,21 +462,16 @@ def build_faithful_map(config, config_tilde, *, pins=None, rng=None, n_random_pi
             if abs(ref.point - ref_t.point) <= _min_disp():
                 raise CoincidentCorner(f"corner of pair {ref.pair} is fixed")
             for v, t, t_t in zip(ref.pair, ref.angles, ref_t.angles):
-                pinned[v].append((t % TWO_PI, t_t % TWO_PI))
-    vmaps = {}
+                nodes[v].append((t % TWO_PI, t_t % TWO_PI))
     for v in config.labels:
         d, dt = config.disks[v], config_tilde.disks[v]
-        nodes = pinned[v]
-        if pins and v in pins:
-            for z, zt in pins[v]:
-                nodes.append((d.angle_of(_project(d, z)) % TWO_PI, dt.angle_of(_project(dt, zt)) % TWO_PI))
-        nodes = sorted(set(nodes))
-        _check_monotone(nodes, v)
-        vm = VertexArcMap(d, dt, nodes)
-        if rng is not None and n_random_pins and nodes:
-            vm = _randomize_vmap(vm, rng, n_random_pins)
-        vmaps[v] = vm
-    return FaithfulMap(config, config_tilde, cx, cx_t, vmaps, pairing)
+        for z, zt in (pins or {}).get(v, ()):
+            nodes[v].append((d.angle_of(_project(d, z)) % TWO_PI, dt.angle_of(_project(dt, zt)) % TWO_PI))
+        nodes[v] = sorted(set(nodes[v]))
+        _check_monotone(nodes[v], v)
+        if rng is not None and n_random_pins and nodes[v]:
+            nodes[v] = _randomize_vmap(nodes[v], rng, n_random_pins)
+    return FaithfulMap(config, config_tilde, cx, nodes)
 
 
 def _project(disk, z):
@@ -513,8 +488,9 @@ def _check_monotone(nodes, v):
         raise CombinatoricsMismatch(f"node order reverses on disk {v}")
 
 
-def _randomize_vmap(vm: VertexArcMap, rng, n_pins) -> VertexArcMap:
-    nodes = list(vm.nodes)
+def _randomize_vmap(nodes, rng, n_pins) -> list:
+    """The sorted nodes with n_pins random nodes added, each inside the span
+    from a random node to the next, on both circles."""
     spans = cyclic_spans([t for t, _t in nodes])
     spans_t = cyclic_spans([t for _t, t in nodes])
     out = list(nodes)
@@ -523,7 +499,7 @@ def _randomize_vmap(vm: VertexArcMap, rng, n_pins) -> VertexArcMap:
         t0, t0t = nodes[k]
         f, g = sorted(rng.uniform(0.1, 0.9, size=2))
         out.append(((t0 + f * spans[k]) % TWO_PI, (t0t + g * spans_t[k]) % TWO_PI))
-    return VertexArcMap(vm.disk, vm.disk_t, sorted(out))
+    return sorted(out)
 
 
 # --- the index -------------------------------------------------------------------
@@ -608,10 +584,7 @@ def _certify(loops):
                 raise NearFixedPoint(f"min displacement {m:.3g}")
             if g <= 0:
                 raise NearFixedPoint("displacement certificate fails between samples")
-            n = round(total)
-            if abs(total - n) >= 0.01:
-                raise PointOnCurve(f"winding residual {total - n:.3g} too large; refine sampling")
-            per_curve.append(int(n))
+            per_curve.append(_whole_turns(total))
             min_disp = min(min_disp, m)
         lo = hi
     return per_curve, min_disp

@@ -26,10 +26,13 @@ from .geom import (
 )
 
 
-# the numpy prefilters of _classify and is_general_position pass every pair
-# within this much of a scalar test's EPS_GEOM bound, beyond any rounding of
-# their numpy distances
-_PREFILTER_SLACK = 1e-9
+def _prefilter_margin(scale):
+    """How far beyond a scalar test's bound the numpy prefilters of _classify
+    and is_general_position pass a pair whose distances are about scale:
+    2 EPS_GEOM, and a slack beyond any rounding of their numpy distances,
+    which may differ from Python's by an ulp of the distance, more than an
+    absolute 1e-9 once radii reach about 1e7."""
+    return 2 * geom.EPS_GEOM + 1e-9 + scale * 1e-15
 
 
 @dataclass(frozen=True)
@@ -77,14 +80,15 @@ class DiskConfiguration:
         raising ContainmentViolation where one disk contains another.
 
         One numpy pass over all pairs picks the candidates, whose centres lie
-        within r_i + r_j + 2 EPS_GEOM + _PREFILTER_SLACK; every other pair is
+        within r_i + r_j + _prefilter_margin(r_i + r_j); every other pair is
         disjoint.  disk_relation classifies the candidates in combinations
         order of the str-sorted labels, as it would every pair, and one
         arccos gives the overlap angles."""
         labels = sorted(self.labels, key=str)
         disks = [self.disks[v] for v in labels]
         c, r = circle_arrays(disks)
-        near = np.abs(c[:, None] - c) <= r[:, None] + r + (2 * geom.EPS_GEOM + _PREFILTER_SLACK)
+        rsum = r[:, None] + r
+        near = np.abs(c[:, None] - c) <= rsum + _prefilter_margin(rsum)
         meeting, cosines = [], []
         for n, m in zip(*(k.tolist() for k in np.nonzero(near))):
             if n >= m:
@@ -115,9 +119,6 @@ class DiskConfiguration:
 
     def __len__(self):
         return len(self.labels)
-
-    def __getitem__(self, label) -> Disk:
-        return self.disks[label]
 
     def items(self):
         return [(k, self.disks[k]) for k in self.labels]
@@ -229,17 +230,16 @@ def is_general_position(config: DiskConfiguration, config_tilde: DiskConfigurati
     the other.
 
     One numpy pass over all cross pairs, and one over all corner-circle
-    pairs, picks the candidates within EPS_GEOM + _PREFILTER_SLACK of a
-    test's bound; the scalar tests run only on those, in the same order as
-    over every pair."""
-    near = 2 * geom.EPS_GEOM + _PREFILTER_SLACK
+    pairs, picks the candidates within _prefilter_margin of a test's bound;
+    the scalar tests run only on those, in the same order as over every
+    pair."""
     report = []
     c, r = circle_arrays([config.disks[v] for v in config.labels])
     ct, rt = circle_arrays([config_tilde.disks[v] for v in config_tilde.labels])
     dist = np.abs(c[:, None] - ct[None, :])
     # coincident circles are internally tangent too: |d - |r - rt|| <= max(d, |r - rt|)
     candidates = np.minimum(np.abs(dist - (r[:, None] + rt[None, :])), np.abs(dist - np.abs(r[:, None] - rt[None, :])))
-    for n, m in zip(*np.nonzero(candidates <= near)):
+    for n, m in zip(*np.nonzero(candidates <= _prefilter_margin(r[:, None] + rt[None, :]))):
         i, j = config.labels[n], config_tilde.labels[m]
         a, b = config.disks[i], config_tilde.disks[j]
         if circles_tangent(a, b):
@@ -252,7 +252,7 @@ def is_general_position(config: DiskConfiguration, config_tilde: DiskConfigurati
         corners = [(contact, kind, p) for contact in cfg.contacts().values() for kind, p in contact.named_corners()]
         p = np.array([z for _c, _k, z in corners], dtype=complex)
         off_circle = np.abs(np.abs(p[:, None] - oc[None, :]) - orad[None, :])
-        for n, m in zip(*np.nonzero(off_circle <= near)):
+        for n, m in zip(*np.nonzero(off_circle <= _prefilter_margin(orad[None, :]))):
             (contact, kind, z), j = corners[n], other.labels[m]
             d = other.disks[j]
             if abs(abs(z - d.center) - d.radius) <= geom.EPS_GEOM:
@@ -299,9 +299,6 @@ class TripleConfigCode:
     family: str
     letter: str
     signature: tuple = field(default=())
-
-    def __str__(self):
-        return f"{self.family}:{self.letter}"
 
 
 def quadrant_signature(p: Disk, q: Disk, x: Disk) -> frozenset:

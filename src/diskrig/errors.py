@@ -124,9 +124,9 @@ class UnsupportedAngle(DiskrigError):
 
 
 class TriangleViolation(DiskrigError):
-    def __init__(self, face, msg=""):
+    def __init__(self, face):
         self.face = face
-        super().__init__(f"triangle inequality fails on face {face} {msg}")
+        super().__init__(f"triangle inequality fails on face {face}")
 
 
 class Nonconvergence(DiskrigError):

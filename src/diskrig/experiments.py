@@ -40,9 +40,9 @@ def random_chain_config(rng, n=None) -> DiskConfiguration:
     return DiskConfiguration(disks)
 
 
-def random_ring_config(rng, n=None) -> DiskConfiguration:
+def random_ring_config(rng) -> DiskConfiguration:
     """Closed ring of overlapping disks (multiply-connected union)."""
-    n = n or int(rng.integers(5, 8))
+    n = int(rng.integers(5, 8))
     R = 2.0
     gap = 2 * R * math.sin(math.pi / n)
     disks = []
@@ -53,9 +53,9 @@ def random_ring_config(rng, n=None) -> DiskConfiguration:
     return DiskConfiguration(disks)
 
 
-def random_flower_config(rng, n_petals=None) -> DiskConfiguration:
+def random_flower_config(rng) -> DiskConfiguration:
     """Solver-realized flower with random overlap angles below pi/3."""
-    n = n_petals or int(rng.integers(5, 8))
+    n = int(rng.integers(5, 8))
     tri = flower(n)
     theta = {}
     for e in tri.edges():

@@ -42,9 +42,6 @@ class MoebiusMap:
         if abs(det) <= geom.EPS_GEOM:
             raise DegenerateInput("moebius determinant vanishes")
 
-    def __call__(self, z):
-        return apply_point(self, z)
-
 
 IDENTITY = MoebiusMap(1, 0, 0, 1)
 

@@ -121,11 +121,6 @@ class FixedBoundaryRadii:
     values: dict
 
 
-@dataclass
-class PrescribedBoundaryAngleSums:
-    values: dict
-
-
 SOLVE_TOL = 1e-10  # largest angle-sum residual a solve accepts
 SOLVE_MAX_SWEEPS = 2000
 
@@ -139,16 +134,11 @@ def solve_radii(tri: Triangulation, theta, boundary_condition, *, initial=None):
     if initial:
         radii.update({v: float(r) for v, r in initial.items()})
     targets = {v: TWO_PI for v in tri.interior_vertices}
-    if isinstance(boundary_condition, FixedBoundaryRadii):
-        for v, r in boundary_condition.values.items():
-            radii[v] = float(r)
-        unknowns = list(tri.interior_vertices)
-    elif isinstance(boundary_condition, PrescribedBoundaryAngleSums):
-        targets.update(boundary_condition.values)
-        unknowns = list(tri.interior_vertices) + list(tri.boundary_vertices)
-    else:
+    if not isinstance(boundary_condition, FixedBoundaryRadii):
         raise TypeError("unknown boundary condition")
-    unknowns = sorted(unknowns, key=str)
+    for v, r in boundary_condition.values.items():
+        radii[v] = float(r)
+    unknowns = sorted(tri.interior_vertices, key=str)
     stars = {v: _star(tri, v, theta) for v in unknowns}
     worst = math.inf
     for it in range(SOLVE_MAX_SWEEPS):
@@ -330,7 +320,7 @@ def _verify_incidence(tri: Triangulation, theta, config: DiskConfiguration):
         raise InconsistentPlacement(f"edges not realized as contacts: {pairs}")
     off = {e: abs(derived.theta[e] - _theta_of(theta, *tuple(e))) for e in want_edges}
     worst = max(sorted(want_edges, key=_pair), key=off.get)
-    if off[worst] > 1e-7:
+    if off[worst] > geom.EPS_ANGLE:
         got, want = derived.theta[worst], _theta_of(theta, *tuple(worst))
         if config.contacts()[worst].relation is geom.DiskRelation.EXTERNALLY_TANGENT:
             cause = (

@@ -117,9 +117,6 @@ class TorusParametrization:
     def M(self) -> int:
         return sum(1 for c in self.crossings if c.kind == "p")
 
-    def points(self, kind):
-        return [c for c in self.crossings if c.kind == kind]
-
 
 def build_parametrization(k_obj, kt_obj) -> TorusParametrization:
     """Locate and classify all boundary crossings; verifies the alternation law

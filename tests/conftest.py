@@ -85,6 +85,28 @@ def random_overlapping_pair(rng):
             return a, b
 
 
+def ring_of_twelve(rng):
+    """A closed ring of twelve overlapping disks, labelled 0..11, so that its
+    pair (9, 10) is listed against str order; drawn as
+    experiments.random_ring_config draws its rings of five to seven."""
+    from diskrig.config import DiskConfiguration
+
+    n, R = 12, 2.0
+    gap = 2 * R * math.sin(math.pi / n)
+    return DiskConfiguration(
+        [(k, Disk(R * np.exp(1j * (2 * math.pi * k / n + rng.normal(0, 0.02))), gap / 2 * rng.uniform(1.1, 1.25))) for k in range(n)]
+    )
+
+
+def random_monotone_pins(rng, d: Disk, dt: Disk, k: int):
+    """The pins of a random monotone circle map from the boundary of d onto
+    that of dt: k sorted random angles on d matched in order to k sorted
+    random angles on dt, as build_faithful_map's pins take them."""
+    t = np.sort(rng.uniform(0, 2 * math.pi, k))
+    tt = np.sort(rng.uniform(0, 2 * math.pi, k))
+    return [(d.center + d.radius * np.exp(1j * a), dt.center + dt.radius * np.exp(1j * b)) for a, b in zip(t, tt)]
+
+
 def tangency_flower_pair():
     """Two realizations of the six-petal tangency flower with different
     boundary radii: a pair that every normalization mode accepts (HypHyp

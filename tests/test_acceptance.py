@@ -41,6 +41,7 @@ from diskrig.torus import (
     verify_local_windings,
 )
 
+from conftest import random_monotone_pins
 from test_boundary import NEGIDX_C, NEGIDX_CT, NEGIDX_PINS
 from test_torus import SIX_CROSSING
 
@@ -61,13 +62,12 @@ def test_criterion_01_circle_index_lemma():
         rel = disk_relation(d1, d2)
         if rel in (DiskRelation.EXTERNALLY_TANGENT, DiskRelation.INTERNALLY_TANGENT, DiskRelation.EQUAL):
             continue
+        # a random monotone circle map and its inverse, from the swapped pins
+        pins = random_monotone_pins(rng, d1, d2, 3)
         try:
-            fwd = build_faithful_map(
-                DiskConfiguration([("k", d1)]), DiskConfiguration([("k", d2)]), rng=rng, n_random_pins=3
-            )
+            fwd = build_faithful_map(DiskConfiguration([("k", d1)]), DiskConfiguration([("k", d2)]), pins={"k": pins})
             eta = fixed_point_index(fwd).eta
-            inv = build_faithful_map(DiskConfiguration([("k", d2)]), DiskConfiguration([("k", d1)]))
-            inv.vmaps["k"].nodes = sorted((tt, t) for t, tt in fwd.vmaps["k"].nodes)
+            inv = build_faithful_map(DiskConfiguration([("k", d2)]), DiskConfiguration([("k", d1)]), pins={"k": [(zt, z) for z, zt in pins]})
             eta_inv = fixed_point_index(inv).eta
         except (NearFixedPoint, CoincidentCorner):
             continue

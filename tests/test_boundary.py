@@ -39,7 +39,7 @@ from diskrig.errors import (
 from diskrig.geom import Disk, DiskRelation, circle_intersections, cyclic_spans, disk_relation, tangency_point
 from diskrig.moebius import apply_disk, dilation_about
 
-from conftest import _reference_classify
+from conftest import _reference_classify, random_monotone_pins, ring_of_twelve
 
 NEGIDX_C = DiskConfiguration([(1, Disk(3.18 - 0.05j, 1.51)), (2, Disk(5.02 + 0.05j, 1.43))])
 NEGIDX_CT = DiskConfiguration([(1, Disk(2.85 - 0.02j, 1.46)), (2, Disk(5.54 + 0.05j, 1.57))])
@@ -132,8 +132,8 @@ def _count_disk_relation(monkeypatch):
 def test_faithful_map_reads_corners_from_its_complexes(monkeypatch, rng):
     # labels 0..11 list the pair (9, 10) against str order; a ring of
     # overlaps and a flower of tangencies
-    from diskrig.config import _PREFILTER_SLACK, contact_graph, eyes, is_general_position, is_thin
-    from diskrig.experiments import main_b_identity, random_ring_config
+    from diskrig.config import _prefilter_margin, contact_graph, eyes, is_general_position, is_thin
+    from diskrig.experiments import main_b_identity
     from diskrig.moebius import anchor_points
     from diskrig.solver import FixedBoundaryRadii, flower, layout, solve_radii
     from diskrig.subsumption import subsumptive_subsets
@@ -141,15 +141,15 @@ def test_faithful_map_reads_corners_from_its_complexes(monkeypatch, rng):
     tri = flower(11)
     tangent = layout(tri, solve_radii(tri, {}, FixedBoundaryRadii({k: 1.0 for k in range(1, 12)})), {})
     calls = _count_disk_relation(monkeypatch)
-    for items in (random_ring_config(rng, n=12).items(), tangent.items()):
+    for items in (ring_of_twelve(rng).items(), tangent.items()):
         calls.clear()
         c = DiskConfiguration(items)
         ct = c.transformed(lambda d: Disk(d.center * 1.05 + 0.01j, d.radius * 1.05))
         pairs = [(cfg, i, j) for cfg in (c, ct) for i, j in itertools.combinations(cfg.labels, 2)]
         # building a configuration classifies once every pair within the
         # prefilter's margin of meeting, and no pair twice ...
-        margin = 2 * geom.EPS_GEOM + _PREFILTER_SLACK
-        near = [abs(cfg.disks[i].center - cfg.disks[j].center) <= cfg.disks[i].radius + cfg.disks[j].radius + margin for cfg, i, j in pairs]
+        rsum = [cfg.disks[i].radius + cfg.disks[j].radius for cfg, i, j in pairs]
+        near = [abs(cfg.disks[i].center - cfg.disks[j].center) <= s + _prefilter_margin(s) for s, (cfg, i, j) in zip(rsum, pairs)]
         assert [calls[frozenset((id(cfg.disks[i]), id(cfg.disks[j])))] for cfg, i, j in pairs] == [int(x) for x in near]
         assert 0 < sum(near) < len(pairs)
         # ... into the table that classifying every pair gives ...
@@ -170,7 +170,7 @@ def test_faithful_map_reads_corners_from_its_complexes(monkeypatch, rng):
         assert lhs == rhs
         assert not any(calls[frozenset((id(cfg.disks[i]), id(cfg.disks[j])))] for cfg, i, j in pairs)
         # the table's corners and the complexes' corner refs match the oracle
-        for cx in (fmap.complex_src, fmap.complex_dst):
+        for cx in (fmap.complex_src, boundary_complex(fmap.config_t)):
             contacts = cx.config.contacts()
             for i, j in itertools.combinations(cx.config.labels, 2):
                 want = _pair_corners(cx.config, i, j)
@@ -219,16 +219,15 @@ def test_index_inverse_invariance(rng):
     done = 0
     while done < 200:
         a, b = random_overlapping_pair(rng)
-        c = DiskConfiguration([("k", a)])
         shift = complex(*rng.normal(0, 2, 2))
         scale = rng.uniform(0.5, 1.8)
-        ct = DiskConfiguration([("k", Disk(b.center + shift, b.radius * scale))])
+        bt = Disk(b.center + shift, b.radius * scale)
+        c, ct = DiskConfiguration([("k", a)]), DiskConfiguration([("k", bt)])
+        # a random monotone circle map and its inverse, from the swapped pins
+        pins = random_monotone_pins(rng, a, bt, 2)
         try:
-            fwd = build_faithful_map(c, ct, rng=rng, n_random_pins=2)
-            bwd = build_faithful_map(ct, c)
-            # invert the forward map exactly by swapping the node roles
-            vm = fwd.vmaps["k"]
-            bwd.vmaps["k"].nodes = sorted((tt, t) for t, tt in vm.nodes)
+            fwd = build_faithful_map(c, ct, pins={"k": pins})
+            bwd = build_faithful_map(ct, c, pins={"k": [(zt, z) for z, zt in pins]})
             e1 = fixed_point_index(fwd).eta
             e2 = fixed_point_index(bwd).eta
         except (NearFixedPoint, CoincidentCorner):
@@ -321,15 +320,15 @@ def _reference_arc_offsets(span, refine_start, refine_end, density=1):
     return np.array(sorted(p for p in pts if 0.0 <= p < span - 1e-15))
 
 
-def _reference_eval_theta(vm, theta):
-    """A vertex map at theta as it was evaluated before the node table: the
-    node with the least forward angle to theta, found by an argmin over all
-    nodes."""
+def _reference_eval_theta(nodes, theta):
+    """A vertex map with these nodes at theta as it was evaluated before the
+    node table: the node with the least forward angle to theta, found by an
+    argmin over all nodes."""
     theta = np.asarray(theta, dtype=float)
-    if not vm.nodes:
+    if not nodes:
         return theta
-    t0 = np.array([n[0] for n in vm.nodes])
-    t1 = np.array([n[1] for n in vm.nodes])
+    t0 = np.array([n[0] for n in nodes])
+    t1 = np.array([n[1] for n in nodes])
     idx = np.argmin((theta[..., None] - t0) % (2 * math.pi), axis=-1)
     span = np.array(cyclic_spans(t0))[idx]
     span_t = np.array(cyclic_spans(t1))[idx]
@@ -337,19 +336,19 @@ def _reference_eval_theta(vm, theta):
     return t1[idx] + frac * span_t
 
 
-def _reference_eval_vmaps(vmaps, verts, thetas):
+def _reference_eval_nodes(fmap, verts, thetas):
     out = np.empty(len(thetas), dtype=complex)
     groups = {}
     for idx, v in enumerate(verts):
         groups.setdefault(v, []).append(idx)
     for v, idxs in groups.items():
         sel = np.asarray(idxs)
-        vm = vmaps[v]
-        out[sel] = vm.disk_t.center + vm.disk_t.radius * np.exp(1j * _reference_eval_theta(vm, thetas[sel]))
+        disk_t = fmap.config_t.disks[v]
+        out[sel] = disk_t.center + disk_t.radius * np.exp(1j * _reference_eval_theta(fmap.nodes[v], thetas[sel]))
     return out
 
 
-def _reference_loop(config, arcs, vmaps, density):
+def _reference_loop(config, arcs, fmap, density):
     """A loop sampled arc by arc with the set-based grid, its image evaluated
     vertex by vertex with the argmin."""
     pts, verts, thetas = [], [], []
@@ -359,7 +358,7 @@ def _reference_loop(config, arcs, vmaps, density):
         pts.append(disk.center + disk.radius * np.exp(1j * ang))
         verts.extend([v] * len(ang))
         thetas.append(ang)
-    return np.concatenate(pts), _reference_eval_vmaps(vmaps, verts, np.concatenate(thetas))
+    return np.concatenate(pts), _reference_eval_nodes(fmap, verts, np.concatenate(thetas))
 
 
 def _piece_arcs(curve):
@@ -367,8 +366,8 @@ def _piece_arcs(curve):
     return [(p.vertex, p.a0, p.da, p.start is not None, p.end is not None) for p in curve.pieces]
 
 
-def _assert_same_loop(loop, config, arcs, vmaps, density):
-    src, dst = _reference_loop(config, arcs, vmaps, density)
+def _assert_same_loop(loop, config, arcs, fmap, density):
+    src, dst = _reference_loop(config, arcs, fmap, density)
     assert loop.src.tobytes() == src.tobytes() and loop.dst.tobytes() == dst.tobytes()
 
 
@@ -449,21 +448,22 @@ def test_node_table_matches_argmin_reference(rng):
     lone_t = DiskConfiguration(NEGIDX_CT.items() + [(3, Disk(20.5 + 0.2j, 1.1))])
     fmaps.append(build_faithful_map(lone, lone_t))
     for fmap in fmaps:
-        for v, vm in fmap.vmaps.items():
-            t0 = np.array([t for t, _t in vm.nodes])
+        for v, nodes in fmap.nodes.items():
+            t0 = np.array([t for t, _t in nodes])
             thetas = [t0, t0 - 2 * math.pi, t0 + 2 * math.pi, np.nextafter(t0, -np.inf), np.nextafter(t0, np.inf)]
             thetas += [np.array([-1e-17, -1e-300, -0.0, 0.0, 2 * math.pi, np.nextafter(2 * math.pi, 0), -2 * math.pi])]
             thetas += [rng.uniform(-math.pi, 4 * math.pi, 200)]
             if len(t0):
                 thetas += [np.linspace(-1, t0[0], 50)]
             theta = np.concatenate(thetas)
-            want = _reference_eval_theta(vm, theta)
-            table = fmap._nodes
+            want = _reference_eval_theta(nodes, theta)
+            table = fmap._table
             codes = np.full(len(theta), table.code[v])
             _src, dst = table.points(codes, theta)
-            assert dst.tobytes() == (vm.disk_t.center + vm.disk_t.radius * np.exp(1j * want)).tobytes()
-    assert any(vm.nodes for fmap in fmaps for vm in fmap.vmaps.values())
-    assert any(not vm.nodes for fmap in fmaps for vm in fmap.vmaps.values())
+            disk_t = fmap.config_t.disks[v]
+            assert dst.tobytes() == (disk_t.center + disk_t.radius * np.exp(1j * want)).tobytes()
+    assert any(nodes for fmap in fmaps for nodes in fmap.nodes.values())
+    assert any(not nodes for fmap in fmaps for nodes in fmap.nodes.values())
 
 
 def _eye_arcs(config, i, j):
@@ -471,8 +471,8 @@ def _eye_arcs(config, i, j):
     return [(k, arc.a0, arc.da, True, True) for k, arc in zip(pair, eye_of_pair(config, i, j).boundary_arcs())]
 
 
-def _disk_arcs(vm, v):
-    angles = [t for t, _t in vm.nodes]
+def _disk_arcs(nodes, v):
+    angles = [t for t, _t in nodes]
     return [(v, t, span, True, True) for t, span in zip(angles, cyclic_spans(angles))] or [(v, 0.0, 2 * math.pi, False, False)]
 
 
@@ -484,13 +484,13 @@ def test_loops_match_grouped_reference():
     for fmap in fmaps:
         for density in range(1, 17):
             loops = fmap.loops(density)
-            assert len(loops) == len(fmap.pairing)
-            for loop, (si, _di) in zip(loops, fmap.pairing):
-                _assert_same_loop(loop, fmap.config, _piece_arcs(fmap.complex_src.curves[si]), fmap.vmaps, density)
-            for v, vm in fmap.vmaps.items():
-                _assert_same_loop(fmap.disk_loop(v, density), fmap.config, _disk_arcs(vm, v), fmap.vmaps, density)
+            assert len(loops) == len(fmap.complex_src.curves)
+            for loop, curve in zip(loops, fmap.complex_src.curves):
+                _assert_same_loop(loop, fmap.config, _piece_arcs(curve), fmap, density)
+            for v, nodes in fmap.nodes.items():
+                _assert_same_loop(fmap.disk_loop(v, density), fmap.config, _disk_arcs(nodes, v), fmap, density)
             for c in fmap.config.contacts().values():
-                _assert_same_loop(fmap.eye_loop(*c.pair, density), fmap.config, _eye_arcs(fmap.config, *c.pair), fmap.vmaps, density)
+                _assert_same_loop(fmap.eye_loop(*c.pair, density), fmap.config, _eye_arcs(fmap.config, *c.pair), fmap, density)
     for subset in ({0, 1, 2}, {1}):
         sub = ring.restricted(subset)
         for density in range(1, 17):
@@ -498,7 +498,7 @@ def test_loops_match_grouped_reference():
             curves = boundary_complex(sub).curves
             assert len(loops) == len(curves)
             for loop, curve in zip(loops, curves):
-                _assert_same_loop(loop, sub, _piece_arcs(curve), fmaps[1].vmaps, density)
+                _assert_same_loop(loop, sub, _piece_arcs(curve), fmaps[1], density)
 
 
 def _reference_loop_index(loop):
@@ -577,9 +577,8 @@ def test_certificate_of_faithful_maps_matches_loop_by_loop_reference(rng):
     # negative-index map fails the certificate at density 1, which is also
     # put after and before the two certified curves of a ring
     from diskrig import boundary
-    from diskrig.experiments import random_ring_config
 
-    ring = random_ring_config(rng, n=12)
+    ring = ring_of_twelve(rng)
     fmaps = [build_faithful_map(NEGIDX_C, NEGIDX_CT, pins=NEGIDX_PINS), build_faithful_map(NEGIDX_C, NEGIDX_CT)]
     fmaps += [build_faithful_map(ring, ring.transformed(lambda d: Disk(d.center * 1.05 + 0.01j, d.radius * 1.05)))]
     fmaps += [build_faithful_map(ring, ring.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d)))]

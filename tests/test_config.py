@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diskrig.config import (
@@ -158,14 +158,14 @@ def _reference_is_general_position(config, config_tilde):
     return (len(report) == 0), report
 
 
-def _near_general_position_pair(rng, kind, delta):
-    """A chain C and a dilated copy with one disk replaced: a circle delta
-    from external or internal tangency with a circle of C, a copy of a disk of
-    C moved by delta, or a circle delta from a corner of C."""
+def _near_general_position_pair(rng, kind, delta, scale=1.0):
+    """A chain C, scaled by scale, and a dilated copy with one disk replaced:
+    a circle delta from external or internal tangency with a circle of C, a
+    copy of a disk of C moved by delta, or a circle delta from a corner of C."""
     from diskrig.experiments import random_chain_config
 
-    cfg = random_chain_config(rng)
-    p = complex(*rng.normal(0, 1, 2))
+    cfg = random_chain_config(rng).transformed(lambda d: Disk(d.center * scale, d.radius * scale))
+    p = complex(*rng.normal(0, 1, 2)) * scale
     items = cfg.transformed(lambda d: Disk(p + (d.center - p) * 1.02, d.radius * 1.02)).items()
     k = int(rng.integers(len(items)))
     d = cfg.disks[items[k][0]]
@@ -191,11 +191,16 @@ def _near_general_position_pair(rng, kind, delta):
     exponent=st.floats(-10, -6),
     sign=st.sampled_from([-1, 1]),
     eps=st.sampled_from([None, 1e-7]),
+    scale=st.sampled_from([1.0, 1e7, 1e8]),
 )
-def test_general_position_prefilter_matches_every_pair(seed, kind, exponent, sign, eps):
+@example(seed=4, kind="external", exponent=-10.0, sign=1, eps=None, scale=1e7)
+@example(seed=0, kind="corner", exponent=-10.0, sign=1, eps=None, scale=1e8)
+def test_general_position_prefilter_matches_every_pair(seed, kind, exponent, sign, eps, scale):
     # differential oracle: the candidates of the numpy prefilter give the
     # report of the scalar tests on every pair, in the same order, under the
-    # default EPS_GEOM and under an override as --eps-geom makes it
+    # default EPS_GEOM and under an override as --eps-geom makes it, also at
+    # radii of 1e7 and more, where numpy's distances may differ from
+    # Python's by more than EPS_GEOM
     from diskrig.experiments import random_chain_config
 
     rng = np.random.default_rng(seed)
@@ -205,7 +210,7 @@ def test_general_position_prefilter_matches_every_pair(seed, kind, exponent, sig
         if kind == "random":
             cfg, cfg_t = random_chain_config(rng), random_chain_config(rng)
         else:
-            cfg, cfg_t = _near_general_position_pair(rng, kind, sign * 10**exponent)
+            cfg, cfg_t = _near_general_position_pair(rng, kind, sign * 10**exponent, scale)
         assert is_general_position(cfg, cfg_t) == _reference_is_general_position(cfg, cfg_t)
         assert is_general_position(cfg_t, cfg) == _reference_is_general_position(cfg_t, cfg)
     except ContainmentViolation:

@@ -2,8 +2,10 @@
 unit tests: named in the package itself (outside its own definition), in the
 benchmark, or in the acceptance suite.  What only unit tests reach is deleted
 together with the tests that exist only for it, or listed in EXEMPT with the
-reason it stays.  And every name that the package or the tests import is
-used where it is imported."""
+reason it stays.  Likewise every defaulted or keyword-only parameter is
+passed by some call from outside the unit tests, or listed in OPTION_EXEMPT.
+And every name that the package or the tests import is used where it is
+imported."""
 import ast
 import re
 from collections import Counter
@@ -69,6 +71,63 @@ def test_no_api_that_only_unit_tests_reach():
         and used[node.name] == Counter(_names(node))[node.name]
     ]
     assert unreached == []
+
+
+# options that no call outside the unit tests passes, and kept
+OPTION_EXEMPT = {
+    "index_via_torus.u": "the torus formula holds at any admissible base point; the tests evaluate it off the graph's own",
+    "is_thin.interiors_only": "the paper's variant of thinness without a common interior point, checked against its reference",
+    "generate_meat.shrink": "the near-degenerate meat instances, whose margin must stay positive as it tends to 0",
+    "generate_finlandia.shrink": "the near-degenerate finlandia instances, as for meat",
+    "generate_contained_loops.n": "contained loops of every length from 3 to 8, not only the lengths a draw picks",
+    "resolve_pair.n_petals": "the 6-petal solver pair that the CLI's normalize test compares",
+    "_successor.out": "passed through the functools.partial that _certify calls as successor",
+}
+
+
+def _options(tree):
+    """(called name, qualified name, parameter, position in a call) of each
+    defaulted or keyword-only parameter of each module-level function and
+    method.  A call names an __init__ by its class and passes a method's self
+    or cls implicitly; a keyword-only parameter has no position."""
+    funcs = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    funcs += [(node, m) for node in tree.body if isinstance(node, ast.ClassDef) for m in node.body if isinstance(m, ast.FunctionDef)]
+    for cls, f in funcs:
+        name = cls.name if cls and f.name == "__init__" else f.name
+        qualname = f"{cls.name}.{f.name}" if cls else f.name
+        bound = cls is not None and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list)
+        positional = [*f.args.posonlyargs, *f.args.args]
+        first = len(positional) - len(f.args.defaults)
+        for k, a in enumerate(positional[first:], first):
+            yield name, f"{qualname}.{a.arg}", a.arg, k - bound
+        for a in f.args.kwonlyargs:
+            yield name, f"{qualname}.{a.arg}", a.arg, None
+
+
+def _passed(trees):
+    """(called name, parameter name or position) of every argument that a call
+    passes."""
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or not isinstance(node.func, (ast.Name, ast.Attribute)):
+                continue
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            yield from ((name, kw.arg) for kw in node.keywords)
+            yield from ((name, k) for k in range(len(node.args)))
+
+
+def test_no_option_that_only_unit_tests_pass():
+    trees = {path: ast.parse(path.read_text()) for path in [*sorted(SRC.glob("*.py")), *READERS]}
+    passed = set(_passed(trees.values()))
+    unpassed = [
+        f"{path.name}: {option}"
+        for path, tree in trees.items()
+        if path.parent == SRC
+        for name, option, arg, position in _options(tree)
+        if arg not in ("self", "cls") and option not in OPTION_EXEMPT
+        and (name, arg) not in passed and (name, position) not in passed
+    ]
+    assert unpassed == []
 
 
 def _imported(tree):

@@ -9,7 +9,6 @@ from diskrig.errors import DiskrigError, ExtraneousContact, InconsistentPlacemen
 from diskrig.geom import Disk
 from diskrig.solver import (
     FixedBoundaryRadii,
-    PrescribedBoundaryAngleSums,
     Triangulation,
     angle_sum,
     double_flower,
@@ -128,13 +127,9 @@ def test_double_flower_consistency():
     assert len(cfg) == 8
 
 
-def test_prescribed_boundary_angle_sums():
-    tri = flower(6)
-    targets = {k: 2 * math.pi / 3 for k in range(1, 7)}
-    radii = solve_radii(tri, {}, PrescribedBoundaryAngleSums(targets))
-    for v in range(1, 7):
-        assert abs(angle_sum(tri, v, radii, {}) - 2 * math.pi / 3) < 1e-10
-    assert abs(angle_sum(tri, 0, radii, {}) - 2 * math.pi) < 1e-10
+def test_solve_takes_only_fixed_boundary_radii():
+    with pytest.raises(TypeError, match="unknown boundary condition"):
+        solve_radii(flower(6), {}, {k: 1.0 for k in range(1, 7)})
 
 
 def test_angle_sum_monotone_in_own_radius(rng):
@@ -207,14 +202,9 @@ def _reference_solve_radii(tri, theta, boundary_condition, *, tol=1e-10, max_ite
     if initial:
         radii.update({v: float(r) for v, r in initial.items()})
     targets = {v: 2 * math.pi for v in tri.interior_vertices}
-    if isinstance(boundary_condition, FixedBoundaryRadii):
-        for v, r in boundary_condition.values.items():
-            radii[v] = float(r)
-        unknowns = list(tri.interior_vertices)
-    else:
-        targets.update(boundary_condition.values)
-        unknowns = list(tri.interior_vertices) + list(tri.boundary_vertices)
-    unknowns = sorted(unknowns, key=str)
+    for v, r in boundary_condition.values.items():
+        radii[v] = float(r)
+    unknowns = sorted(tri.interior_vertices, key=str)
     log = []
     for _ in range(max_iters):
         worst = 0.0
@@ -288,11 +278,9 @@ def test_solve_matches_reference_on_flowers(n):
     theta = _uniform_theta(tri, rng)
     fixed = FixedBoundaryRadii({k: float(rng.uniform(0.8, 1.25)) for k in range(1, n + 1)})
     init = {v: float(np.exp(rng.normal(0, 0.5))) for v in tri.vertices}
-    petal_sums = PrescribedBoundaryAngleSums({k: (n - 2) * math.pi / n for k in range(1, n + 1)})
     outcomes = [
         _assert_same_solve(tri, theta, fixed),
         _assert_same_solve(tri, theta, fixed, initial=init),
-        _assert_same_solve(tri, theta, petal_sums),
     ]
     # three petals overlapping this deeply leave the centre no room, and both
     # sweeps fail the same way
@@ -305,8 +293,6 @@ def test_solve_matches_reference_on_double_flower():
     for theta in ({}, _uniform_theta(tri, rng)):
         fixed = FixedBoundaryRadii({k: float(rng.uniform(0.8, 1.25)) for k in range(2, 8)})
         assert isinstance(_assert_same_solve(tri, theta, fixed), dict)
-        prescribed = PrescribedBoundaryAngleSums({k: 2 * math.pi / 3 for k in range(2, 8)})
-        assert isinstance(_assert_same_solve(tri, theta, prescribed), dict)
 
 
 @pytest.mark.parametrize("seed", range(3))
