@@ -1,5 +1,6 @@
 """Sampled boundary curves, faithful correspondences, winding numbers, and the
-fixed-point index, including the multiply-connected sum.
+fixed-point index, including the multiply-connected sum, sampled or, for a
+faithful map's loop, counted exactly from the crossings of its two curves.
 
 The canonical faithful map is the arc-proportional one: every pair-intersection
 corner of one configuration is pinned to its counterpart, and each arc between
@@ -322,8 +323,10 @@ class _NodeTable:
     def __init__(self, config, config_t, nodes):
         nodes = [nodes[v] for v in config.labels]
         self.code = {v: k for k, v in enumerate(config.labels)}
-        self.circles = circle_arrays([config.disks[v] for v in config.labels])
-        self.circles_t = circle_arrays([config_t.disks[v] for v in config.labels])
+        self.disks = [config.disks[v] for v in config.labels]
+        self.disks_t = [config_t.disks[v] for v in config.labels]
+        self.circles = circle_arrays(self.disks)
+        self.circles_t = circle_arrays(self.disks_t)
         sizes = np.array([len(n) for n in nodes], dtype=np.intp)
         self.first = np.cumsum(sizes) - sizes
         self.last = self.first + sizes - 1
@@ -334,15 +337,19 @@ class _NodeTable:
         t1 = [np.array([t for _t, t in n], dtype=float) for n in nodes]
         spans = [cyclic_spans(t) for t in t0]
         spans_t = [cyclic_spans(t) for t in t1]
+        # a vertex map is a homeomorphism when the spans between its nodes go
+        # round each circle once; one that folds back goes round more often
+        self.degree_one = [
+            not n or round(sum(s) / TWO_PI) == round(sum(s_t) / TWO_PI) == 1 for n, s, s_t in zip(nodes, spans, spans_t)
+        ]
         self.arrays = [np.concatenate(column, dtype=float) for column in (t0, t1, spans, spans_t)]
         self.keys = np.repeat(np.arange(len(nodes)), sizes) + 1j * self.arrays[0]
 
-    def points(self, codes, thetas):
-        """(source, image) points of the samples at angles thetas on the
-        circles of the vertex codes."""
-        src = _on_circles(*self.circles, codes, thetas)
+    def angles(self, codes, thetas):
+        """The target-circle angles that the vertex maps of the codes take
+        the source angles thetas to."""
         if self.unmapped.all():
-            return src, _on_circles(*self.circles_t, codes, thetas)
+            return thetas
         # the last node of the vertex at or before the angle; a sample before
         # its vertex's first node takes that vertex's last node
         idx = np.searchsorted(self.keys, codes + 1j * (thetas % TWO_PI), side="right") - 1
@@ -351,7 +358,12 @@ class _NodeTable:
         tt = t1[idx] + ((thetas - t0[idx]) % TWO_PI) / span[idx] * span_t[idx]
         if self.unmapped.any():
             tt = np.where(self.unmapped[codes], thetas, tt)
-        return src, _on_circles(*self.circles_t, codes, tt)
+        return tt
+
+    def points(self, codes, thetas):
+        """(source, image) points of the samples at angles thetas on the
+        circles of the vertex codes."""
+        return _on_circles(*self.circles, codes, thetas), _on_circles(*self.circles_t, codes, self.angles(codes, thetas))
 
 
 @dataclass
@@ -360,6 +372,25 @@ class SampledLoopMap:
 
     src: np.ndarray
     dst: np.ndarray
+
+
+class ArcLoopMap:
+    """A closed curve of a faithful map held as its (vertex, a0, da,
+    refine_start, refine_end) arcs and the map's node table.  Reading src or
+    dst samples every loop of the same call at once; loop_index samples only
+    when the crossing count cannot decide."""
+
+    def __init__(self, arcs, table, samples, k):
+        self.arcs, self.table = arcs, table
+        self._samples, self._k = samples, k
+
+    @property
+    def src(self) -> np.ndarray:
+        return self._samples()[self._k][0]
+
+    @property
+    def dst(self) -> np.ndarray:
+        return self._samples()[self._k][1]
 
 
 @dataclass
@@ -389,9 +420,11 @@ class FaithfulMap:
 
     def _loops(self, curves, density: int) -> list:
         """The closed curves of the arc lists and their images, each arc
-        mapped by its own vertex map."""
+        mapped by its own vertex map, sampled at the density in one
+        _sample_curves call when any of them is first read."""
         table = self._table
-        return [SampledLoopMap(src, dst) for src, dst in _sample_curves(curves, density, table.code, table.points)]
+        samples = functools.cache(lambda: _sample_curves(curves, density, table.code, table.points))
+        return [ArcLoopMap(arcs, table, samples, k) for k, arcs in enumerate(curves)]
 
     def loops(self, density: int = 1):
         return self._loops([c.arcs() for c in self.complex_src.curves], density)
@@ -470,7 +503,7 @@ def build_faithful_map(config, config_tilde, *, pins=None, rng=None, n_random_pi
         nodes[v] = sorted(set(nodes[v]))
         _check_monotone(nodes[v], v)
         if rng is not None and n_random_pins and nodes[v]:
-            nodes[v] = _randomize_vmap(nodes[v], rng, n_random_pins)
+            nodes[v] = _randomize_vmap(nodes[v], rng, n_random_pins, v)
     return FaithfulMap(config, config_tilde, cx, nodes)
 
 
@@ -488,18 +521,23 @@ def _check_monotone(nodes, v):
         raise CombinatoricsMismatch(f"node order reverses on disk {v}")
 
 
-def _randomize_vmap(nodes, rng, n_pins) -> list:
+def _randomize_vmap(nodes, rng, n_pins, v) -> list:
     """The sorted nodes with n_pins random nodes added, each inside the span
-    from a random node to the next, on both circles."""
+    from a random node to the next, on both circles.  The pins of one span
+    pair their source and target fractions in sorted order, so the map stays
+    monotone however the draws fall."""
     spans = cyclic_spans([t for t, _t in nodes])
     spans_t = cyclic_spans([t for _t, t in nodes])
+    draws = [(int(rng.integers(len(nodes))), *sorted(rng.uniform(0.1, 0.9, size=2))) for _ in range(n_pins)]
     out = list(nodes)
-    for _ in range(n_pins):
-        k = int(rng.integers(len(nodes)))
+    for k in {k for k, _f, _g in draws}:
         t0, t0t = nodes[k]
-        f, g = sorted(rng.uniform(0.1, 0.9, size=2))
-        out.append(((t0 + f * spans[k]) % TWO_PI, (t0t + g * spans_t[k]) % TWO_PI))
-    return sorted(out)
+        fs = sorted(f for j, f, _g in draws if j == k)
+        gs = sorted(g for j, _f, g in draws if j == k)
+        out += [((t0 + f * spans[k]) % TWO_PI, (t0t + g * spans_t[k]) % TWO_PI) for f, g in zip(fs, gs)]
+    out.sort()
+    _check_monotone(out, v)
+    return out
 
 
 # --- the index -------------------------------------------------------------------
@@ -520,9 +558,137 @@ def _refine(index_at):
                 raise
 
 
-def loop_index(loop: SampledLoopMap) -> int:
-    """The displacement winding of one loop, certified fixed-point free."""
+def loop_index(loop: SampledLoopMap | ArcLoopMap) -> int:
+    """The displacement winding of one loop: for a loop of a faithful map,
+    its exact value when the crossing count decides it; otherwise from the
+    loop's samples, certified fixed-point free."""
+    if isinstance(loop, ArcLoopMap):
+        eta = _exact_index(loop.arcs, loop.table)
+        if eta is not None:
+            return eta
     return _certify([loop])[0][0]
+
+
+def _exact_index(arcs, table: _NodeTable) -> int | None:
+    """The displacement winding of a closed arc list of a faithful map, by
+    the torus formula, or None when the count cannot decide it.
+
+    The image of arc k lies on the target circle of its vertex v, from
+    phi_v(a0) over phi_v(a0 + da) - phi_v(a0) mod 2 pi (2 pi for a full
+    circle).  A position on either curve is (arc, offset), ordered by arc and
+    then offset, and the map is the monotone graph offset -> phi_v(a0 +
+    offset) - phi_v(a0) within each arc.  With u the start of arc 0 and u~ its
+    image, eta = w(gamma, u~) + w(gamma~, u) - the sum of iota(z) =
+    -sign Im(conj(z - c)(z - c~)) over the crossings z of the two curves
+    whose image position lies below the graph at their source position:
+    index_via_torus's eta_down.  Undecided: a vertex map that is not
+    monotone of degree one, an arc no longer than 10 EPS_GEOM, a source
+    circle tangent to or equal to an image circle, a crossing within
+    10 EPS_GEOM of an arc end or of the graph, and a base point within
+    10 EPS_GEOM of the other curve."""
+    tol = _min_disp()
+    codes = [table.code[arc[0]] for arc in arcs]
+    if not all(table.degree_one[c] for c in codes):
+        return None
+    n = len(arcs)
+    a0 = [arc[1] for arc in arcs]
+    ends = table.angles(np.array(codes * 2), np.array(a0 + [arc[1] + arc[2] for arc in arcs])).tolist()
+    src = [_arc(table.disks[c], arc[1], arc[2]) for c, arc in zip(codes, arcs)]
+    dst = [
+        _arc(table.disks_t[c], b0, TWO_PI if arc[2] == TWO_PI else (b1 - b0) % TWO_PI)
+        for c, arc, b0, b1 in zip(codes, arcs, ends[:n], ends[n:])
+    ]
+    if any(disk.radius * span <= tol for disk, _a, span, *_ends in src + dst):
+        return None
+    u, ut = src[0][3], dst[0][3]
+    if _curve_distance(dst, u) <= tol or _curve_distance(src, ut) <= tol:
+        return None
+    eta = _arcs_winding(src, ut) + _arcs_winding(dst, u)
+    on_circle = {}
+    for k, c in enumerate(codes):
+        on_circle.setdefault(c, []).append(k)
+    same_arc = []  # (arc, source offset, image offset, iota) of crossings on one arc of both curves
+    for v, src_arcs in on_circle.items():
+        for w, dst_arcs in on_circle.items():
+            disk, disk_t = table.disks[v], table.disks_t[w]
+            if geom.circles_tangent(disk, disk_t):
+                return None
+            if geom.disk_relation(disk, disk_t) is not geom.DiskRelation.OVERLAPPING:
+                continue
+            # circle_intersections' u is where the source circle enters the
+            # image disk: iota = +1; at its v, iota = -1
+            for z, iota in zip(geom.circle_intersections(disk, disk_t), (1, -1)):
+                at_src, at_dst = _arc_offsets_of(src, src_arcs, z, tol), _arc_offsets_of(dst, dst_arcs, z, tol)
+                if at_src is None or at_dst is None:
+                    return None
+                for k, t in at_src:
+                    for m, s in at_dst:
+                        if m < k:
+                            eta -= iota
+                        elif m == k:
+                            same_arc.append((k, t, s, iota))
+    if same_arc:
+        ks, ts, ss, iotas = zip(*same_arc)
+        graph = table.angles(np.array([codes[k] for k in ks]), np.array([a0[k] + t for k, t in zip(ks, ts)])).tolist()
+        for k, s, g, iota in zip(ks, ss, graph, iotas):
+            g = (g - ends[k]) % TWO_PI
+            if dst[k][0].radius * abs(s - g) <= tol:
+                return None
+            if s < g:
+                eta -= iota
+    return eta
+
+
+def _arc(disk, a0, span):
+    """(disk, start angle, span, start point, end point) of a CCW arc."""
+    c, r, a1 = disk.center, disk.radius, a0 + span
+    return disk, a0, span, c + r * complex(math.cos(a0), math.sin(a0)), c + r * complex(math.cos(a1), math.sin(a1))
+
+
+def _phase(z: complex) -> float:
+    return math.atan2(z.imag, z.real)
+
+
+def _arc_offsets_of(arcs, ks, z, tol):
+    """(k, offset of z from the start of arc k) for each arc k among ks that
+    holds the point z of their circle, or None when z lies within tol of an
+    end of any of them."""
+    out = []
+    for k in ks:
+        disk, a0, span, *_ends = arcs[k]
+        t = (_phase(z - disk.center) - a0) % TWO_PI
+        to_end = abs(t - span)
+        if disk.radius * min(t, TWO_PI - t, to_end, TWO_PI - to_end) <= tol:
+            return None
+        if t < span:
+            out.append((k, t))
+    return out
+
+
+def _curve_distance(arcs, p) -> float:
+    """Distance from p to a curve of _arc arcs."""
+    best = math.inf
+    for disk, a0, span, start, end in arcs:
+        if (_phase(p - disk.center) - a0) % TWO_PI <= span:
+            best = min(best, abs(abs(p - disk.center) - disk.radius))
+        best = min(best, abs(p - start), abs(p - end))
+    return best
+
+
+def _arcs_winding(arcs, p) -> int:
+    """Winding number of a closed curve of CCW _arc arcs about a point off
+    it: each arc turns the direction from p by the angle between its ends,
+    taken in [0, 2 pi) when p lies inside its circle (where that direction
+    turns monotonically) and in (-pi, pi] outside it."""
+    total = 0.0
+    for disk, _a0, span, start, end in arcs:
+        inside = abs(p - disk.center) < disk.radius
+        if span == TWO_PI:
+            total += TWO_PI if inside else 0.0
+            continue
+        turn = _phase((end - p) / (start - p))
+        total += turn + TWO_PI if inside and turn < 0 else turn
+    return round(total / TWO_PI)
 
 
 def _successor(x, starts, last, out=None):

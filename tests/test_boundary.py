@@ -14,9 +14,11 @@ from diskrig.boundary import (
     CORNER_WINDOW,
     PASS_SAMPLES,
     CornerRef,
+    FaithfulMap,
     SampledLoopMap,
     _arcs_offsets,
     _certify,
+    _exact_index,
     _grid_counts,
     _refine,
     _sample_curves,
@@ -299,9 +301,13 @@ def test_multiply_connected_ring_pair(rng):
     rep = fixed_point_index(fmap)
     assert len(rep.per_curve) == 2
     assert rep.eta == sum(rep.per_curve)
-    # decomposition invariance: permuting the curve pairing order cannot
-    # change the sum
-    assert fixed_point_index(fmap).eta == rep.eta
+    # the sampled report against each curve's winding from loop_index, which
+    # the crossing count decides on these loops
+    loops = fmap.loops(2)
+    assert all(_exact_index(loop.arcs, loop.table) is not None for loop in loops)
+    exact = [loop_index(loop) for loop in loops]
+    assert collections.Counter(exact) == collections.Counter(rep.per_curve)
+    assert sum(exact) == rep.eta
 
 
 # --- differential oracles: the earlier set-based grid and grouped evaluation ----------
@@ -665,3 +671,130 @@ def test_fixed_point_index_samples_each_map_once(monkeypatch):
     assert len(calls) == 2 * sampled
     assert again is not rep and again.eta == rep.eta
     assert fixed_point_index(fmap) is again
+
+
+# --- the exact index of a faithful map's loops, against sampling ----------------------
+
+
+def _sampled_windings(make):
+    """The windings of the loops make(density) builds, sampled and certified
+    at the first density whose certificate holds: the oracle of the exact
+    path."""
+    return _refine(lambda density: _certify(make(density))[0])
+
+
+def _loop_sets(fmap, rng):
+    """(name, make) for the loops of the whole map, of both parts of two
+    random bipartitions, of every disk and of every eye."""
+    labels = list(fmap.config.labels)
+    sets = [("loops", fmap.loops)]
+    for _ in range(2 if len(labels) > 1 else 0):
+        part = {labels[k] for k in rng.choice(len(labels), size=int(rng.integers(1, len(labels))), replace=False)}
+        for sub in (part, set(labels) - part):
+            sets.append((f"subset {sorted(sub, key=str)}", lambda d, sub=sub: fmap.subset_loops(sub, d)))
+    sets += [(f"disk {v}", lambda d, v=v: [fmap.disk_loop(v, d)]) for v in labels]
+    sets += [
+        (f"eye {c.pair}", lambda d, c=c: [fmap.eye_loop(*c.pair, d)])
+        for c in fmap.config.contacts().values()
+        if c.relation is DiskRelation.OVERLAPPING
+    ]
+    return sets
+
+
+def test_exact_index_matches_sampling(rng):
+    # differential oracle: on the canonical maps of experiment pairs, the ring
+    # of twelve and the pinned negative-index pair, and on random-pin variants
+    # of each, the crossing count decides every loop of every kind, and its
+    # winding is the certified sampled one
+    from diskrig.experiments import generate_experiment_pair
+
+    pairs = [generate_experiment_pair(np.random.default_rng(seed))[:2] for seed in range(12)]
+    ring = ring_of_twelve(rng)
+    pairs.append((ring, ring.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d))))
+    fmaps = [build_faithful_map(c, ct) for c, ct in pairs]
+    fmaps.append(build_faithful_map(NEGIDX_C, NEGIDX_CT, pins=NEGIDX_PINS))
+    for c, ct in pairs + [(NEGIDX_C, NEGIDX_CT)]:
+        for n_pins in (1, 3):
+            fmaps.append(build_faithful_map(c, ct, rng=rng, n_random_pins=n_pins))
+    compared = undecided = 0
+    for k, fmap in enumerate(fmaps):
+        for name, make in _loop_sets(fmap, rng):
+            try:
+                loops = make(1)
+            except CombinatoricsMismatch:  # a part whose union traces differently in C~
+                continue
+            exact = [_exact_index(loop.arcs, loop.table) for loop in loops]
+            undecided += exact.count(None)
+            try:
+                want = _sampled_windings(make)
+            except NearFixedPoint:
+                continue
+            assert exact == want, (k, name)
+            assert [loop_index(loop) for loop in loops] == want
+            compared += 1
+    assert undecided == 0
+    assert compared >= 400
+
+
+def _folded_map():
+    """A single disk whose nodes go round the target circle twice."""
+    c = DiskConfiguration([("k", Disk(0j, 1.0))])
+    ct = DiskConfiguration([("k", Disk(0.3 + 0.1j, 1.4))])
+    return FaithfulMap(c, ct, boundary_complex(c), {"k": [(0.0, 0.0), (1.0, 3.0), (2.0, 1.0), (4.0, 5.0)]})
+
+
+def _fixed_circle_map():
+    """A pair of disks in which disk b is the same disk in C and C~."""
+    c = DiskConfiguration([("a", Disk(0j, 1.0)), ("b", Disk(1.5 + 0j, 1.0))])
+    ct = DiskConfiguration([("a", Disk(0.1 + 0.3j, 1.0)), ("b", Disk(1.5 + 0j, 1.0))])
+    return build_faithful_map(c, ct)
+
+
+def test_exact_index_falls_back_to_sampling():
+    # a vertex map that is not monotone of degree one, and a target circle
+    # equal to its source circle, leave the count undecided; loop_index then
+    # returns the sampled, certified winding
+    folded, fixed = _folded_map(), _fixed_circle_map()
+    cases = [folded.loops(), [folded.disk_loop("k")], fixed.loops(), [fixed.disk_loop("b")], [fixed.eye_loop("a", "b")]]
+    for loops in cases:
+        for loop in loops:
+            assert _exact_index(loop.arcs, loop.table) is None
+            assert loop_index(loop) == _certify([loop])[0][0]
+    # the disk of b alone has no target circle equal to its own: decided
+    loop = fixed.disk_loop("a")
+    assert _exact_index(loop.arcs, loop.table) == _certify([loop])[0][0]
+
+
+def test_identities_sample_nothing_once_the_map_is_indexed(monkeypatch):
+    # the additivity identities read every disk, eye and sub-union loop from
+    # the crossing count; only fixed_point_index samples
+    from diskrig import boundary, experiments
+
+    ring = ring_of_twelve(np.random.default_rng(3))
+    fmap = build_faithful_map(ring, ring.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d)))
+    eta = fixed_point_index(fmap).eta
+    calls = []
+    sample = boundary._sample_curves
+    monkeypatch.setattr(boundary, "_sample_curves", lambda *args: calls.append(args) or sample(*args))
+    assert experiments.obs_a_identity(fmap) == (eta, eta)
+    assert experiments.main_b_identity(fmap, set(range(6))) == (eta, eta)
+    assert calls == []
+    # the loops still sample when read
+    assert len(fmap.disk_loop(0).src) > 0
+    assert len(calls) == 1
+
+
+def test_random_pins_keep_every_variant_monotone():
+    # two pins drawn into one span pair their fractions in sorted order, so no
+    # variant folds a disk's map back on itself
+    ring = ring_of_twelve(np.random.default_rng(0))
+    pairs = [(NEGIDX_C, NEGIDX_CT), (ring, ring.transformed(lambda d: Disk(d.center * 1.05 + 0.01j, d.radius * 1.05)))]
+    for seed in range(60):
+        for n_pins in (1, 2, 3, 4):
+            for c, ct in pairs:
+                fmap = build_faithful_map(c, ct, rng=np.random.default_rng(seed), n_random_pins=n_pins)
+                for v, nodes in fmap.nodes.items():
+                    targets = [t for _t, t in nodes]
+                    rotated = [(t - targets[0]) % (2 * math.pi) for t in targets]
+                    assert all(a < b for a, b in zip(rotated, rotated[1:])), (seed, n_pins, v)
+                    assert len(nodes) >= n_pins
