@@ -174,15 +174,15 @@ class GraphMap:
         return SampledLoopMap(src, dst)
 
     def _sample_grid(self, n: int) -> np.ndarray:
-        pts = set(np.linspace(0.0, 1.0, n, endpoint=False))
-        pts.update(x % 1.0 for x in self.xs if 0 <= x < 1)
+        """The sorted distinct points of n even steps, the path's corners in
+        [0, 1) and a window 32 times finer about each crossing."""
+        corners = self.xs[(0 <= self.xs) & (self.xs < 1)] % 1.0
+        parts = [np.linspace(0.0, 1.0, n, endpoint=False), corners]
         fine = 1.0 / (32 * n)
         for c in self.param.crossings:
             x = (c.s - self.base_s) % 1.0
-            lo = max(0.0, x - 0.01)
-            hi = min(1.0 - 1e-12, x + 0.01)
-            pts.update(np.arange(lo, hi, fine))
-        return np.array(sorted(pts))
+            parts.append(np.arange(max(0.0, x - 0.01), min(1.0 - 1e-12, x + 0.01), fine))
+        return np.unique(np.concatenate(parts))
 
     def source_point(self, x: float) -> complex:
         return complex(self.param.chain.point((x + self.base_s) % 1.0))
@@ -372,7 +372,8 @@ def _build_route(param, base_s, base_st, sided, waypoints, margins):
 
 def _route_search(param, base_s, base_st, waypoints, w_total, target):
     """Enumerate below/above assignments consistent with the waypoints and the
-    monotone separation constraint; yield GraphMaps achieving target eta."""
+    monotone separation constraint; yield, one at a time, the GraphMaps whose
+    assignment achieves target eta."""
     shifted = shifted_crossings(param, base_s, base_st)
     forced = []
     free = []
@@ -387,15 +388,13 @@ def _route_search(param, base_s, base_st, waypoints, w_total, target):
             forced.append((kind, x, y, force == "below"))
         else:
             free.append((kind, x, y))
-    results = []
     for bits in itertools.product((True, False), repeat=len(free)):
         sided = forced + [(k, x, y, bit) for (k, x, y), bit in zip(free, bits)]
         if _eta_of_assignment(w_total, sided) != target:
             continue
         gmap = _build_route(param, base_s, base_st, sided, waypoints, (0.02, 0.005, EPS_TORUS))
         if gmap is not None:
-            results.append(gmap)
-    return results
+            yield gmap
 
 
 def random_monotone_graph(param: TorusParametrization, rng) -> GraphMap:
@@ -452,22 +451,24 @@ def check_eye_pair_hypotheses(eye: Lens, eye_t: Lens):
 
 def find_zero_index_eye_map(eye: Lens, eye_t: Lens) -> GraphMap:
     """Faithful (corner-respecting) indexable map with eta = 0, by exhaustive
-    monotone path search through the corner-pair waypoint.  Each eye's chain
-    starts at its corner u; its corner v ends the first arc."""
+    monotone path search through the corner-pair waypoint: the first route
+    whose torus-formula eta is 0.  Each eye's chain starts at its corner u;
+    its corner v ends the first arc."""
     param = check_eye_pair_hypotheses(eye, eye_t)
     cx, cy = float(param.chain._cum[1]), float(param.chain_t._cum[1])
     w_total = _base_windings(param, 0.0, 0.0)
-    routes = _route_search(param, 0.0, 0.0, [(cx, cy)], w_total, target=0)
-    for gmap in routes:
-        report_eta = graph_eta(gmap)
-        if report_eta == 0 and index_via_torus(gmap) == 0:
+    tried = 0
+    for gmap in _route_search(param, 0.0, 0.0, [(cx, cy)], w_total, target=0):
+        tried += 1
+        if index_via_torus(gmap) == 0:
             return gmap
-    raise NoZeroIndexMap(f"no faithful eta=0 map among {len(routes)} candidate routes (M={param.M})")
+    raise NoZeroIndexMap(f"no faithful eta=0 map among {tried} candidate routes (M={param.M})")
 
 
 def graph_eta(gmap: GraphMap) -> int:
     """Directly computed displacement winding of a graph map, refining the
-    sampling while the fixed-point-free certificate fails."""
+    sampling while the fixed-point-free certificate fails: the sampled oracle
+    of index_via_torus."""
     return _refine(lambda d: loop_index(gmap.loop(4096 * d)))
 
 
@@ -485,9 +486,7 @@ def three_point_map(k_obj, kt_obj, zs, zts) -> tuple[GraphMap, int]:
     waypoints = [(xs[1], ys[1]), (xs[2], ys[2])]
     w_total = _base_windings(param, base_s, base_st)
     for target in range(0, w_total + param.M + 1):
-        routes = _route_search(param, base_s, base_st, waypoints, w_total, target)
-        for gmap in routes:
-            eta = graph_eta(gmap)
-            if eta == target and eta >= 0:
-                return gmap, eta
+        for gmap in _route_search(param, base_s, base_st, waypoints, w_total, target):
+            if index_via_torus(gmap) == target:
+                return gmap, target
     raise NoNonnegativeRoute("no nonnegative-index route through the prescriptions")

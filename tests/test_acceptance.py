@@ -43,7 +43,7 @@ from diskrig.torus import (
 
 from conftest import random_monotone_pins
 from test_boundary import NEGIDX_C, NEGIDX_CT, NEGIDX_PINS
-from test_torus import SIX_CROSSING
+from test_torus import SIX_CROSSING, checked_grids
 
 
 def _report(criterion, ok, detail=""):
@@ -81,7 +81,7 @@ def test_criterion_01_circle_index_lemma():
     _report(1, violations == 0, f"{n_done} pairs, {violations} violations")
 
 
-def test_criterion_02_torus_formula():
+def test_criterion_02_torus_formula(checked_grids):
     rng = np.random.default_rng(202)
     done = 0
     violations = 0

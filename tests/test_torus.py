@@ -1,8 +1,11 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskrig.boundary import winding_number
 from diskrig.config import DiskConfiguration, eye_of_pair
@@ -15,8 +18,11 @@ from diskrig.errors import (
     PathThroughTorusPoint,
 )
 from diskrig.geom import Arc, Disk, arc_between
+from diskrig.lemmas import generate_eye_quadruple
 from diskrig.torus import (
     ArcChain,
+    Crossing,
+    GraphMap,
     _base_windings,
     build_parametrization,
     check_eye_pair_hypotheses,
@@ -45,6 +51,54 @@ SIX_CROSSING = [
      (-0.45159448811483377 - 0.11732713568308638j, 1.0465321659108937),
      (0.5751856754995393 + 0.07319354581486569j, 1.3169315009503157)),
 ]
+
+
+def _reference_sample_grid(gmap, n):
+    """GraphMap._sample_grid built as a Python set: the byte oracle of the
+    numpy grid."""
+    pts = set(np.linspace(0.0, 1.0, n, endpoint=False))
+    pts.update(x % 1.0 for x in gmap.xs if 0 <= x < 1)
+    fine = 1.0 / (32 * n)
+    for c in gmap.param.crossings:
+        x = (c.s - gmap.base_s) % 1.0
+        lo = max(0.0, x - 0.01)
+        hi = min(1.0 - 1e-12, x + 0.01)
+        pts.update(np.arange(lo, hi, fine))
+    return np.array(sorted(pts))
+
+
+@pytest.fixture
+def checked_grids(monkeypatch):
+    """Every grid a graph map samples in the test must have the bytes of the
+    reference grid, and the test must sample one."""
+    checked = []
+    sample_grid = GraphMap._sample_grid
+
+    def checked_grid(gmap, n):
+        grid = sample_grid(gmap, n)
+        checked.append(n)
+        assert grid.tobytes() == _reference_sample_grid(gmap, n).tobytes()
+        return grid
+
+    monkeypatch.setattr(GraphMap, "_sample_grid", checked_grid)
+    yield
+    assert checked
+
+
+def _unsampled(monkeypatch, search, *args):
+    """search(*args), asserting that it samples no graph map."""
+    loops = []
+    loop = GraphMap.loop
+
+    def counted_loop(gmap, n=4096):
+        loops.append(n)
+        return loop(gmap, n)
+
+    with monkeypatch.context() as m:
+        m.setattr(GraphMap, "loop", counted_loop)
+        result = search(*args)
+    assert loops == []
+    return result
 
 
 def _eye(ca, ra, cb, rb):
@@ -208,7 +262,7 @@ def test_homotopic_paths_same_eta(rng):
             assert graph_eta(g1) == graph_eta(g2)
 
 
-def test_torus_formula_on_shallow_overlaps():
+def test_torus_formula_on_shallow_overlaps(checked_grids):
     # unit circles overlapping by h: the base point of K~ lies about 1e-6
     # inside K, where 2048 chord samples of the circle read it as outside
     checked = 0
@@ -224,6 +278,36 @@ def test_torus_formula_on_shallow_overlaps():
             assert index_via_torus(g) == direct
             checked += 1
     assert checked >= 8
+
+
+# a crossing offset from the base: anywhere, or close enough to 0 or 1 that
+# its window is clipped
+CROSSING_OFFSETS = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 0.01), st.floats(0.99, 1.0, exclude_max=True))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(0, 4),
+    free=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=6),
+    on_grid=st.lists(st.integers(0, 4095), max_size=4),
+    offsets=st.lists(CROSSING_OFFSETS, max_size=3),
+    near_one=st.lists(st.integers(1, 1000), max_size=2),
+    base_s=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_sample_grid_matches_set_reference(k, free, on_grid, offsets, near_one, base_s):
+    # differential oracle: the numpy grid has the bytes of the set-built one,
+    # with path corners that repeat points of the even steps or of a window,
+    # and with windows whose last step would fall within 1e-12 of 1
+    n = 4096 * 2**k
+    even = np.linspace(0.0, 1.0, n, endpoint=False)
+    fine = 1.0 / (32 * n)
+    offsets += [1.0 - 5e-13 - (32 * n // 100 + j) * fine + 0.01 for j in near_one]
+    crossings = [Crossing("p", (x + base_s) % 1.0, 0.0, 0j) for x in offsets]
+    windows = [(c.s - base_s) % 1.0 for c in crossings]
+    corners = [*free, *(even[j * 2**k] for j in on_grid), *(max(0.0, x - 0.01) + 3 * fine for x in windows)]
+    xs = np.array([0.0, *sorted(corners), 1.0])
+    gmap = GraphMap(SimpleNamespace(crossings=crossings), base_s, 0.0, xs, xs)
+    assert gmap._sample_grid(n).tobytes() == _reference_sample_grid(gmap, n).tobytes()
 
 
 def _sampled_winding(chain, z):
@@ -301,12 +385,30 @@ def test_zero_index_two_crossing(rng):
         done += 1
 
 
-def test_zero_index_six_crossing():
+def test_zero_index_six_crossing(monkeypatch):
     for k in (0, 1, 2):
         E, Et = _six_crossing_eyes(k)
-        g = find_zero_index_eye_map(E, Et)
+        g = _unsampled(monkeypatch, find_zero_index_eye_map, E, Et)
         assert graph_eta(g) == 0
         assert index_via_torus(g) == 0
+
+
+def test_zero_index_eye_quadruples(monkeypatch, rng):
+    # the search reads eta from the torus formula alone; sampling agrees
+    done = 0
+    while done < 20:
+        q = generate_eye_quadruple(rng, mode="rotate" if done % 2 else "free")
+        if q is None:
+            continue
+        E = _eye(q.A.center, q.A.radius, q.B.center, q.B.radius)
+        Et = _eye(q.At.center, q.At.radius, q.Bt.center, q.Bt.radius)
+        try:
+            check_eye_pair_hypotheses(E, Et)
+        except (HypothesesViolated, NotTransverse):
+            continue
+        g = _unsampled(monkeypatch, find_zero_index_eye_map, E, Et)
+        assert graph_eta(g) == 0
+        done += 1
 
 
 def test_zero_index_respects_corners():
@@ -331,26 +433,26 @@ def test_eye_containment_hypothesis_violated():
         check_eye_pair_hypotheses(E, Et)
 
 
-def test_three_point_map_disjoint():
+def test_three_point_map_disjoint(monkeypatch):
     K, Kt = Disk(0j, 1.0), Disk(6 + 0j, 1.0)
     zs = [K.point_at(t) for t in (0.3, 2.0, 4.0)]
     zts = [Kt.point_at(t) for t in (1.0, 2.5, 5.0)]
-    g, eta = three_point_map(K, Kt, zs, zts)
-    assert eta == 0
+    g, eta = _unsampled(monkeypatch, three_point_map, K, Kt, zs, zts)
+    assert eta == 0 == graph_eta(g)
     for z, zt in zip(zs, zts):
         x = (g.param.chain.param_of(z) - g.base_s) % 1.0
         assert abs(g.image_point(x) - zt) < 1e-9
 
 
-def test_three_point_map_nested():
+def test_three_point_map_nested(monkeypatch):
     K, Kt = Disk(0j, 3.0), Disk(0.2 + 0j, 1.0)
     zs = [K.point_at(t) for t in (0.5, 2.5, 4.5)]
     zts = [Kt.point_at(t) for t in (1.0, 3.0, 5.0)]
-    _g, eta = three_point_map(K, Kt, zs, zts)
-    assert eta == 1
+    g, eta = _unsampled(monkeypatch, three_point_map, K, Kt, zs, zts)
+    assert eta == 1 == graph_eta(g)
 
 
-def test_three_point_map_transverse(rng):
+def test_three_point_map_transverse(monkeypatch, rng):
     done = 0
     while done < 30:
         a, b = random_overlapping_pair(rng)
@@ -365,11 +467,12 @@ def test_three_point_map_transverse(rng):
         if any(par.chain.distance(z) < 1e-3 for z in zts):
             continue
         try:
-            g, eta = three_point_map(a, b, zs, zts)
+            g, eta = _unsampled(monkeypatch, three_point_map, a, b, zs, zts)
         except DegenerateInput:
             continue
         assert eta >= 0
         assert eta in (0, 1)
+        assert graph_eta(g) == eta
         done += 1
 
 
