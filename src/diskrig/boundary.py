@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geom
-from .config import DiskConfiguration, contact_graph, eye_of_pair
+from .config import DiskConfiguration, contact_graph, overlap_contact
 from .errors import (
     CoincidentCorner,
     CombinatoricsMismatch,
@@ -443,9 +443,8 @@ class FaithfulMap:
 
     def eye_loop(self, i, j, density: int = 1) -> SampledLoopMap:
         """epsilon_ij: the induced map on the eye boundary of pair {i, j}."""
-        arcs = eye_of_pair(self.config, i, j).boundary_arcs()
-        pair = self.config.contacts()[frozenset((i, j))].pair  # the eye's orientation
-        return self._loops([[(k, arc.a0, arc.da, True, True) for k, arc in zip(pair, arcs)]], density)[0]
+        c = overlap_contact(self.config, i, j)  # the eye, oriented by c.pair
+        return self._loops([[(k, arc.a0, arc.da, True, True) for k, arc in zip(c.pair, c.lens.boundary_arcs())]], density)[0]
 
 
 def _match_curves(cx_src: BoundaryComplex, cx_dst: BoundaryComplex):

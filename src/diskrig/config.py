@@ -21,7 +21,6 @@ from .geom import (
     cyclic_spans,
     disk_relation,
     overlap_cosine,
-    overlaps,
     tangency_point,
 )
 
@@ -49,12 +48,17 @@ class Contact:
     theta: float = field(repr=False, compare=False)
 
     @functools.cached_property
+    def lens(self) -> Lens:
+        """The eye Lens(disk_i, disk_j) of an overlap: one per contact."""
+        return Lens(self.disk_i, self.disk_j)
+
+    @functools.cached_property
     def corners(self) -> tuple:
-        """circle_intersections' (u, v) of an overlap, or the tangency point.
+        """The lens's corners (u, v) of an overlap, or the tangency point.
         Computed once, when first read, not with the table, so that a
         near-tangent overlap whose corners nothing reads does not fail."""
         if self.relation is DiskRelation.OVERLAPPING:
-            return circle_intersections(self.disk_i, self.disk_j)
+            return self.lens.corners
         return (tangency_point(self.disk_i, self.disk_j),)
 
     def named_corners(self):
@@ -201,27 +205,20 @@ def is_thin(config: DiskConfiguration, *, interiors_only: bool = False):
             for k in later[n + 1 :]:
                 if k not in adj[j]:
                     continue
-                if any(
-                    config.disks[third].contains(w)
-                    for pair, third in (((i, j), k), ((i, k), j), ((j, k), i))
-                    for w in contacts[frozenset(pair)].corners
+                sides = [(contacts[frozenset(p)], config.disks[x]) for p, x in (((i, j), k), ((i, k), j), ((j, k), i))]
+                if not any(third.contains(w) for c, third in sides for w in c.corners):
+                    continue
+                # a common interior point: a corner of an overlap, or the
+                # midpoint of its two, strictly inside the third disk
+                if interiors_only and not any(
+                    third.contains(w, strict=True)
+                    for c, third in sides
+                    if c.relation is DiskRelation.OVERLAPPING
+                    for w in (*c.corners, (c.corners[0] + c.corners[1]) / 2)
                 ):
-                    if interiors_only and not _triple_interior_witness(config.disks[i], config.disks[j], config.disks[k]):
-                        continue
-                    return False, (i, j, k)
+                    continue
+                return False, (i, j, k)
     return True, None
-
-
-def _triple_interior_witness(a: Disk, b: Disk, c: Disk) -> bool:
-    for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-        if overlaps(x, y):
-            for p in circle_intersections(x, y):
-                if z.contains(p, strict=True):
-                    return True
-            u, v = circle_intersections(x, y)
-            if z.contains((u + v) / 2, strict=True):
-                return True
-    return False
 
 
 def is_general_position(config: DiskConfiguration, config_tilde: DiskConfiguration):
@@ -262,17 +259,21 @@ def is_general_position(config: DiskConfiguration, config_tilde: DiskConfigurati
 
 def eyes(config: DiskConfiguration) -> dict:
     """The eye of each overlapping pair of the contact table: its pair (i, j),
-    in str order of the labels, -> Lens(disk i, disk j)."""
-    return {c.pair: Lens(c.disk_i, c.disk_j) for c in config.contacts().values() if c.relation is DiskRelation.OVERLAPPING}
+    in str order of the labels, -> its contact's Lens(disk i, disk j)."""
+    return {c.pair: c.lens for c in config.contacts().values() if c.relation is DiskRelation.OVERLAPPING}
 
 
-def eye_of_pair(config: DiskConfiguration, i, j) -> Lens:
-    """The eye of {i, j}, oriented by str order of the labels whichever
-    order they are given in; its corners are computed afresh for each call."""
+def overlap_contact(config: DiskConfiguration, i, j) -> Contact:
+    """The contact of {i, j}, raising NotTransverse unless the pair overlaps."""
     c = config.contacts().get(frozenset((i, j)))
     if c is None or c.relation is not DiskRelation.OVERLAPPING:
         raise NotTransverse(f"pair ({i},{j}) does not overlap")
-    return Lens(c.disk_i, c.disk_j)
+    return c
+
+
+def eye_of_pair(config: DiskConfiguration, i, j) -> Lens:
+    """The eye of {i, j}: its contact's Lens, oriented by str order of the labels."""
+    return overlap_contact(config, i, j).lens
 
 
 # --- triple classification (quasi-quadrant signatures) ------------------------

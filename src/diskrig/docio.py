@@ -47,6 +47,26 @@ def read_document(path) -> ConfigDocument:
     return document_from_obj(raw)
 
 
+def _section(obj, key, kind):
+    """obj[key], which must be a JSON object (kind dict) or list (kind list);
+    empty when absent or null."""
+    value = obj.get(key) or kind()
+    if not isinstance(value, kind):
+        raise SchemaError(f"{key} must be {'an object' if kind is dict else 'a list'}")
+    return value
+
+
+def _triple(entry, what) -> tuple:
+    """The entry, a list of three hashable items, as a tuple."""
+    if not isinstance(entry, list) or len(entry) != 3:
+        raise SchemaError(f"bad {what} {entry}")
+    try:
+        hash(tuple(entry))
+    except TypeError as exc:
+        raise SchemaError(f"bad {what} {entry}") from exc
+    return tuple(entry)
+
+
 def document_from_obj(raw) -> ConfigDocument:
     if not isinstance(raw, dict):
         raise SchemaError("top level must be an object")
@@ -54,9 +74,10 @@ def document_from_obj(raw) -> ConfigDocument:
         raise SchemaError(f"unsupported schema_version {raw.get('schema_version')}")
     doc = ConfigDocument()
     seen = set()
-    for entry in raw.get("disks", []):
+    for entry in _section(raw, "disks", list):
         try:
             i, cx, cy, r = entry["id"], float(entry["cx"]), float(entry["cy"]), float(entry["r"])
+            hash(i)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad disk entry {entry}") from exc
         if i in seen:
@@ -65,21 +86,22 @@ def document_from_obj(raw) -> ConfigDocument:
             raise SchemaError(f"disk {i} needs finite center and positive radius")
         seen.add(i)
         doc.disks.append((i, cx, cy, r))
-    inc = raw.get("incidence") or {}
-    for entry in inc.get("edges", []):
-        if len(entry) != 3:
-            raise SchemaError(f"bad edge entry {entry}")
-        i, j, theta = entry
-        theta = float(theta)
+    inc, tri = _section(raw, "incidence", dict), _section(raw, "triangulation", dict)
+    for entry in _section(inc, "edges", list):
+        i, j, theta = _triple(entry, "edge entry")
+        try:
+            theta = float(theta)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"bad edge entry {entry}") from exc
         if not (0 <= theta < math.pi):
             raise SchemaError(f"theta out of range on edge ({i},{j})")
         doc.edges.append((i, j, theta))
-    tri = raw.get("triangulation") or {}
-    for f in tri.get("faces", []):
-        if len(f) != 3:
-            raise SchemaError(f"bad face {f}")
-        doc.faces.append(tuple(f))
-    doc.boundary_radii = {k: float(v) for k, v in (tri.get("boundary_radii") or {}).items()}
+    for f in _section(tri, "faces", list):
+        doc.faces.append(_triple(f, "face"))
+    try:
+        doc.boundary_radii = {k: float(v) for k, v in _section(tri, "boundary_radii", dict).items()}
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("boundary_radii values must be numbers") from exc
     return doc
 
 

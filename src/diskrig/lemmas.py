@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DiskConfiguration, classify_triple, is_general_position, is_thin
-from .errors import DiskrigError, HypothesisUnmet
+from .config import DiskConfiguration, classify_triple, eye_of_pair, eyes, is_general_position, is_thin
+from .errors import ContainmentViolation, DiskrigError, HypothesisUnmet, NotTransverse
 from .geom import (
     Arc,
     Disk,
@@ -45,18 +45,6 @@ class LemmaInstance:
     lemma_id: str
     disks: dict
     margin: float = math.nan
-
-
-def _no_containment(*disks) -> bool:
-    for i in range(len(disks)):
-        for j in range(i + 1, len(disks)):
-            if disk_relation(disks[i], disks[j]) not in (
-                DiskRelation.DISJOINT,
-                DiskRelation.OVERLAPPING,
-                DiskRelation.EXTERNALLY_TANGENT,
-            ):
-                return False
-    return True
 
 
 # --- four-disk quadrilateral ----------------------------------------------------
@@ -130,16 +118,11 @@ def meat_hypothesis(disks) -> bool:
     dm, dp = disks["dm"], disks["dp"]
     if disk_relation(D, Dt) is not DiskRelation.FIRST_CONTAINS_SECOND:
         return False
-    for d in (dm, dp):
-        for body in (D, Dt):
-            if not overlaps(d, body):
-                return False
-    if not _no_containment(dm, dp):
-        return False
-    if not _no_containment(dm, D) or not _no_containment(dp, D):
+    if not all(overlaps(d, body) for d in (dm, dp) for body in (D, Dt)):
         return False
     try:
-        # labels in str order keep the pairs (dm, dp), (dm, D), (dp, D)
+        # labels in str order keep the pairs (dm, dp), (dm, D), (dp, D); the
+        # configuration refuses dm and dp when one contains the other
         return is_thin(DiskConfiguration(enumerate((dm, dp, D))))[0]
     except DiskrigError:
         return False
@@ -211,12 +194,12 @@ def generate_finlandia(rng, *, shrink=None) -> LemmaInstance:
 
 
 def mogwai_hypothesis(disks) -> bool:
-    A, B, C = disks["A"], disks["B"], disks["C"]
-    if not _no_containment(A, B, C):
+    try:
+        # the configuration refuses a disk that contains another
+        eye = eye_of_pair(DiskConfiguration(enumerate((disks["A"], disks["B"], disks["C"]))), 0, 2)
+    except (ContainmentViolation, NotTransverse):
         return False
-    if not overlaps(A, C):
-        return False
-    return lens_in_disk(Lens(A, C), B)
+    return lens_in_disk(eye, disks["B"])
 
 
 def _mogwai_margin(d) -> float:
@@ -309,9 +292,7 @@ def _triple_code_hypothesis(*codes):
 
     def hypothesis(disks) -> bool:
         dm, dp, D = disks["dm"], disks["dp"], disks["D"]
-        if not (overlaps(dm, dp) and overlaps(dm, D) and overlaps(dp, D)):
-            return False
-        return _no_containment(dm, dp, D) and _triple_code(dm, dp, D) in codes
+        return overlaps(dm, dp) and overlaps(dm, D) and overlaps(dp, D) and _triple_code(dm, dp, D) in codes
 
     return hypothesis
 
@@ -399,9 +380,7 @@ class EyeQuadruple:
 def quadruple_general_position(q: EyeQuadruple) -> bool:
     cfg = DiskConfiguration([("a", q.A), ("b", q.B)])
     cfg_t = DiskConfiguration([("a", q.At), ("b", q.Bt)])
-    if not overlaps(q.A, q.B) or not overlaps(q.At, q.Bt):
-        return False
-    return is_general_position(cfg, cfg_t)[0]
+    return bool(eyes(cfg)) and bool(eyes(cfg_t)) and is_general_position(cfg, cfg_t)[0]
 
 
 def eye_boundary_crossing_pairs(q: EyeQuadruple):

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geom
-from .boundary import SampledLoopMap, _refine, _winding_of_closed, loop_index
+from .boundary import SampledLoopMap, _min_disp, _refine, _winding_of_closed, loop_index
 from .errors import (
     AlternationViolated,
     BasePointOnBoundary,
@@ -234,11 +233,11 @@ def _base_windings(param: TorusParametrization, s: float, s_t: float) -> int:
 
     Each chain is a positively oriented simple closed curve, so its winding
     about a point off it is 1 inside its region and 0 outside.  The guard keeps
-    both points more than 10 EPS_GEOM from the other curve, so the strict
-    membership test (margin EPS_GEOM) reads them exactly.
+    both points more than _min_disp() (10 EPS_GEOM) from the other curve, so
+    the strict membership test (margin EPS_GEOM) reads them exactly.
     """
     u, ut = complex(param.chain.point(s)), complex(param.chain_t.point(s_t))
-    if param.chain_t.distance(u) <= 10 * geom.EPS_GEOM or param.chain.distance(ut) <= 10 * geom.EPS_GEOM:
+    if param.chain_t.distance(u) <= _min_disp() or param.chain.distance(ut) <= _min_disp():
         raise BasePointOnBoundary("base point or its image lies on the other curve")
     return param.region.contains(ut, strict=True) + param.region_t.contains(u, strict=True)
 

@@ -120,10 +120,28 @@ def tangency_flower_pair():
     return cfg, cfg_t
 
 
+def _triple_interior_witness(a: Disk, b: Disk, c: Disk) -> bool:
+    """Whether three disks that share a point share an interior point: a
+    corner of an overlapping pair, or the midpoint of its two, strictly inside
+    the third disk.  Each pair is classified and its corners computed afresh,
+    in the order the triple is given."""
+    from diskrig.geom import circle_intersections, overlaps
+
+    for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+        if overlaps(x, y):
+            for p in circle_intersections(x, y):
+                if z.contains(p, strict=True):
+                    return True
+            u, v = circle_intersections(x, y)
+            if z.contains((u + v) / 2, strict=True):
+                return True
+    return False
+
+
 def _is_thin_reference(config, *, interiors_only=False):
-    """is_thin as it was when every triple with a meeting pair was tested:
-    the oracle for the walk over contact-graph triangles."""
-    from diskrig.config import _triple_interior_witness
+    """is_thin as it was when every triple with a meeting pair was tested, and
+    each triple's interior witness was computed from its disks: the oracle for
+    the walk over contact-graph triangles and the contact table's corners."""
     from diskrig.geom import DiskRelation, disk_relation
 
     def meets(a, b):

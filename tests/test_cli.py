@@ -471,6 +471,28 @@ def test_schema_errors(tmp_path):
     nojson = tmp_path / "no.json"
     nojson.write_text("{nope")
     assert main(["check", str(nojson)]) == 2
+    # each malformed part of a document is a schema error (exit 2), not a
+    # traceback
+    disks = [{"id": 0, "cx": 0, "cy": 0, "r": 1}, {"id": 1, "cx": 1.5, "cy": 0, "r": 1}]
+    for extra in (
+        {"incidence": {"edges": [[0, 1, "abc"]]}},
+        {"incidence": {"edges": [[0, 1, None]]}},
+        {"incidence": {"edges": ["abc"]}},
+        {"incidence": {"edges": [[[0], 1, 0.5]]}},
+        {"incidence": {"edges": {"0": 1}}},
+        {"incidence": [1, 2]},
+        {"triangulation": {"faces": [5]}},
+        {"triangulation": {"faces": [[0, 1, {"a": 2}]]}},
+        {"triangulation": {"boundary_radii": {"0": "abc"}}},
+        {"triangulation": {"boundary_radii": [1.0]}},
+        {"triangulation": "faces"},
+        {"disks": [*disks, {"id": [1], "cx": 3, "cy": 0, "r": 1}]},
+        {"disks": 5},
+    ):
+        path = _write(tmp_path / "malformed.json", {"schema_version": 1, "disks": disks, **extra})
+        with pytest.raises(SchemaError):
+            read_document(path)
+        assert main(["check", path]) == 2
 
 
 def test_seventeen_digit_serialization():

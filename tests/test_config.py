@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -47,13 +48,39 @@ def test_contact_graph_cases():
 
 
 def test_contact_corners_are_computed_once(monkeypatch):
-    from diskrig import config
+    from diskrig.boundary import boundary_complex, build_faithful_map
+    from diskrig.subsumption import subsumptive_subsets
 
-    calls = []
-    monkeypatch.setattr(config, "circle_intersections", lambda a, b: calls.append(1) or circle_intersections(a, b))
+    original = geom.circle_intersections
+    calls = Counter()
+    monkeypatch.setattr(geom, "circle_intersections", lambda a, b: calls.update([frozenset((id(a), id(b)))]) or original(a, b))
     (contact,) = DiskConfiguration([("a", Disk(0j, 1)), ("b", Disk(1 + 0j, 1))]).contacts().values()
-    assert contact.corners == contact.corners == circle_intersections(contact.disk_i, contact.disk_j)
-    assert len(calls) == 1
+    assert contact.corners == contact.corners == original(contact.disk_i, contact.disk_j)
+    assert sum(calls.values()) == 1
+
+    # whichever readers run, each overlapping pair of a table costs one call,
+    # made by its contact's Lens; crossings of a disk of C with one of C~
+    # (the isolation test's) are no pair of a table
+    calls.clear()
+    c = DiskConfiguration([(0, Disk(0j, 1.0)), (1, Disk(1.4 + 0j, 1.0)), (2, Disk(2.8 + 0j, 1.0))])
+    ct = DiskConfiguration([(0, Disk(-0.02 + 0j, 0.8)), (1, Disk(1.45 + 0j, 0.8)), (2, Disk(3.0 + 0j, 1.0))])
+    # three disks with a common interior point, listed against str order
+    tight = DiskConfiguration([(2, Disk(0.5 + math.sqrt(3) / 2 * 1j, 1)), (1, Disk(1 + 0j, 1)), (0, Disk(0j, 1))])
+    fmap = build_faithful_map(c, ct)
+    for cfg in (c, ct, tight):
+        for contact in cfg.contacts().values():
+            pair = contact.pair
+            assert eyes(cfg)[pair] is eye_of_pair(cfg, *pair) is eye_of_pair(cfg, *pair[::-1]) is contact.lens
+            assert contact.corners is contact.lens.corners
+        assert is_thin(cfg, interiors_only=True)[0] is (cfg is not tight)
+    for cfg in (c, ct):
+        boundary_complex(cfg)
+    assert not subsumptive_subsets(c, ct).subsets[0].isolated
+    for pair in eyes(c):
+        fmap.eye_loop(*pair)
+    tables = {frozenset(map(id, (eye.a, eye.b))) for cfg in (c, ct, tight) for eye in eyes(cfg).values()}
+    assert len(tables) == 7
+    assert {k: n for k, n in calls.items() if k in tables} == dict.fromkeys(tables, 1)
 
 
 def test_is_thin_cases():
@@ -81,6 +108,10 @@ def test_is_thin_interiors_only_variant():
     cfg = DiskConfiguration(list(enumerate(disks)))
     assert not is_thin(cfg)[0]
     assert is_thin(cfg, interiors_only=True)[0]
+    # three circles through the same two points: no corner lies strictly
+    # inside the third disk, but the midpoint of a pair's corners does
+    coaxal = DiskConfiguration([(0, Disk(-0.5 + 0j, 1)), (1, Disk(0.5 + 0j, 1)), (2, Disk(0j, math.sqrt(3) / 2))])
+    assert is_thin(coaxal, interiors_only=True) == (False, (0, 1, 2)) == _is_thin_reference(coaxal, interiors_only=True)
 
 
 @pytest.mark.parametrize("interiors_only", [False, True])
