@@ -26,6 +26,7 @@ from .errors import (
     CoincidentCorner,
     CombinatoricsMismatch,
     DegenerateContact,
+    DiskrigError,
     NearFixedPoint,
     PointOnCurve,
 )
@@ -323,27 +324,34 @@ class _NodeTable:
     def __init__(self, config, config_t, nodes):
         nodes = [nodes[v] for v in config.labels]
         self.code = {v: k for k, v in enumerate(config.labels)}
-        self.disks = [config.disks[v] for v in config.labels]
-        self.disks_t = [config_t.disks[v] for v in config.labels]
-        self.circles = circle_arrays(self.disks)
-        self.circles_t = circle_arrays(self.disks_t)
+        self.circles = circle_arrays([config.disks[v] for v in config.labels])
+        self.circles_t = circle_arrays([config_t.disks[v] for v in config.labels])
         sizes = np.array([len(n) for n in nodes], dtype=np.intp)
         self.first = np.cumsum(sizes) - sizes
         self.last = self.first + sizes - 1
         self.unmapped = sizes == 0  # no nodes: the identity in angle
-        # (t0, t1, span, span_t): node angles and the span to the next node,
-        # on the source and the target circle
-        t0 = [np.array([t for t, _t in n], dtype=float) for n in nodes]
-        t1 = [np.array([t for _t, t in n], dtype=float) for n in nodes]
-        spans = [cyclic_spans(t) for t in t0]
-        spans_t = [cyclic_spans(t) for t in t1]
+        # (t0, t1, span, span_t): node angles and the span to the next node
+        # of the vertex, cyclically, on the source and the target circle, in
+        # cyclic_spans' arithmetic
+        t0, t1 = np.array([node for n in nodes for node in n], dtype=float).reshape(-1, 2).T
+        vertex = np.repeat(np.arange(len(nodes)), sizes)
+        node = np.arange(len(t0))
+        after = np.where(node == self.last[vertex], self.first[vertex], node + 1)
+        spans, spans_t = (np.where(s == 0, TWO_PI, s) for s in ((t[after] - t) % TWO_PI for t in (t0, t1)))
         # a vertex map is a homeomorphism when the spans between its nodes go
         # round each circle once; one that folds back goes round more often
-        self.degree_one = [
-            not n or round(sum(s) / TWO_PI) == round(sum(s_t) / TWO_PI) == 1 for n, s, s_t in zip(nodes, spans, spans_t)
-        ]
-        self.arrays = [np.concatenate(column, dtype=float) for column in (t0, t1, spans, spans_t)]
-        self.keys = np.repeat(np.arange(len(nodes)), sizes) + 1j * self.arrays[0]
+        turns = [np.round(np.bincount(vertex, weights=s, minlength=len(nodes)) / TWO_PI) for s in (spans, spans_t)]
+        self.degree_one = self.unmapped | ((turns[0] == 1) & (turns[1] == 1))
+        self.arrays = [t0, t1, spans, spans_t]
+        self.keys = vertex + 1j * t0
+        self._crossings = None
+
+    def crossings(self) -> _CrossingTable:
+        """The map's crossing table under the current EPS_GEOM, built afresh
+        when EPS_GEOM has changed since it was built."""
+        if self._crossings is None or self._crossings.eps != geom.EPS_GEOM:
+            self._crossings = _CrossingTable(self.circles, self.circles_t)
+        return self._crossings
 
     def angles(self, codes, thetas):
         """The target-circle angles that the vertex maps of the codes take
@@ -377,8 +385,8 @@ class SampledLoopMap:
 class ArcLoopMap:
     """A closed curve of a faithful map held as its (vertex, a0, da,
     refine_start, refine_end) arcs and the map's node table.  Reading src or
-    dst samples every loop of the same call at once; loop_index samples only
-    when the crossing count cannot decide."""
+    dst samples every loop of the same call at once; loop_index and
+    index_sums sample only when the crossing count cannot decide."""
 
     def __init__(self, arcs, table, samples, k):
         self.arcs, self.table = arcs, table
@@ -395,9 +403,20 @@ class ArcLoopMap:
 
 @dataclass
 class IndexReport:
+    """eta, each curve's winding, and how they were found: method "exact"
+    when the crossing count decided every curve, "sampled" when they come
+    from certified samples.  min_displacement, the smallest displacement of
+    the certified samples, is sampled for an exact report only when it is
+    first read (sample_min), at the density the certificate first holds."""
+
     eta: int
     per_curve: list
-    min_displacement: float
+    method: str
+    sample_min: object = field(repr=False, compare=False)  # () -> min_displacement
+
+    @functools.cached_property
+    def min_displacement(self) -> float:
+        return self.sample_min()
 
 
 @dataclass
@@ -562,15 +581,114 @@ def loop_index(loop: SampledLoopMap | ArcLoopMap) -> int:
     its exact value when the crossing count decides it; otherwise from the
     loop's samples, certified fixed-point free."""
     if isinstance(loop, ArcLoopMap):
-        eta = _exact_index(loop.arcs, loop.table)
+        (eta,) = _exact_windings([loop])
         if eta is not None:
             return eta
     return _certify([loop])[0][0]
 
 
-def _exact_index(arcs, table: _NodeTable) -> int | None:
-    """The displacement winding of a closed arc list of a faithful map, by
-    the torus formula, or None when the count cannot decide it.
+def index_sums(makes) -> list:
+    """For each make(density), which builds loops of one faithful map at a
+    sampling density, the sum of the loops' displacement windings: exact for
+    each loop the crossing count decides, the others sampled and certified
+    at the first density whose certificate holds for all of them.  One
+    crossing count takes the loops of every make; the makes that need
+    sampling then sample in turn.  Errors come in the order of summing
+    loop_index over each make in turn: a make that cannot build its loops
+    raises after the sums of the makes before it."""
+    built = []
+    for make in makes:
+        try:
+            built.append(make(1))
+        except DiskrigError:
+            index_sums(makes[: len(built)])  # the sums before it may raise first
+            raise
+    exact = iter(_exact_windings([loop for loops in built for loop in loops]))
+    sums = []
+    for make, loops in zip(makes, built):
+        windings = [next(exact) for _ in loops]
+        total = sum(w for w in windings if w is not None)
+        if None in windings:
+            total += _refine(lambda d: sum(_certify([l for l, w in zip(make(d), windings) if w is None])[0]))
+        sums.append(total)
+    return sums
+
+
+# --- the exact index: the torus formula over one crossing table per map ----------
+
+APART, CROSSING, REFUSED = 0, 1, 2
+IOTA = np.array([1, -1])  # the sign of a pair's crossings u and v
+
+
+def _classify_circle_pairs(v, w, circles, circles_t):
+    """(kind, angles of the crossings on the source circle, on the image
+    circle) of source circle v against image circle w, for arrays of vertex
+    codes, in one numpy pass: REFUSED where circles_tangent holds (tangent
+    or equal circles) or where circle_intersections calls the crossings
+    near-tangent, APART where disk_relation reads disjoint or nested disks,
+    CROSSING otherwise.  A CROSSING row holds circle_intersections' u (where
+    the source circle enters the image disk, iota = +1), then v (iota = -1);
+    other rows hold zeros."""
+    eps = geom.EPS_GEOM
+    c, r, c_t, r_t = circles[0][v], circles[1][v], circles_t[0][w], circles_t[1][w]
+    d = np.abs(c - c_t)
+    tangent = (np.abs(d - (r + r_t)) <= eps) | (np.abs(d - np.abs(r - r_t)) <= eps)
+    kind = np.where(tangent, REFUSED, np.where((d <= r + r_t) & (d >= np.abs(r - r_t)), CROSSING, APART))
+    k = np.flatnonzero(kind == CROSSING)
+    c, r, c_t, r_t, d = c[k], r[k], c_t[k], r_t[k], d[k]
+    along = (r**2 - r_t**2 + d * d) / (2 * d)
+    h2 = r**2 - along**2
+    near = h2 <= (eps * np.maximum(r, 1.0)) ** 2
+    kind[k[near]] = REFUSED
+    k, c, c_t, d, along, h = (x[~near] for x in (k, c, c_t, d, along, np.sqrt(np.maximum(h2, 0.0))))
+    axis = (c_t - c) / d
+    mid = c + along * axis
+    p, q = mid + 1j * axis * h, mid - 1j * axis * h
+    enters = (np.conj(1j * (p - c)) * (c_t - p)).real > 0
+    z = np.where(enters[:, None], np.stack([p, q], axis=1), np.stack([q, p], axis=1))
+    theta, theta_t = np.zeros((len(v), 2)), np.zeros((len(v), 2))
+    theta[k], theta_t[k] = np.angle(z - c[:, None]), np.angle(z - c_t[:, None])
+    return kind, theta, theta_t
+
+
+class _CrossingTable:
+    """Source circle v against image circle w of a faithful map, for every
+    pair of vertex codes (v, w) that a loop has asked for, classified once
+    under the EPS_GEOM it was built with (_classify_circle_pairs); a map
+    whose n * n pairs number at most PASS_SAMPLES classifies them all when
+    first asked.  Rows are sorted by key v * n + w; columns are kind, theta
+    and theta_t."""
+
+    def __init__(self, circles, circles_t):
+        self.eps = geom.EPS_GEOM
+        self.circles, self.circles_t = circles, circles_t
+        self.n = len(circles[1])
+        self.keys = np.empty(0, dtype=np.intp)
+        self.columns = ()
+
+    def rows(self, keys):
+        """The rows of the pairs of keys v * n + w, classifying those the
+        table lacks."""
+        pos = np.searchsorted(self.keys, keys)
+        new = keys[self.keys.take(pos, mode="clip") != keys] if len(self.keys) else keys
+        if len(new):
+            new = np.unique(new) if self.n**2 > PASS_SAMPLES else np.arange(self.n**2)
+            added = _classify_circle_pairs(new // self.n, new % self.n, self.circles, self.circles_t)
+            if len(self.keys):
+                order = np.argsort(np.concatenate([self.keys, new]), kind="stable")
+                self.keys = np.concatenate([self.keys, new])[order]
+                self.columns = tuple(np.concatenate([old, add])[order] for old, add in zip(self.columns, added))
+            else:
+                self.keys, self.columns = new, added
+            pos = np.searchsorted(self.keys, keys)
+        return pos
+
+
+def _exact_windings(loops) -> list:
+    """The displacement winding of each loop of one faithful map, by the
+    torus formula, or None where the count cannot decide it.  Runs of
+    consecutive loops holding at most PASS_SAMPLES (source, image) arc
+    pairs together are counted in one numpy pass each.
 
     The image of arc k lies on the target circle of its vertex v, from
     phi_v(a0) over phi_v(a0 + da) - phi_v(a0) mod 2 pi (2 pi for a full
@@ -580,114 +698,94 @@ def _exact_index(arcs, table: _NodeTable) -> int | None:
     image, eta = w(gamma, u~) + w(gamma~, u) - the sum of iota(z) =
     -sign Im(conj(z - c)(z - c~)) over the crossings z of the two curves
     whose image position lies below the graph at their source position:
-    index_via_torus's eta_down.  Undecided: a vertex map that is not
-    monotone of degree one, an arc no longer than 10 EPS_GEOM, a source
-    circle tangent to or equal to an image circle, a crossing within
+    index_via_torus's eta_down.  The crossings are those of each source
+    circle of the loop with each of its image circles, read from the map's
+    crossing table.  Undecided: a vertex map that is not monotone of degree
+    one, an arc no longer than 10 EPS_GEOM, a source circle tangent to or
+    equal to an image circle, or crossing it near-tangent, a crossing within
     10 EPS_GEOM of an arc end or of the graph, and a base point within
     10 EPS_GEOM of the other curve."""
-    tol = _min_disp()
-    codes = [table.code[arc[0]] for arc in arcs]
-    if not all(table.degree_one[c] for c in codes):
-        return None
-    n = len(arcs)
-    a0 = [arc[1] for arc in arcs]
-    ends = table.angles(np.array(codes * 2), np.array(a0 + [arc[1] + arc[2] for arc in arcs])).tolist()
-    src = [_arc(table.disks[c], arc[1], arc[2]) for c, arc in zip(codes, arcs)]
-    dst = [
-        _arc(table.disks_t[c], b0, TWO_PI if arc[2] == TWO_PI else (b1 - b0) % TWO_PI)
-        for c, arc, b0, b1 in zip(codes, arcs, ends[:n], ends[n:])
-    ]
-    if any(disk.radius * span <= tol for disk, _a, span, *_ends in src + dst):
-        return None
-    u, ut = src[0][3], dst[0][3]
-    if _curve_distance(dst, u) <= tol or _curve_distance(src, ut) <= tol:
-        return None
-    eta = _arcs_winding(src, ut) + _arcs_winding(dst, u)
-    on_circle = {}
-    for k, c in enumerate(codes):
-        on_circle.setdefault(c, []).append(k)
-    same_arc = []  # (arc, source offset, image offset, iota) of crossings on one arc of both curves
-    for v, src_arcs in on_circle.items():
-        for w, dst_arcs in on_circle.items():
-            disk, disk_t = table.disks[v], table.disks_t[w]
-            if geom.circles_tangent(disk, disk_t):
-                return None
-            if geom.disk_relation(disk, disk_t) is not geom.DiskRelation.OVERLAPPING:
-                continue
-            # circle_intersections' u is where the source circle enters the
-            # image disk: iota = +1; at its v, iota = -1
-            for z, iota in zip(geom.circle_intersections(disk, disk_t), (1, -1)):
-                at_src, at_dst = _arc_offsets_of(src, src_arcs, z, tol), _arc_offsets_of(dst, dst_arcs, z, tol)
-                if at_src is None or at_dst is None:
-                    return None
-                for k, t in at_src:
-                    for m, s in at_dst:
-                        if m < k:
-                            eta -= iota
-                        elif m == k:
-                            same_arc.append((k, t, s, iota))
-    if same_arc:
-        ks, ts, ss, iotas = zip(*same_arc)
-        graph = table.angles(np.array([codes[k] for k in ks]), np.array([a0[k] + t for k, t in zip(ks, ts)])).tolist()
-        for k, s, g, iota in zip(ks, ss, graph, iotas):
-            g = (g - ends[k]) % TWO_PI
-            if dst[k][0].radius * abs(s - g) <= tol:
-                return None
-            if s < g:
-                eta -= iota
-    return eta
-
-
-def _arc(disk, a0, span):
-    """(disk, start angle, span, start point, end point) of a CCW arc."""
-    c, r, a1 = disk.center, disk.radius, a0 + span
-    return disk, a0, span, c + r * complex(math.cos(a0), math.sin(a0)), c + r * complex(math.cos(a1), math.sin(a1))
-
-
-def _phase(z: complex) -> float:
-    return math.atan2(z.imag, z.real)
-
-
-def _arc_offsets_of(arcs, ks, z, tol):
-    """(k, offset of z from the start of arc k) for each arc k among ks that
-    holds the point z of their circle, or None when z lies within tol of an
-    end of any of them."""
-    out = []
-    for k in ks:
-        disk, a0, span, *_ends = arcs[k]
-        t = (_phase(z - disk.center) - a0) % TWO_PI
-        to_end = abs(t - span)
-        if disk.radius * min(t, TWO_PI - t, to_end, TWO_PI - to_end) <= tol:
-            return None
-        if t < span:
-            out.append((k, t))
+    if not loops:
+        return []
+    out, lo = [], 0
+    for hi in _pass_ends([len(loop.arcs) ** 2 for loop in loops]):
+        out += _count_windings([loop.arcs for loop in loops[lo:hi]], loops[lo].table)
+        lo = hi
     return out
 
 
-def _curve_distance(arcs, p) -> float:
-    """Distance from p to a curve of _arc arcs."""
-    best = math.inf
-    for disk, a0, span, start, end in arcs:
-        if (_phase(p - disk.center) - a0) % TWO_PI <= span:
-            best = min(best, abs(abs(p - disk.center) - disk.radius))
-        best = min(best, abs(p - start), abs(p - end))
-    return best
+def _count_windings(curves, table: _NodeTable) -> list:
+    """_exact_windings of the closed arc lists of one run, in one pass."""
+    tol, n = _min_disp(), len(table.code)
+    arcs = [arc for arcs in curves for arc in arcs]
+    n_loops, n_arcs = len(curves), len(arcs)
+    sizes = np.array([len(arcs) for arcs in curves], dtype=np.intp)
+    loop = np.repeat(np.arange(n_loops), sizes)
+    first = np.cumsum(sizes) - sizes
+    code = np.fromiter((table.code[arc[0]] for arc in arcs), np.intp, n_arcs)
+    a0 = np.fromiter((arc[1] for arc in arcs), float, n_arcs)
+    da = np.fromiter((arc[2] for arc in arcs), float, n_arcs)
+    # every source arc k of a loop against every image arc m of it
+    reps = sizes[loop]
+    k = np.repeat(np.arange(n_arcs), reps)
+    m = np.arange(len(k)) - np.repeat(np.cumsum(reps) - reps - first[loop], reps)
+    crossings = table.crossings()
+    idx = crossings.rows(code[k] * n + code[m])
+    kind, theta, theta_t = crossings.columns
+    refused = np.bincount(loop[k[kind[idx] == REFUSED]], minlength=n_loops) > 0
+    refused |= np.bincount(loop[~table.degree_one[code]], minlength=n_loops) > 0
+    # the crossings of the circles of each crossing pair: u, then v
+    pick = np.flatnonzero(kind[idx] == CROSSING)
+    k, m, idx = np.repeat(k[pick], 2), np.repeat(m[pick], 2), idx[pick]
+    theta, theta_t, iota = theta[idx].ravel(), theta_t[idx].ravel(), np.tile(IOTA, len(idx))
+    t = (theta - a0[k]) % TWO_PI  # offset on the source arc
+    own = np.flatnonzero((k == m) & (t < da[k]))  # on the source arc of its own image arc
+    # the vertex maps at the arcs' starts and ends, and at the crossings on
+    # an arc of both curves: where the graph lies
+    b0, b1, graph = np.split(
+        table.angles(np.concatenate([code, code, code[k[own]]]), np.concatenate([a0, a0 + da, a0[k[own]] + t[own]])),
+        [n_arcs, 2 * n_arcs],
+    )
+    span_t = np.where(da == TWO_PI, TWO_PI, (b1 - b0) % TWO_PI)
+    s = (theta_t - b0[m]) % TWO_PI  # offset on the image arc
+    # the source arcs, then their images: circle, start angle, span
+    center = np.concatenate([table.circles[0][code], table.circles_t[0][code]])
+    radius = np.concatenate([table.circles[1][code], table.circles_t[1][code]])
+    t0, span = np.concatenate([a0, b0]), np.concatenate([da, span_t])
+    side_loop = np.concatenate([loop, loop + n_loops])
+    # a crossing within tol of an end of either arc; an arc no longer than tol
+    near = _near_end(t, radius[k], da[k], tol) | _near_end(s, radius[n_arcs + m], span_t[m], tol)
+    refused[loop[k[near]]] = True
+    refused[side_loop[radius * span <= tol] % n_loops] = True
+    # each curve against the other curve's base point, the start of its first
+    # arc: their distance, and the base winding, which each arc turns by the
+    # angle between its ends, in [0, 2 pi) about a point inside its circle
+    start, end = center + radius * np.exp(1j * t0), center + radius * np.exp(1j * (t0 + span))
+    base = np.concatenate([start[n_arcs + first][loop], start[first][loop]])
+    rel = base - center
+    gap = np.minimum(np.abs(base - start), np.abs(base - end))
+    gap = np.where((np.angle(rel) - t0) % TWO_PI <= span, np.minimum(gap, np.abs(np.abs(rel) - radius)), gap)
+    refused[side_loop[gap <= tol] % n_loops] = True
+    inside = np.abs(rel) < radius
+    turn = np.angle((end - base) * np.conj(start - base))
+    turn = np.where(span == TWO_PI, np.where(inside, TWO_PI, 0.0), np.where(inside & (turn < 0), turn + TWO_PI, turn))
+    eta = np.round(np.bincount(side_loop, weights=turn, minlength=2 * n_loops) / TWO_PI).reshape(2, n_loops).sum(axis=0)
+    # a crossing on both arcs counts when its image arc comes before its
+    # source arc, or is the same arc with the image offset below the graph,
+    # which it may not come within tol of
+    held = (t < da[k]) & (s < span_t[m])
+    below = held & (m < k)
+    graph = (graph - b0[k[own]]) % TWO_PI
+    below[own] = held[own] & (s[own] < graph)
+    refused[loop[k[own[held[own] & (radius[n_arcs + k[own]] * np.abs(s[own] - graph) <= tol)]]]] = True
+    eta -= np.bincount(loop[k], weights=iota * below, minlength=n_loops)
+    return [None if r else int(e) for r, e in zip(refused.tolist(), eta.tolist())]
 
 
-def _arcs_winding(arcs, p) -> int:
-    """Winding number of a closed curve of CCW _arc arcs about a point off
-    it: each arc turns the direction from p by the angle between its ends,
-    taken in [0, 2 pi) when p lies inside its circle (where that direction
-    turns monotonically) and in (-pi, pi] outside it."""
-    total = 0.0
-    for disk, _a0, span, start, end in arcs:
-        inside = abs(p - disk.center) < disk.radius
-        if span == TWO_PI:
-            total += TWO_PI if inside else 0.0
-            continue
-        turn = _phase((end - p) / (start - p))
-        total += turn + TWO_PI if inside and turn < 0 else turn
-    return round(total / TWO_PI)
+def _near_end(offset, radius, span, tol):
+    """Whether each offset on an arc lies within tol of one of its ends."""
+    to_end = np.abs(offset - span)
+    return radius * np.minimum(np.minimum(offset, TWO_PI - offset), np.minimum(to_end, TWO_PI - to_end)) <= tol
 
 
 def _successor(x, starts, last, out=None):
@@ -756,17 +854,33 @@ def _certify(loops):
 
 
 def fixed_point_index(fmap: FaithfulMap) -> IndexReport:
-    """Per-curve displacement winding and the multiply-connected sum, refining
-    the sampling on NearFixedPoint up to the densest grid.  The report is kept
-    on the map and returned again while EPS_GEOM is unchanged."""
+    """Per-curve displacement winding and the multiply-connected sum: exact
+    when the crossing count decides every curve, otherwise sampled and
+    certified, refining the sampling on NearFixedPoint up to the densest
+    grid.  The report is kept on the map and returned again while EPS_GEOM
+    is unchanged."""
     eps = geom.EPS_GEOM
     if fmap._index is not None and fmap._index[0] == eps:
         return fmap._index[1]
+    per_curve = _exact_windings(fmap.loops())
+    if None in per_curve:
 
-    def index_at(density):
-        per_curve, min_disp = _certify(fmap.loops(density))
-        return IndexReport(int(sum(per_curve)), per_curve, min_disp)
+        def index_at(density):
+            per_curve, min_disp = _certify(fmap.loops(density))
+            return IndexReport(int(sum(per_curve)), per_curve, "sampled", lambda: min_disp)
 
-    report = _refine(index_at)
+        report = _refine(index_at)
+    else:
+        report = IndexReport(sum(per_curve), per_curve, "exact", functools.partial(_sampled_min_displacement, fmap, eps))
     fmap._index = (eps, report)
     return report
+
+
+def _sampled_min_displacement(fmap: FaithfulMap, eps: float) -> float:
+    """The smallest displacement of the map's samples at the first density
+    whose certificate holds, under the tolerance eps of its report."""
+    saved, geom.EPS_GEOM = geom.EPS_GEOM, eps
+    try:
+        return _refine(lambda density: _certify(fmap.loops(density))[1])
+    finally:
+        geom.EPS_GEOM = saved

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .boundary import FaithfulMap, _refine, build_faithful_map, fixed_point_index, loop_index
+from .boundary import FaithfulMap, build_faithful_map, fixed_point_index, index_sums
 from .config import DiskConfiguration, contact_graph, is_general_position, is_thin
 from .errors import CoincidentCorner, CombinatoricsMismatch, NearFixedPoint
 from .geom import Disk, DiskRelation, center_distance
@@ -145,7 +145,10 @@ def resolve_pair(rng, n_petals=None):
 
 def generate_experiment_pair(rng):
     """One valid (thin, general position, shared incidence) pair with its
-    faithful map, retrying degenerate draws."""
+    faithful map, retrying degenerate draws: a pair whose map has coincident
+    corners or other combinatorics, or whose eta the crossing count leaves
+    undecided and sampling cannot certify (NearFixedPoint).  A map whose eta
+    the count decides is kept, certifiable by sampling or not."""
     for _ in range(60):
         mode = int(rng.integers(4))
         try:
@@ -177,13 +180,14 @@ def generate_experiment_pair(rng):
 def obs_a_identity(fmap: FaithfulMap):
     """eta(phi) vs sum eta(delta_i) - sum eta(eps_ij); returns (lhs, rhs)."""
     lhs = fixed_point_index(fmap).eta
-    rhs = 0
-    for v in fmap.config.labels:
-        rhs += _refine(lambda d, v=v: loop_index(fmap.disk_loop(v, d)))
-    for c in fmap.config.contacts().values():
-        if c.relation is DiskRelation.OVERLAPPING:
-            rhs -= _refine(lambda d, c=c: loop_index(fmap.eye_loop(*c.pair, d)))
-    return lhs, rhs
+    disks = [lambda d, v=v: [fmap.disk_loop(v, d)] for v in fmap.config.labels]
+    eyes = [
+        lambda d, c=c: [fmap.eye_loop(*c.pair, d)]
+        for c in fmap.config.contacts().values()
+        if c.relation is DiskRelation.OVERLAPPING
+    ]
+    sums = index_sums(disks + eyes)
+    return lhs, sum(sums[: len(disks)]) - sum(sums[len(disks):])
 
 
 def main_b_identity(fmap: FaithfulMap, subset):
@@ -194,12 +198,13 @@ def main_b_identity(fmap: FaithfulMap, subset):
     if not I or not J:
         raise ValueError("bipartition parts must be non-empty")
     lhs = fixed_point_index(fmap).eta
-    rhs = sum(_refine(lambda d, part=part: sum(loop_index(l) for l in fmap.subset_loops(part, d))) for part in (I, J))
-    for c in fmap.config.contacts().values():
-        i, j = c.pair
-        if c.relation is DiskRelation.OVERLAPPING and (i in I) != (j in I):
-            rhs -= _refine(lambda d, i=i, j=j: loop_index(fmap.eye_loop(i, j, d)))
-    return lhs, rhs
+    eyes = [
+        lambda d, i=i, j=j: [fmap.eye_loop(i, j, d)]
+        for i, j in (c.pair for c in fmap.config.contacts().values() if c.relation is DiskRelation.OVERLAPPING)
+        if (i in I) != (j in I)
+    ]
+    sums = index_sums([lambda d: fmap.subset_loops(I, d), lambda d: fmap.subset_loops(J, d)] + eyes)
+    return lhs, sums[0] + sums[1] - sum(sums[2:])
 
 
 def run_main_theorem_trial(rng):
@@ -208,9 +213,11 @@ def run_main_theorem_trial(rng):
     The theorem quantifies over every faithful indexable map, so beyond the
     canonical arc-proportional map the bound is also checked on one randomly
     reparametrized faithful variant; the main-B identity is checked on two
-    random bipartitions.  Pairs whose induced disk or eye maps
-    cannot be certified fixed-point-free even at the densest sampling are
-    redrawn.
+    random bipartitions.  Each eta, of a map or of its disk, eye and
+    sub-union loops, is counted from the crossings of the two curves, which
+    samples nothing; only a loop the count leaves undecided is sampled.  A
+    pair is redrawn when such a loop cannot be certified fixed-point-free
+    even at the densest sampling.
     """
     for _ in range(8):
         try:

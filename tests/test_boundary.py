@@ -1,6 +1,9 @@
 import collections
+import functools
 import itertools
+import json
 import math
+import os
 import weakref
 
 import numpy as np
@@ -18,8 +21,9 @@ from diskrig.boundary import (
     SampledLoopMap,
     _arcs_offsets,
     _certify,
-    _exact_index,
+    _exact_windings,
     _grid_counts,
+    _min_disp,
     _refine,
     _sample_curves,
     _winding_of_closed,
@@ -31,11 +35,13 @@ from diskrig.boundary import (
 )
 from diskrig import geom
 from diskrig.config import DiskConfiguration, eye_of_pair
+from diskrig.docio import read_document
 from diskrig.errors import (
     CoincidentCorner,
     CombinatoricsMismatch,
     DiskrigError,
     NearFixedPoint,
+    NotTransverse,
     PointOnCurve,
 )
 from diskrig.geom import Disk, DiskRelation, circle_intersections, cyclic_spans, disk_relation, tangency_point
@@ -648,32 +654,217 @@ def test_refine_frees_failed_loops_before_next_density():
 # --- the index report kept on the map ----------------------------------------------
 
 
-def test_fixed_point_index_samples_each_map_once(monkeypatch):
-    from diskrig import boundary, experiments, geom
-
-    calls = []
-    loops = boundary.FaithfulMap.loops
-    monkeypatch.setattr(boundary.FaithfulMap, "loops", lambda self, density=1: calls.append(density) or loops(self, density))
+def _ring_map():
     items = [(k, Disk(2 * np.exp(2j * math.pi * k / 6), 1.2)) for k in range(6)]
     c = DiskConfiguration(items)
-    fmap = build_faithful_map(c, c.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d)))
-    rep = fixed_point_index(fmap)
-    sampled = len(calls)
-    assert sampled >= 1
+    return build_faithful_map(c, c.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d)))
+
+
+def test_fixed_point_index_samples_each_map_once(monkeypatch):
+    # a map the crossing count decides is indexed, and its identities checked,
+    # without sampling; reading min_displacement samples it once, at the
+    # density and with the value of the loop-by-loop certificate, under the
+    # tolerance of its report; a changed tolerance makes a new report and a
+    # new crossing table
+    from diskrig import boundary, experiments, geom
+
+    want = _refine(lambda density: _reference_certify(_ring_map().loops(density)))
+    calls = []  # (density, EPS_GEOM) of each sampling
+    sample = boundary._sample_curves
+    monkeypatch.setattr(boundary, "_sample_curves", lambda *args: calls.append((args[1], geom.EPS_GEOM)) or sample(*args))
+    fmap, other = _ring_map(), _ring_map()
+    rep, rep_other = fixed_point_index(fmap), fixed_point_index(other)
+    assert rep.method == "exact" and calls == []
     assert fixed_point_index(fmap) is rep
     lhs_a, rhs_a = experiments.obs_a_identity(fmap)
     lhs_b, rhs_b = experiments.main_b_identity(fmap, {0, 1, 2})
     assert lhs_a == rhs_a == lhs_b == rhs_b == rep.eta
-    assert len(calls) == sampled
-    # a changed tolerance samples afresh
+    assert calls == []
+    min_disp = rep.min_displacement
+    assert calls == [(1, 1e-9)]
+    assert rep.min_displacement == min_disp and len(calls) == 1
+    assert (rep.per_curve, min_disp) == want
+    assert fixed_point_index(fmap) is rep
+    table = fmap._table.crossings()
     monkeypatch.setattr(geom, "EPS_GEOM", 2e-9)
     again = fixed_point_index(fmap)
-    assert len(calls) == 2 * sampled
-    assert again is not rep and again.eta == rep.eta
+    assert again is not rep and (again.eta, again.per_curve, again.method) == (rep.eta, rep.per_curve, "exact")
+    assert fmap._table.crossings() is not table
     assert fixed_point_index(fmap) is again
+    assert again.min_displacement == min_disp and calls[1:] == [(1, 2e-9)]
+    # a report read after the tolerance changed samples under its own
+    assert rep_other.min_displacement == min_disp and calls[2:] == [(1, 1e-9)]
+    assert geom.EPS_GEOM == 2e-9
+
+
+def test_index_report_method_exact():
+    # every curve decided by the crossing count
+    fmap = _ring_map()
+    report = fixed_point_index(fmap)
+    assert report.method == "exact"
+    assert report.per_curve == _exact_windings(fmap.loops()) and report.eta == sum(report.per_curve)
+
+
+def test_index_report_method_sampled(monkeypatch):
+    # a vertex map that folds leaves the count undecided, and the sampled
+    # certificate gives the whole report, min_displacement included
+    from diskrig import boundary
+
+    folded = _folded_map()
+    report = fixed_point_index(folded)
+    assert report.method == "sampled"
+    per_curve, min_disp = _refine(lambda density: _certify(folded.loops(density)))
+    assert (report.eta, report.per_curve) == (sum(per_curve), per_curve)
+    monkeypatch.setattr(boundary, "_sample_curves", lambda *args: pytest.fail("sampled again"))
+    assert report.min_displacement == min_disp
+
+
+def test_main_theorem_trials_refine_nothing_the_count_decides(monkeypatch):
+    # every map of these trials, canonical and variant, and every identity
+    # loop is decided by the crossing count, so no density is ever refined
+    from diskrig import boundary
+    from diskrig.experiments import run_main_theorem_trial
+
+    refined = []
+    refine = boundary._refine
+    monkeypatch.setattr(boundary, "_refine", lambda index_at: refined.append(index_at) or refine(index_at))
+    records = [run_main_theorem_trial(np.random.default_rng(seed)) for seed in range(6)]
+    assert refined == []
+    assert all(r["theorem_ok"] and r["obs_a_ok"] and r["main_b_ok"] for r in records)
+    # the same loops, certified by sampling, do refine
+    c, ct = records[0]["pair"]
+    fmap = build_faithful_map(c, ct)
+    assert fixed_point_index(fmap).min_displacement > 0
+    assert len(refined) == 1
 
 
 # --- the exact index of a faithful map's loops, against sampling ----------------------
+
+
+def _exact_index(arcs, table) -> int | None:
+    """The torus formula of one closed arc list as the scalar code computed
+    it, pair by pair of circles: the oracle of the crossing-table engine.
+
+    The image of arc k lies on the target circle of its vertex v, from
+    phi_v(a0) over phi_v(a0 + da) - phi_v(a0) mod 2 pi (2 pi for a full
+    circle).  A position on either curve is (arc, offset), ordered by arc and
+    then offset, and the map is the monotone graph offset -> phi_v(a0 +
+    offset) - phi_v(a0) within each arc.  With u the start of arc 0 and u~ its
+    image, eta = w(gamma, u~) + w(gamma~, u) - the sum of iota(z) over the
+    crossings z of the two curves whose image position lies below the graph
+    at their source position.  None where the count cannot decide; a
+    near-tangent crossing raises NotTransverse out of circle_intersections."""
+    tol = _min_disp()
+    disks, disks_t = _disks_of(table)
+    codes = [table.code[arc[0]] for arc in arcs]
+    if not all(table.degree_one[c] for c in codes):
+        return None
+    n = len(arcs)
+    a0 = [arc[1] for arc in arcs]
+    ends = table.angles(np.array(codes * 2), np.array(a0 + [arc[1] + arc[2] for arc in arcs])).tolist()
+    src = [_arc(disks[c], arc[1], arc[2]) for c, arc in zip(codes, arcs)]
+    dst = [
+        _arc(disks_t[c], b0, 2 * math.pi if arc[2] == 2 * math.pi else (b1 - b0) % (2 * math.pi))
+        for c, arc, b0, b1 in zip(codes, arcs, ends[:n], ends[n:])
+    ]
+    if any(disk.radius * span <= tol for disk, _a, span, *_ends in src + dst):
+        return None
+    u, ut = src[0][3], dst[0][3]
+    if _curve_distance(dst, u) <= tol or _curve_distance(src, ut) <= tol:
+        return None
+    eta = _arcs_winding(src, ut) + _arcs_winding(dst, u)
+    on_circle = {}
+    for k, c in enumerate(codes):
+        on_circle.setdefault(c, []).append(k)
+    same_arc = []  # (arc, source offset, image offset, iota) of crossings on one arc of both curves
+    for v, src_arcs in on_circle.items():
+        for w, dst_arcs in on_circle.items():
+            disk, disk_t = disks[v], disks_t[w]
+            if geom.circles_tangent(disk, disk_t):
+                return None
+            if geom.disk_relation(disk, disk_t) is not DiskRelation.OVERLAPPING:
+                continue
+            # circle_intersections' u is where the source circle enters the
+            # image disk: iota = +1; at its v, iota = -1
+            for z, iota in zip(geom.circle_intersections(disk, disk_t), (1, -1)):
+                at_src, at_dst = _arc_offsets_of(src, src_arcs, z, tol), _arc_offsets_of(dst, dst_arcs, z, tol)
+                if at_src is None or at_dst is None:
+                    return None
+                for k, t in at_src:
+                    for m, s in at_dst:
+                        if m < k:
+                            eta -= iota
+                        elif m == k:
+                            same_arc.append((k, t, s, iota))
+    if same_arc:
+        ks, ts, ss, iotas = zip(*same_arc)
+        graph = table.angles(np.array([codes[k] for k in ks]), np.array([a0[k] + t for k, t in zip(ks, ts)])).tolist()
+        for k, s, g, iota in zip(ks, ss, graph, iotas):
+            g = (g - ends[k]) % (2 * math.pi)
+            if dst[k][0].radius * abs(s - g) <= tol:
+                return None
+            if s < g:
+                eta -= iota
+    return eta
+
+
+@functools.lru_cache(maxsize=16)
+def _disks_of(table):
+    """The source and the image disks of a node table, by vertex code."""
+    return tuple([Disk(complex(c), float(r)) for c, r in zip(*circles)] for circles in (table.circles, table.circles_t))
+
+
+def _arc(disk, a0, span):
+    """(disk, start angle, span, start point, end point) of a CCW arc."""
+    c, r, a1 = disk.center, disk.radius, a0 + span
+    return disk, a0, span, c + r * complex(math.cos(a0), math.sin(a0)), c + r * complex(math.cos(a1), math.sin(a1))
+
+
+def _phase(z: complex) -> float:
+    return math.atan2(z.imag, z.real)
+
+
+def _arc_offsets_of(arcs, ks, z, tol):
+    """(k, offset of z from the start of arc k) for each arc k among ks that
+    holds the point z of their circle, or None when z lies within tol of an
+    end of any of them."""
+    out = []
+    for k in ks:
+        disk, a0, span, *_ends = arcs[k]
+        t = (_phase(z - disk.center) - a0) % (2 * math.pi)
+        to_end = abs(t - span)
+        if disk.radius * min(t, 2 * math.pi - t, to_end, 2 * math.pi - to_end) <= tol:
+            return None
+        if t < span:
+            out.append((k, t))
+    return out
+
+
+def _curve_distance(arcs, p) -> float:
+    """Distance from p to a curve of _arc arcs."""
+    best = math.inf
+    for disk, a0, span, start, end in arcs:
+        if (_phase(p - disk.center) - a0) % (2 * math.pi) <= span:
+            best = min(best, abs(abs(p - disk.center) - disk.radius))
+        best = min(best, abs(p - start), abs(p - end))
+    return best
+
+
+def _arcs_winding(arcs, p) -> int:
+    """Winding number of a closed curve of CCW _arc arcs about a point off
+    it: each arc turns the direction from p by the angle between its ends,
+    taken in [0, 2 pi) when p lies inside its circle (where that direction
+    turns monotonically) and in (-pi, pi] outside it."""
+    total = 0.0
+    for disk, _a0, span, start, end in arcs:
+        inside = abs(p - disk.center) < disk.radius
+        if span == 2 * math.pi:
+            total += 2 * math.pi if inside else 0.0
+            continue
+        turn = _phase((end - p) / (start - p))
+        total += turn + 2 * math.pi if inside and turn < 0 else turn
+    return round(total / (2 * math.pi))
+
 
 
 def _sampled_windings(make):
@@ -704,8 +895,8 @@ def _loop_sets(fmap, rng):
 def test_exact_index_matches_sampling(rng):
     # differential oracle: on the canonical maps of experiment pairs, the ring
     # of twelve and the pinned negative-index pair, and on random-pin variants
-    # of each, the crossing count decides every loop of every kind, and its
-    # winding is the certified sampled one
+    # of each, the crossing count decides every loop of every kind, as the
+    # scalar count does, and its winding is the certified sampled one
     from diskrig.experiments import generate_experiment_pair
 
     pairs = [generate_experiment_pair(np.random.default_rng(seed))[:2] for seed in range(12)]
@@ -723,7 +914,8 @@ def test_exact_index_matches_sampling(rng):
                 loops = make(1)
             except CombinatoricsMismatch:  # a part whose union traces differently in C~
                 continue
-            exact = [_exact_index(loop.arcs, loop.table) for loop in loops]
+            exact = _exact_windings(loops)
+            assert exact == [_exact_index(loop.arcs, loop.table) for loop in loops], (k, name)
             undecided += exact.count(None)
             try:
                 want = _sampled_windings(make)
@@ -757,12 +949,134 @@ def test_exact_index_falls_back_to_sampling():
     folded, fixed = _folded_map(), _fixed_circle_map()
     cases = [folded.loops(), [folded.disk_loop("k")], fixed.loops(), [fixed.disk_loop("b")], [fixed.eye_loop("a", "b")]]
     for loops in cases:
+        assert _exact_windings(loops) == [None] * len(loops)
         for loop in loops:
             assert _exact_index(loop.arcs, loop.table) is None
             assert loop_index(loop) == _certify([loop])[0][0]
     # the disk of b alone has no target circle equal to its own: decided
     loop = fixed.disk_loop("a")
-    assert _exact_index(loop.arcs, loop.table) == _certify([loop])[0][0]
+    assert _exact_windings([loop]) == [_exact_index(loop.arcs, loop.table)] == [_certify([loop])[0][0]]
+    # undecided loops among decided ones of one run leave the others decided
+    loops = [fixed.disk_loop("a"), fixed.disk_loop("b"), fixed.eye_loop("a", "b"), fixed.disk_loop("a")]
+    assert _exact_windings(loops) == [_certify([loops[0]])[0][0], None, None, _certify([loops[0]])[0][0]]
+
+
+def _near_degenerate_maps(rng):
+    """(kind, fmap) of single-disk maps from the unit circle, each built at a
+    refusal of the crossing count, within a fraction of its tolerance, and
+    beyond it: an image circle at tangency; a node of the vertex map at a
+    crossing, on the source or the image circle; a vertex map whose graph
+    passes at the crossing of the circles; an image circle nested within
+    its tolerance of the base point; and an arc shorter than it."""
+    tol = _min_disp()
+    c = DiskConfiguration([("k", Disk(0j, 1.0))])
+    cx = boundary_complex(c)
+
+    def fmap(disk_t, nodes):
+        return FaithfulMap(c, DiskConfiguration([("k", disk_t)]), cx, {"k": sorted((a % (2 * math.pi), b % (2 * math.pi)) for a, b in nodes)})
+
+    for _ in range(6):
+        phi, r_t = float(rng.uniform(1, 5)), float(rng.uniform(0.3, 0.8))
+        for gap in (0.0, 0.5e-9, 3e-9, 1e-6):
+            for dist in (1 + r_t + gap, 1 - r_t + gap):
+                yield "tangent", fmap(Disk(dist * np.exp(1j * phi), r_t), [])
+        disk_t = Disk(complex(*rng.uniform(-0.6, 0.6, 2)), float(rng.uniform(0.7, 1.3)))
+        z = circle_intersections(Disk(0j, 1.0), disk_t)[int(rng.integers(2))]
+        theta, theta_t = math.atan2(z.imag, z.real), disk_t.angle_of(z)
+        for off in (0.0, 0.5 * tol, 3 * tol, 1e-3):
+            turn = float(rng.uniform(1, 5))
+            yield "node at crossing", fmap(disk_t, [(theta + off, 0.3), (theta + off + turn, 0.3 + turn)])
+            yield "node at crossing", fmap(disk_t, [(0.3, theta_t + off), (0.3 + turn, theta_t + off + turn)])
+            a, b = float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.2, 0.8))
+            shift = off / disk_t.radius
+            yield "graph", fmap(disk_t, [(theta - a, theta_t - b), (theta + a, theta_t + b + 2 * shift)])
+        for gap in (0.5 * tol, 3 * tol, 1e-3):
+            yield "base point", fmap(Disk(1 - r_t - gap, r_t), [])
+            far = Disk(complex(5, rng.uniform(-1, 1)), r_t)
+            start = float(rng.uniform(0, 2))
+            yield "short arc", fmap(far, [(start, 1.0), (start + gap, 2.0)])
+            yield "short arc", fmap(far, [(start, 1.0), (start + 2.0, 1.0 + gap)])
+
+
+def test_exact_windings_refuse_where_the_scalar_count_does(rng):
+    # differential oracle at each refusal of the count: the crossing table's
+    # count refuses exactly where the scalar count does, and decides the same
+    # winding where neither refuses; each kind of map is both refused and
+    # decided
+    seen = collections.Counter()
+    for kind, fmap in _near_degenerate_maps(rng):
+        loops = [fmap.disk_loop("k"), *fmap.loops()]
+        exact = _exact_windings(loops)
+        assert exact == [_exact_index(loop.arcs, loop.table) for loop in loops], kind
+        seen[kind, exact[0] is None] += 1
+    assert all(seen[kind, refused] > 0 for kind, _ in seen for refused in (True, False)), seen
+
+
+def test_near_tangent_crossing_is_undecided():
+    # a source circle that disk_relation reads as overlapping its image
+    # circle, at a crossing that circle_intersections calls near-tangent (a
+    # radius of 2**20 against 1, their circles 4e-9 from internal tangency):
+    # the scalar count raised NotTransverse there, the crossing table refuses,
+    # and loop_index samples, which finds the near fixed point
+    c = DiskConfiguration([("k", Disk(0j, 2.0**20))])
+    ct = DiskConfiguration([("k", Disk(1j * (2.0**20 - 1 + 4e-9), 1.0))])
+    loop = build_faithful_map(c, ct).disk_loop("k")
+    with pytest.raises(NotTransverse):
+        _exact_index(loop.arcs, loop.table)
+    assert _exact_windings([loop]) == [None]
+    with pytest.raises(NearFixedPoint):
+        loop_index(loop)
+
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus")
+
+
+def _corpus_loop_sets():
+    """(name, map, make) of the benchmark corpora's loops: for each
+    index_theorem pair, the loops of the canonical and the variant map of the
+    workload, and the canonical map's subset loops of its bipartitions, disk
+    loops and eye loops; for each cli_pairs pair, its map's loops.  map is
+    the faithful map whose loops make builds, or None for its other loops."""
+    for name in ("index_theorem", "cli_pairs"):
+        with open(os.path.join(CORPUS, name, "manifest.json")) as fh:
+            items = json.load(fh)["items"]
+        for item in items:
+            c, ct = (read_document(os.path.join(CORPUS, name, f)).to_configuration() for f in item["files"])
+            fmap = build_faithful_map(c, ct)
+            yield f"{name} {item['id']}", fmap, fmap.loops
+            if name == "cli_pairs":
+                continue
+            variant = build_faithful_map(c, ct, rng=np.random.default_rng(item["variant_seed"]), n_random_pins=2)
+            yield f"{name} {item['id']} variant", variant, variant.loops
+            for part in item["bipartitions"]:
+                for sub in (set(part), set(c.labels) - set(part)):
+                    yield f"{name} {item['id']} subset {sorted(sub)}", None, lambda d, sub=sub: fmap.subset_loops(sub, d)
+            for v in c.labels:
+                yield f"{name} {item['id']} disk {v}", None, lambda d, v=v: [fmap.disk_loop(v, d)]
+            for e in c.contacts().values():
+                if e.relation is DiskRelation.OVERLAPPING:
+                    yield f"{name} {item['id']} eye {e.pair}", None, lambda d, e=e: [fmap.eye_loop(*e.pair, d)]
+
+
+def test_exact_windings_match_sampling_on_the_corpora():
+    # differential oracle over the committed corpora: the crossing table's
+    # count refuses exactly where the scalar count does, and each winding it
+    # decides, the sum and fixed_point_index's report equal the certified
+    # sampled ones
+    sets = maps = 0
+    for name, fmap, make in _corpus_loop_sets():
+        loops = make(1)
+        exact = _exact_windings(loops)
+        assert exact == [_exact_index(loop.arcs, loop.table) for loop in loops], name
+        assert None not in exact, name
+        assert exact == _sampled_windings(make), name
+        if fmap is not None:
+            report = fixed_point_index(fmap)
+            assert (report.method, report.eta, report.per_curve) == ("exact", sum(exact), exact), name
+            maps += 1
+        sets += 1
+    assert maps == 60 * 2 + 40
+    assert sets > 1000
 
 
 def test_identities_sample_nothing_once_the_map_is_indexed(monkeypatch):
