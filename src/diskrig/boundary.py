@@ -385,8 +385,8 @@ class SampledLoopMap:
 class ArcLoopMap:
     """A closed curve of a faithful map held as its (vertex, a0, da,
     refine_start, refine_end) arcs and the map's node table.  Reading src or
-    dst samples every loop of the same call at once; loop_index and
-    index_sums sample only when the crossing count cannot decide."""
+    dst samples every loop of the same call at once; index_sums and
+    fixed_point_index sample only when the crossing count cannot decide."""
 
     def __init__(self, arcs, table, samples, k):
         self.arcs, self.table = arcs, table
@@ -577,13 +577,8 @@ def _refine(index_at):
 
 
 def loop_index(loop: SampledLoopMap | ArcLoopMap) -> int:
-    """The displacement winding of one loop: for a loop of a faithful map,
-    its exact value when the crossing count decides it; otherwise from the
-    loop's samples, certified fixed-point free."""
-    if isinstance(loop, ArcLoopMap):
-        (eta,) = _exact_windings([loop])
-        if eta is not None:
-            return eta
+    """The displacement winding of one loop from its samples, certified
+    fixed-point free."""
     return _certify([loop])[0][0]
 
 
@@ -616,26 +611,29 @@ def index_sums(makes) -> list:
 
 # --- the exact index: the torus formula over one crossing table per map ----------
 
-APART, CROSSING, REFUSED = 0, 1, 2
+CROSSING, REFUSED = 1, 2
 IOTA = np.array([1, -1])  # the sign of a pair's crossings u and v
 
 
 def _classify_circle_pairs(v, w, circles, circles_t):
-    """(kind, angles of the crossings on the source circle, on the image
-    circle) of source circle v against image circle w, for arrays of vertex
-    codes, in one numpy pass: REFUSED where circles_tangent holds (tangent
-    or equal circles) or where circle_intersections calls the crossings
-    near-tangent, APART where disk_relation reads disjoint or nested disks,
-    CROSSING otherwise.  A CROSSING row holds circle_intersections' u (where
-    the source circle enters the image disk, iota = +1), then v (iota = -1);
-    other rows hold zeros."""
+    """(v, w, kind, angles of the crossings on the source circle, on the
+    image circle) of the pairs of source circle v and image circle w, given
+    as arrays of vertex codes, in one numpy pass: REFUSED where
+    circles_tangent holds (tangent or equal circles) or where
+    circle_intersections calls the crossings near-tangent, CROSSING where
+    disk_relation reads overlapping disks otherwise; pairs it reads as
+    disjoint or nested are left out.  A CROSSING row holds
+    circle_intersections' u (where the source circle enters the image disk,
+    iota = +1), then v (iota = -1); REFUSED rows hold zeros."""
     eps = geom.EPS_GEOM
     c, r, c_t, r_t = circles[0][v], circles[1][v], circles_t[0][w], circles_t[1][w]
     d = np.abs(c - c_t)
     tangent = (np.abs(d - (r + r_t)) <= eps) | (np.abs(d - np.abs(r - r_t)) <= eps)
-    kind = np.where(tangent, REFUSED, np.where((d <= r + r_t) & (d >= np.abs(r - r_t)), CROSSING, APART))
-    k = np.flatnonzero(kind == CROSSING)
-    c, r, c_t, r_t, d = c[k], r[k], c_t[k], r_t[k], d[k]
+    keep = np.flatnonzero(tangent | ((d <= r + r_t) & (d >= np.abs(r - r_t))))
+    v, w, tangent = v[keep], w[keep], tangent[keep]
+    kind = np.where(tangent, REFUSED, CROSSING)
+    k = np.flatnonzero(~tangent)
+    c, r, c_t, r_t, d = c[keep[k]], r[keep[k]], c_t[keep[k]], r_t[keep[k]], d[keep[k]]
     along = (r**2 - r_t**2 + d * d) / (2 * d)
     h2 = r**2 - along**2
     near = h2 <= (eps * np.maximum(r, 1.0)) ** 2
@@ -648,47 +646,34 @@ def _classify_circle_pairs(v, w, circles, circles_t):
     z = np.where(enters[:, None], np.stack([p, q], axis=1), np.stack([q, p], axis=1))
     theta, theta_t = np.zeros((len(v), 2)), np.zeros((len(v), 2))
     theta[k], theta_t[k] = np.angle(z - c[:, None]), np.angle(z - c_t[:, None])
-    return kind, theta, theta_t
+    return v, w, kind, theta, theta_t
 
 
 class _CrossingTable:
-    """Source circle v against image circle w of a faithful map, for every
-    pair of vertex codes (v, w) that a loop has asked for, classified once
-    under the EPS_GEOM it was built with (_classify_circle_pairs); a map
-    whose n * n pairs number at most PASS_SAMPLES classifies them all when
-    first asked.  Rows are sorted by key v * n + w; columns are kind, theta
-    and theta_t."""
+    """Every source circle v of a faithful map against every image circle w,
+    classified once under the EPS_GEOM it was built with
+    (_classify_circle_pairs), in passes of at most PASS_SAMPLES pairs, or of
+    one source circle's n pairs when n is larger.  The pairs it keeps are
+    sorted by v and then w, in the columns v, w, kind, theta and theta_t;
+    rows first[v]:first[v + 1] are source circle v's."""
 
     def __init__(self, circles, circles_t):
         self.eps = geom.EPS_GEOM
-        self.circles, self.circles_t = circles, circles_t
-        self.n = len(circles[1])
-        self.keys = np.empty(0, dtype=np.intp)
-        self.columns = ()
-
-    def rows(self, keys):
-        """The rows of the pairs of keys v * n + w, classifying those the
-        table lacks."""
-        pos = np.searchsorted(self.keys, keys)
-        new = keys[self.keys.take(pos, mode="clip") != keys] if len(self.keys) else keys
-        if len(new):
-            new = np.unique(new) if self.n**2 > PASS_SAMPLES else np.arange(self.n**2)
-            added = _classify_circle_pairs(new // self.n, new % self.n, self.circles, self.circles_t)
-            if len(self.keys):
-                order = np.argsort(np.concatenate([self.keys, new]), kind="stable")
-                self.keys = np.concatenate([self.keys, new])[order]
-                self.columns = tuple(np.concatenate([old, add])[order] for old, add in zip(self.columns, added))
-            else:
-                self.keys, self.columns = new, added
-            pos = np.searchsorted(self.keys, keys)
-        return pos
+        n = len(circles[1])
+        step = max(1, PASS_SAMPLES // n)
+        parts = [
+            _classify_circle_pairs(np.repeat(np.arange(lo, min(lo + step, n)), n), np.tile(np.arange(n), min(step, n - lo)), circles, circles_t)
+            for lo in range(0, n, step)
+        ]
+        self.v, self.w, self.kind, self.theta, self.theta_t = (np.concatenate(c) for c in zip(*parts))
+        self.first = np.searchsorted(self.v, np.arange(n + 1))
 
 
 def _exact_windings(loops) -> list:
     """The displacement winding of each loop of one faithful map, by the
     torus formula, or None where the count cannot decide it.  Runs of
-    consecutive loops holding at most PASS_SAMPLES (source, image) arc
-    pairs together are counted in one numpy pass each.
+    consecutive loops holding at most PASS_SAMPLES arcs together, or one
+    loop that alone holds more, are counted in one numpy pass each.
 
     The image of arc k lies on the target circle of its vertex v, from
     phi_v(a0) over phi_v(a0 + da) - phi_v(a0) mod 2 pi (2 pi for a full
@@ -708,7 +693,7 @@ def _exact_windings(loops) -> list:
     if not loops:
         return []
     out, lo = [], 0
-    for hi in _pass_ends([len(loop.arcs) ** 2 for loop in loops]):
+    for hi in _pass_ends([len(loop.arcs) for loop in loops]):
         out += _count_windings([loop.arcs for loop in loops[lo:hi]], loops[lo].table)
         lo = hi
     return out
@@ -725,38 +710,60 @@ def _count_windings(curves, table: _NodeTable) -> list:
     code = np.fromiter((table.code[arc[0]] for arc in arcs), np.intp, n_arcs)
     a0 = np.fromiter((arc[1] for arc in arcs), float, n_arcs)
     da = np.fromiter((arc[2] for arc in arcs), float, n_arcs)
-    # every source arc k of a loop against every image arc m of it
-    reps = sizes[loop]
-    k = np.repeat(np.arange(n_arcs), reps)
-    m = np.arange(len(k)) - np.repeat(np.cumsum(reps) - reps - first[loop], reps)
+    refused = np.bincount(loop[~table.degree_one[code]], minlength=n_loops) > 0
+    # the arcs of a loop on one of its circles, a group keyed loop * n +
+    # code, which do not overlap, sorted by group and then start angle
+    a0_mod, group_key = a0 % TWO_PI, loop * n + code
+    by_start = np.lexsort((a0_mod, group_key))
+    key = group_key[by_start]
+    lo = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    hi = np.append(lo[1:], n_arcs) - 1
+    groups = key[lo]
+    # every row of the crossing table of a source circle of a loop against
+    # an image circle of the same loop
     crossings = table.crossings()
-    idx = crossings.rows(code[k] * n + code[m])
-    kind, theta, theta_t = crossings.columns
-    refused = np.bincount(loop[k[kind[idx] == REFUSED]], minlength=n_loops) > 0
-    refused |= np.bincount(loop[~table.degree_one[code]], minlength=n_loops) > 0
-    # the crossings of the circles of each crossing pair: u, then v
-    pick = np.flatnonzero(kind[idx] == CROSSING)
-    k, m, idx = np.repeat(k[pick], 2), np.repeat(m[pick], 2), idx[pick]
-    theta, theta_t, iota = theta[idx].ravel(), theta_t[idx].ravel(), np.tile(IOTA, len(idx))
-    t = (theta - a0[k]) % TWO_PI  # offset on the source arc
-    own = np.flatnonzero((k == m) & (t < da[k]))  # on the source arc of its own image arc
+    row_lo = crossings.first[groups % n]
+    count = crossings.first[groups % n + 1] - row_lo
+    src_group = np.repeat(np.arange(len(groups)), count)
+    row = np.arange(len(src_group)) + np.repeat(row_lo + count - np.cumsum(count), count)
+    image = groups[src_group] - groups[src_group] % n + crossings.w[row]
+    dst_group = np.searchsorted(groups, image)
+    mine = groups.take(dst_group, mode="clip") == image
+    src_group, dst_group, row = src_group[mine], dst_group[mine], row[mine]
+    kind = crossings.kind[row]
+    refused[groups[src_group[kind == REFUSED]] // n] = True
+    # the crossings u, then v, of each crossing pair
+    pick = kind == CROSSING
+    row, src_group, dst_group = row[pick], np.repeat(src_group[pick], 2), np.repeat(dst_group[pick], 2)
+    theta, theta_t, iota = crossings.theta[row].ravel(), crossings.theta_t[row].ravel(), np.tile(IOTA, len(row))
+    # each crossing's arcs on the source and on the image circle: the arc of
+    # its group that starts last at or before it, cyclically, and the next;
     # the vertex maps at the arcs' starts and ends, and at the crossings on
-    # an arc of both curves: where the graph lies
+    # a source arc: where the graph lies
+    sorted_groups = (key, lo, hi, groups)
+    k, k_next = _arcs_at(sorted_groups, by_start, a0_mod, src_group, theta % TWO_PI)
+    t = (theta - a0[k]) % TWO_PI  # offset on the source arc
+    on_src = np.flatnonzero(t < da[k])
     b0, b1, graph = np.split(
-        table.angles(np.concatenate([code, code, code[k[own]]]), np.concatenate([a0, a0 + da, a0[k[own]] + t[own]])),
+        table.angles(np.concatenate([code, code, code[k[on_src]]]), np.concatenate([a0, a0 + da, a0[k[on_src]] + t[on_src]])),
         [n_arcs, 2 * n_arcs],
     )
     span_t = np.where(da == TWO_PI, TWO_PI, (b1 - b0) % TWO_PI)
-    s = (theta_t - b0[m]) % TWO_PI  # offset on the image arc
+    b0_mod = b0 % TWO_PI
+    m, m_next = _arcs_at(sorted_groups, np.lexsort((b0_mod, group_key)), b0_mod, dst_group, theta_t % TWO_PI)
     # the source arcs, then their images: circle, start angle, span
     center = np.concatenate([table.circles[0][code], table.circles_t[0][code]])
     radius = np.concatenate([table.circles[1][code], table.circles_t[1][code]])
     t0, span = np.concatenate([a0, b0]), np.concatenate([da, span_t])
     side_loop = np.concatenate([loop, loop + n_loops])
-    # a crossing within tol of an end of either arc; an arc no longer than tol
-    near = _near_end(t, radius[k], da[k], tol) | _near_end(s, radius[n_arcs + m], span_t[m], tol)
-    refused[loop[k[near]]] = True
+    # each crossing's offsets on its source arc and the next, and on its
+    # image arc and the next; a crossing within tol of an end of any of
+    # them; an arc no longer than tol
+    arc = np.concatenate([k, k_next, n_arcs + m, n_arcs + m_next])
+    offset = (np.concatenate([theta, theta, theta_t, theta_t]) - t0[arc]) % TWO_PI
+    refused[loop[k[_near_end(offset, radius[arc], span[arc], tol).reshape(4, -1).any(axis=0)]]] = True
     refused[side_loop[radius * span <= tol] % n_loops] = True
+    s = offset[2 * len(k) : 3 * len(k)]  # offset on the image arc
     # each curve against the other curve's base point, the start of its first
     # arc: their distance, and the base winding, which each arc turns by the
     # angle between its ends, in [0, 2 pi) about a point inside its circle
@@ -775,11 +782,28 @@ def _count_windings(curves, table: _NodeTable) -> list:
     # which it may not come within tol of
     held = (t < da[k]) & (s < span_t[m])
     below = held & (m < k)
-    graph = (graph - b0[k[own]]) % TWO_PI
-    below[own] = held[own] & (s[own] < graph)
-    refused[loop[k[own[held[own] & (radius[n_arcs + k[own]] * np.abs(s[own] - graph) <= tol)]]]] = True
+    own = held[on_src] & (k[on_src] == m[on_src])
+    graph = (graph[own] - b0[k[on_src[own]]]) % TWO_PI
+    own = on_src[own]
+    below[own] = s[own] < graph
+    refused[loop[k[own[radius[n_arcs + k[own]] * np.abs(s[own] - graph) <= tol]]]] = True
     eta -= np.bincount(loop[k], weights=iota * below, minlength=n_loops)
     return [None if r else int(e) for r, e in zip(refused.tolist(), eta.tolist())]
+
+
+def _arcs_at(sorted_groups, order, start, group, at):
+    """For each angle at in [0, 2 pi) on the circle of the arcs of group
+    index group: the arc of that group that starts last at or before it,
+    cyclically, and the arc after that one.  order sorts the arcs by group
+    and then by their start angle; sorted_groups holds, in that order, each
+    arc's group key, and each group's first and last position and key.
+    Complex keys group key + i*angle compare lexicographically, and
+    exactly."""
+    key, lo, hi, groups = sorted_groups
+    pos = np.searchsorted(key + 1j * start[order], groups[group] + 1j * at, side="right") - 1
+    lo, hi = lo[group], hi[group]
+    pos = np.where(pos < lo, hi, pos)
+    return order[pos], order[np.where(pos == hi, lo, pos + 1)]
 
 
 def _near_end(offset, radius, span, tol):

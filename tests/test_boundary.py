@@ -30,6 +30,7 @@ from diskrig.boundary import (
     boundary_complex,
     build_faithful_map,
     fixed_point_index,
+    index_sums,
     loop_index,
     winding_number,
 )
@@ -294,8 +295,8 @@ def test_tangency_packing_pair():
     assert len(rep.per_curve) == 7
     bound = index_lower_bound(c, ct)
     assert rep.eta >= bound
-    deltas = sum(loop_index(fmap.disk_loop(v)) for v in c.labels)
-    assert rep.eta == deltas
+    deltas = index_sums([lambda d, v=v: [fmap.disk_loop(v, d)] for v in c.labels])
+    assert rep.eta == sum(deltas)
 
 
 def test_multiply_connected_ring_pair(rng):
@@ -307,12 +308,12 @@ def test_multiply_connected_ring_pair(rng):
     rep = fixed_point_index(fmap)
     assert len(rep.per_curve) == 2
     assert rep.eta == sum(rep.per_curve)
-    # the sampled report against each curve's winding from loop_index, which
-    # the crossing count decides on these loops
+    # the report against each curve's winding from the scalar count and
+    # from loop_index, which samples
     loops = fmap.loops(2)
-    assert all(_exact_index(loop.arcs, loop.table) is not None for loop in loops)
-    exact = [loop_index(loop) for loop in loops]
-    assert collections.Counter(exact) == collections.Counter(rep.per_curve)
+    exact = [_exact_index(loop.arcs, loop.table) for loop in loops]
+    assert None not in exact
+    assert collections.Counter(exact) == collections.Counter(rep.per_curve) == collections.Counter(map(loop_index, loops))
     assert sum(exact) == rep.eta
 
 
@@ -922,7 +923,7 @@ def test_exact_index_matches_sampling(rng):
             except NearFixedPoint:
                 continue
             assert exact == want, (k, name)
-            assert [loop_index(loop) for loop in loops] == want
+            assert index_sums([make]) == [sum(want)]
             compared += 1
     assert undecided == 0
     assert compared >= 400
@@ -944,15 +945,21 @@ def _fixed_circle_map():
 
 def test_exact_index_falls_back_to_sampling():
     # a vertex map that is not monotone of degree one, and a target circle
-    # equal to its source circle, leave the count undecided; loop_index then
-    # returns the sampled, certified winding
+    # equal to its source circle, leave the count undecided; index_sums then
+    # returns the sum of the sampled, certified windings
     folded, fixed = _folded_map(), _fixed_circle_map()
-    cases = [folded.loops(), [folded.disk_loop("k")], fixed.loops(), [fixed.disk_loop("b")], [fixed.eye_loop("a", "b")]]
-    for loops in cases:
+    cases = [
+        folded.loops,
+        lambda d: [folded.disk_loop("k", d)],
+        fixed.loops,
+        lambda d: [fixed.disk_loop("b", d)],
+        lambda d: [fixed.eye_loop("a", "b", d)],
+    ]
+    for make in cases:
+        loops = make(1)
         assert _exact_windings(loops) == [None] * len(loops)
-        for loop in loops:
-            assert _exact_index(loop.arcs, loop.table) is None
-            assert loop_index(loop) == _certify([loop])[0][0]
+        assert all(_exact_index(loop.arcs, loop.table) is None for loop in loops)
+        assert index_sums([make]) == [sum(_sampled_windings(make))]
     # the disk of b alone has no target circle equal to its own: decided
     loop = fixed.disk_loop("a")
     assert _exact_windings([loop]) == [_exact_index(loop.arcs, loop.table)] == [_certify([loop])[0][0]]
@@ -961,13 +968,46 @@ def test_exact_index_falls_back_to_sampling():
     assert _exact_windings(loops) == [_certify([loops[0]])[0][0], None, None, _certify([loops[0]])[0][0]]
 
 
+def _ring(n, rng):
+    """A closed ring of n overlapping disks, labelled 0..n-1, drawn as
+    ring_of_twelve draws twelve, on a circle that keeps their gaps."""
+    R = 2.0 * n / 12
+    gap = 2 * R * math.sin(math.pi / n)
+    return DiskConfiguration(
+        [(k, Disk(R * np.exp(1j * (2 * math.pi * k / n + rng.normal(0, 0.02 * 12 / n))), gap / 2 * rng.uniform(1.1, 1.25))) for k in range(n)]
+    )
+
+
+@pytest.mark.parametrize("pass_samples", [PASS_SAMPLES, 100, 1])
+def test_exact_windings_on_a_ring_of_seventy(monkeypatch, pass_samples):
+    # a map of 70 disks, whose 4,900 circle pairs the crossing table
+    # classifies in more than one pass, and whose two curves have 70 arcs
+    # each: in passes of any size, the count decides every loop of every
+    # kind as the scalar count does, and the curves as sampling does
+    from diskrig import boundary
+
+    rng = np.random.default_rng(70)
+    ring = _ring(70, rng)
+    fmap = build_faithful_map(ring, ring.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d)), rng=rng, n_random_pins=2)
+    monkeypatch.setattr(boundary, "PASS_SAMPLES", pass_samples)
+    curves = fmap.loops()
+    assert [len(loop.arcs) for loop in curves] == [70, 70]
+    loops = curves + [fmap.disk_loop(v) for v in ring.labels] + [fmap.eye_loop(v, (v + 1) % 70) for v in ring.labels]
+    exact = _exact_windings(loops)
+    assert None not in exact
+    assert exact == [_exact_index(loop.arcs, loop.table) for loop in loops]
+    assert exact[:2] == _sampled_windings(fmap.loops)
+
+
 def _near_degenerate_maps(rng):
     """(kind, fmap) of single-disk maps from the unit circle, each built at a
     refusal of the crossing count, within a fraction of its tolerance, and
     beyond it: an image circle at tangency; a node of the vertex map at a
     crossing, on the source or the image circle; a vertex map whose graph
     passes at the crossing of the circles; an image circle nested within
-    its tolerance of the base point; and an arc shorter than it."""
+    its tolerance of the base point; and an arc shorter than it.  Then
+    three-disk maps with a crossing within it of the start of an arc that
+    it lies off."""
     tol = _min_disp()
     c = DiskConfiguration([("k", Disk(0j, 1.0))])
     cx = boundary_complex(c)
@@ -996,6 +1036,26 @@ def _near_degenerate_maps(rng):
             start = float(rng.uniform(0, 2))
             yield "short arc", fmap(far, [(start, 1.0), (start + gap, 2.0)])
             yield "short arc", fmap(far, [(start, 1.0), (start + 2.0, 1.0 + gap)])
+    # a circle with two arcs on the outer curve, and the other map's circle
+    # of the disk whose corner starts one of them through a point off both,
+    # just before that start: on the source circle, and with the two maps
+    # swapped, on the image circle.  That circle is moved towards the corner
+    # and shrunk to the point, so it nests in its own source circle, and its
+    # crossings with it lie far from the corner
+    disks = {"k": Disk(0j, 1.0), "a": Disk(1 + 0j, 0.3), "b": Disk(-1 + 0j, 0.3)}
+    c3 = DiskConfiguration(list(disks.items()))
+    arcs = [arc for arc in boundary_complex(c3).curves[0].arcs() if arc[0] == "k"]
+    assert len(arcs) == 2
+    for _vertex, start, *_ in arcs * 2:
+        for off in (0.5 * tol, 3 * tol, 1e-3):
+            corner, p = np.exp(1j * start), np.exp(1j * (start - off))
+            u = min("ab", key=lambda u: abs(abs(corner - disks[u].center) - disks[u].radius))
+            moved = {v: Disk(d.center + complex(*rng.uniform(-0.01, 0.01, 2)), d.radius * float(rng.uniform(1, 1.01))) for v, d in disks.items()}
+            center = disks[u].center + 1e-3 * (corner - disks[u].center) / abs(corner - disks[u].center)
+            moved[u] = Disk(center, abs(p - center))
+            ct3 = DiskConfiguration(list(moved.items()))
+            yield "crossing off a source arc", build_faithful_map(c3, ct3)
+            yield "crossing off an image arc", build_faithful_map(ct3, c3)
 
 
 def test_exact_windings_refuse_where_the_scalar_count_does(rng):
@@ -1008,7 +1068,7 @@ def test_exact_windings_refuse_where_the_scalar_count_does(rng):
         loops = [fmap.disk_loop("k"), *fmap.loops()]
         exact = _exact_windings(loops)
         assert exact == [_exact_index(loop.arcs, loop.table) for loop in loops], kind
-        seen[kind, exact[0] is None] += 1
+        seen[kind, None in exact] += 1
     assert all(seen[kind, refused] > 0 for kind, _ in seen for refused in (True, False)), seen
 
 
@@ -1017,15 +1077,18 @@ def test_near_tangent_crossing_is_undecided():
     # circle, at a crossing that circle_intersections calls near-tangent (a
     # radius of 2**20 against 1, their circles 4e-9 from internal tangency):
     # the scalar count raised NotTransverse there, the crossing table refuses,
-    # and loop_index samples, which finds the near fixed point
+    # and index_sums samples, which finds the near fixed point; pinned away
+    # from angle 0, the disk's arc holds no crossing near its ends
     c = DiskConfiguration([("k", Disk(0j, 2.0**20))])
     ct = DiskConfiguration([("k", Disk(1j * (2.0**20 - 1 + 4e-9), 1.0))])
-    loop = build_faithful_map(c, ct).disk_loop("k")
+    fmap = build_faithful_map(c, ct)
+    pinned = build_faithful_map(c, ct, pins={"k": [(2.0**20 * np.exp(1j), ct.disks["k"].center + np.exp(2j))]})
+    loop = fmap.disk_loop("k")
     with pytest.raises(NotTransverse):
         _exact_index(loop.arcs, loop.table)
-    assert _exact_windings([loop]) == [None]
+    assert _exact_windings([loop]) == _exact_windings([pinned.disk_loop("k")]) == [None]
     with pytest.raises(NearFixedPoint):
-        loop_index(loop)
+        index_sums([lambda d: [fmap.disk_loop("k", d)]])
 
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus")

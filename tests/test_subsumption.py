@@ -317,7 +317,7 @@ def test_excision_consequences_when_detected(rng):
     # when d_j = D_j minus the others is disjoint from its counterpart, the
     # vertex may be excised: the lower bound is preserved and the index drops
     # by exactly the (zero) contribution of the excised piece
-    from diskrig.boundary import fixed_point_index, loop_index
+    from diskrig.boundary import fixed_point_index, index_sums
     from diskrig.experiments import generate_experiment_pair
 
     detected = 0
@@ -347,7 +347,7 @@ def test_excision_consequences_when_detected(rng):
             # eta excision: the full index equals the sub-configuration index
             try:
                 eta_full = fixed_point_index(fmap).eta
-                eta_rest = sum(loop_index(l) for l in fmap.subset_loops(rest))
+                (eta_rest,) = index_sums([lambda d: fmap.subset_loops(rest, d)])
             except DiskrigError:
                 continue
             assert eta_full == eta_rest
