@@ -26,7 +26,6 @@ from .errors import (
     CoincidentCorner,
     CombinatoricsMismatch,
     DegenerateContact,
-    DiskrigError,
     NearFixedPoint,
     PointOnCurve,
 )
@@ -382,23 +381,21 @@ class SampledLoopMap:
     dst: np.ndarray
 
 
+@dataclass
 class ArcLoopMap:
     """A closed curve of a faithful map held as its (vertex, a0, da,
-    refine_start, refine_end) arcs and the map's node table.  Reading src or
-    dst samples every loop of the same call at once; index_sums and
-    fixed_point_index sample only when the crossing count cannot decide."""
+    refine_start, refine_end) arcs, each mapped by its own vertex map of the
+    map's node table; sample_loops samples it."""
 
-    def __init__(self, arcs, table, samples, k):
-        self.arcs, self.table = arcs, table
-        self._samples, self._k = samples, k
+    arcs: list
+    table: _NodeTable
 
-    @property
-    def src(self) -> np.ndarray:
-        return self._samples()[self._k][0]
 
-    @property
-    def dst(self) -> np.ndarray:
-        return self._samples()[self._k][1]
+def sample_loops(loops, density: int) -> list:
+    """The SampledLoopMap of each loop of one faithful map at the sampling
+    density, all in one _sample_curves call."""
+    table = loops[0].table
+    return [SampledLoopMap(src, dst) for src, dst in _sample_curves([loop.arcs for loop in loops], density, table.code, table.points)]
 
 
 @dataclass
@@ -407,7 +404,8 @@ class IndexReport:
     when the crossing count decided every curve, "sampled" when they come
     from certified samples.  min_displacement, the smallest displacement of
     the certified samples, is sampled for an exact report only when it is
-    first read (sample_min), at the density the certificate first holds."""
+    first read (sample_min), at the density the certificate first holds, and
+    is None when no density certifies them."""
 
     eta: int
     per_curve: list
@@ -415,7 +413,7 @@ class IndexReport:
     sample_min: object = field(repr=False, compare=False)  # () -> min_displacement
 
     @functools.cached_property
-    def min_displacement(self) -> float:
+    def min_displacement(self) -> float | None:
         return self.sample_min()
 
 
@@ -437,33 +435,25 @@ class FaithfulMap:
     def _table(self) -> _NodeTable:
         return _NodeTable(self.config, self.config_t, self.nodes)
 
-    def _loops(self, curves, density: int) -> list:
-        """The closed curves of the arc lists and their images, each arc
-        mapped by its own vertex map, sampled at the density in one
-        _sample_curves call when any of them is first read."""
-        table = self._table
-        samples = functools.cache(lambda: _sample_curves(curves, density, table.code, table.points))
-        return [ArcLoopMap(arcs, table, samples, k) for k, arcs in enumerate(curves)]
+    def loops(self) -> list:
+        return [ArcLoopMap(c.arcs(), self._table) for c in self.complex_src.curves]
 
-    def loops(self, density: int = 1):
-        return self._loops([c.arcs() for c in self.complex_src.curves], density)
+    def subset_loops(self, subset) -> list:
+        """The loops of the faithful map restricted to the union of the given
+        vertex subset (uses the same vertex maps, so additivity identities
+        are exact)."""
+        return [ArcLoopMap(c.arcs(), self._table) for c in boundary_complex(self.config.restricted(subset)).curves]
 
-    def subset_loops(self, subset, density: int = 1):
-        """Sampled loops of the faithful map restricted to the union of the
-        given vertex subset (uses the same vertex maps, so additivity
-        identities are exact)."""
-        return self._loops([c.arcs() for c in boundary_complex(self.config.restricted(subset)).curves], density)
-
-    def disk_loop(self, vertex, density: int = 1) -> SampledLoopMap:
+    def disk_loop(self, vertex) -> ArcLoopMap:
         """delta_v: the induced map on the full circle of one disk."""
         angles = [t for t, _t in self.nodes[vertex]]
         arcs = [(vertex, t, span, True, True) for t, span in zip(angles, cyclic_spans(angles))]
-        return self._loops([arcs or [(vertex, 0.0, TWO_PI, False, False)]], density)[0]
+        return ArcLoopMap(arcs or [(vertex, 0.0, TWO_PI, False, False)], self._table)
 
-    def eye_loop(self, i, j, density: int = 1) -> SampledLoopMap:
+    def eye_loop(self, i, j) -> ArcLoopMap:
         """epsilon_ij: the induced map on the eye boundary of pair {i, j}."""
         c = overlap_contact(self.config, i, j)  # the eye, oriented by c.pair
-        return self._loops([[(k, arc.a0, arc.da, True, True) for k, arc in zip(c.pair, c.lens.boundary_arcs())]], density)[0]
+        return ArcLoopMap([(k, arc.a0, arc.da, True, True) for k, arc in zip(c.pair, c.lens.boundary_arcs())], self._table)
 
 
 def _match_curves(cx_src: BoundaryComplex, cx_dst: BoundaryComplex):
@@ -576,37 +566,26 @@ def _refine(index_at):
                 raise
 
 
-def loop_index(loop: SampledLoopMap | ArcLoopMap) -> int:
-    """The displacement winding of one loop from its samples, certified
-    fixed-point free."""
+def loop_index(loop: SampledLoopMap) -> int:
+    """The displacement winding of one sampled loop, certified fixed-point
+    free."""
     return _certify([loop])[0][0]
 
 
-def index_sums(makes) -> list:
-    """For each make(density), which builds loops of one faithful map at a
-    sampling density, the sum of the loops' displacement windings: exact for
-    each loop the crossing count decides, the others sampled and certified
-    at the first density whose certificate holds for all of them.  One
-    crossing count takes the loops of every make; the makes that need
-    sampling then sample in turn.  Errors come in the order of summing
-    loop_index over each make in turn: a make that cannot build its loops
-    raises after the sums of the makes before it."""
-    built = []
-    for make in makes:
-        try:
-            built.append(make(1))
-        except DiskrigError:
-            index_sums(makes[: len(built)])  # the sums before it may raise first
-            raise
-    exact = iter(_exact_windings([loop for loops in built for loop in loops]))
-    sums = []
-    for make, loops in zip(makes, built):
-        windings = [next(exact) for _ in loops]
-        total = sum(w for w in windings if w is not None)
-        if None in windings:
-            total += _refine(lambda d: sum(_certify([l for l, w in zip(make(d), windings) if w is None])[0]))
-        sums.append(total)
-    return sums
+def index_sums(groups) -> list:
+    """For each list of loops of one faithful map, the sum of the loops'
+    displacement windings: exact for each loop the crossing count decides.
+    One crossing count takes the loops of every list; the loops it leaves
+    undecided are sampled together and certified at the first density whose
+    certificate holds for all of them."""
+    loops = [loop for group in groups for loop in group]
+    windings = _exact_windings(loops)
+    undecided = [loop for loop, w in zip(loops, windings) if w is None]
+    if undecided:
+        sampled = iter(_refine(lambda density: _certify(sample_loops(undecided, density))[0]))
+        windings = [next(sampled) if w is None else w for w in windings]
+    windings = iter(windings)
+    return [sum(itertools.islice(windings, len(group))) for group in groups]
 
 
 # --- the exact index: the torus formula over one crossing table per map ----------
@@ -627,7 +606,8 @@ def _classify_circle_pairs(v, w, circles, circles_t):
     iota = +1), then v (iota = -1); REFUSED rows hold zeros."""
     eps = geom.EPS_GEOM
     c, r, c_t, r_t = circles[0][v], circles[1][v], circles_t[0][w], circles_t[1][w]
-    d = np.abs(c - c_t)
+    gap = c - c_t
+    d = np.hypot(gap.real, gap.imag)  # Python's abs of a complex; np.abs can differ by an ulp
     tangent = (np.abs(d - (r + r_t)) <= eps) | (np.abs(d - np.abs(r - r_t)) <= eps)
     keep = np.flatnonzero(tangent | ((d <= r + r_t) & (d >= np.abs(r - r_t))))
     v, w, tangent = v[keep], w[keep], tangent[keep]
@@ -812,60 +792,38 @@ def _near_end(offset, radius, span, tol):
     return radius * np.minimum(np.minimum(offset, TWO_PI - offset), np.minimum(to_end, TWO_PI - to_end)) <= tol
 
 
-def _successor(x, starts, last, out=None):
+def _successor(x, starts, last):
     """x at each sample's successor: the next sample of its loop, or, at the
     last sample of a loop, the loop's first."""
-    out = np.empty_like(x) if out is None else out
+    out = np.empty_like(x)
     out[:-1] = x[1:]
     out[last] = x[starts]
     return out
 
 
 def _certify(loops):
-    """(winding of each loop, smallest displacement) of the loops, each
-    certified fixed-point free: every displacement exceeds _min_disp(), and
-    between consecutive samples the displacement cannot vanish, as it moves
-    by at most the source and image chords.  Runs of consecutive loops that
-    hold at most PASS_SAMPLES samples together are certified in one numpy
-    pass.  Raises as the first loop that fails, checked in order for its
-    displacement, its gap and its winding residual."""
+    """(winding of each loop, smallest displacement) of the sampled loops,
+    each certified fixed-point free: every displacement exceeds _min_disp(),
+    and between consecutive samples the displacement cannot vanish, as it
+    moves by at most the source and image chords.  Runs of consecutive loops
+    that hold at most PASS_SAMPLES samples together are certified in one
+    numpy pass.  Raises as the first loop that fails, checked in order for
+    its displacement, its gap and its winding residual."""
     per_curve, min_disp = [], math.inf
     sizes = [len(loop.src) for loop in loops]
     lo = 0
     for hi in _pass_ends(sizes):
-        run = loops[lo:hi]
-        # a lone loop is read in place; the loops of a longer run are copied
-        # into one array
-        src = run[0].src if len(run) == 1 else np.concatenate([loop.src for loop in run])
-        dst = run[0].dst if len(run) == 1 else np.concatenate([loop.dst for loop in run])
+        src = np.concatenate([loop.src for loop in loops[lo:hi]])
+        dst = np.concatenate([loop.dst for loop in loops[lo:hi]])
         starts = np.array(list(itertools.accumulate(sizes[lo:hi - 1], initial=0)), dtype=np.intp)
-        last = np.append(starts[1:], len(src)) - 1
-        successor = functools.partial(_successor, starts=starts, last=last)
-        # in-place operations keep the bits of the expressions they spell out
-        # and hold fewer sample-sized arrays at once
+        successor = functools.partial(_successor, starts=starts, last=np.append(starts[1:], len(src)) - 1)
         disp = dst - src
         rel = np.abs(disp)
         low = np.minimum.reduceat(rel, starts)
-        moved = successor(src)
-        moved -= src
-        chord = np.abs(moved)
-        moved = successor(dst, out=moved)
-        moved -= dst
-        chord += np.abs(moved)
-        del moved
-        gap = successor(rel)
-        np.minimum(rel, gap, out=gap)
-        gap -= chord
-        del chord
-        gap = np.minimum.reduceat(gap, starts)
+        chord = np.abs(successor(src) - src) + np.abs(successor(dst) - dst)
+        gap = np.minimum.reduceat(np.minimum(rel, successor(rel)) - chord, starts)
         ang = np.angle(disp)
-        del disp
-        turn = successor(ang)
-        turn -= ang
-        turn += math.pi
-        turn %= TWO_PI
-        turn -= math.pi
-        turns = np.add.reduceat(turn, starts) / TWO_PI
+        turns = np.add.reduceat((successor(ang) - ang + math.pi) % TWO_PI - math.pi, starts) / TWO_PI
         for m, g, total in zip(low.tolist(), gap.tolist(), turns.tolist()):
             if m <= _min_disp():
                 raise NearFixedPoint(f"min displacement {m:.3g}")
@@ -886,25 +844,25 @@ def fixed_point_index(fmap: FaithfulMap) -> IndexReport:
     eps = geom.EPS_GEOM
     if fmap._index is not None and fmap._index[0] == eps:
         return fmap._index[1]
-    per_curve = _exact_windings(fmap.loops())
+    loops = fmap.loops()
+    per_curve = _exact_windings(loops)
     if None in per_curve:
-
-        def index_at(density):
-            per_curve, min_disp = _certify(fmap.loops(density))
-            return IndexReport(int(sum(per_curve)), per_curve, "sampled", lambda: min_disp)
-
-        report = _refine(index_at)
+        per_curve, min_disp = _refine(lambda density: _certify(sample_loops(loops, density)))
+        report = IndexReport(sum(per_curve), per_curve, "sampled", lambda: min_disp)
     else:
-        report = IndexReport(sum(per_curve), per_curve, "exact", functools.partial(_sampled_min_displacement, fmap, eps))
+        report = IndexReport(sum(per_curve), per_curve, "exact", functools.partial(_sampled_min_displacement, loops, eps))
     fmap._index = (eps, report)
     return report
 
 
-def _sampled_min_displacement(fmap: FaithfulMap, eps: float) -> float:
-    """The smallest displacement of the map's samples at the first density
-    whose certificate holds, under the tolerance eps of its report."""
+def _sampled_min_displacement(loops, eps: float) -> float | None:
+    """The smallest displacement of the loops' samples at the first density
+    whose certificate holds, under the tolerance eps of their report, or
+    None when no density certifies them."""
     saved, geom.EPS_GEOM = geom.EPS_GEOM, eps
     try:
-        return _refine(lambda density: _certify(fmap.loops(density))[1])
+        return _refine(lambda density: _certify(sample_loops(loops, density))[1])
+    except NearFixedPoint:
+        return None
     finally:
         geom.EPS_GEOM = saved

@@ -180,12 +180,8 @@ def generate_experiment_pair(rng):
 def obs_a_identity(fmap: FaithfulMap):
     """eta(phi) vs sum eta(delta_i) - sum eta(eps_ij); returns (lhs, rhs)."""
     lhs = fixed_point_index(fmap).eta
-    disks = [lambda d, v=v: [fmap.disk_loop(v, d)] for v in fmap.config.labels]
-    eyes = [
-        lambda d, c=c: [fmap.eye_loop(*c.pair, d)]
-        for c in fmap.config.contacts().values()
-        if c.relation is DiskRelation.OVERLAPPING
-    ]
+    disks = [[fmap.disk_loop(v)] for v in fmap.config.labels]
+    eyes = [[fmap.eye_loop(*c.pair)] for c in fmap.config.contacts().values() if c.relation is DiskRelation.OVERLAPPING]
     sums = index_sums(disks + eyes)
     return lhs, sum(sums[: len(disks)]) - sum(sums[len(disks):])
 
@@ -199,11 +195,11 @@ def main_b_identity(fmap: FaithfulMap, subset):
         raise ValueError("bipartition parts must be non-empty")
     lhs = fixed_point_index(fmap).eta
     eyes = [
-        lambda d, i=i, j=j: [fmap.eye_loop(i, j, d)]
+        [fmap.eye_loop(i, j)]
         for i, j in (c.pair for c in fmap.config.contacts().values() if c.relation is DiskRelation.OVERLAPPING)
         if (i in I) != (j in I)
     ]
-    sums = index_sums([lambda d: fmap.subset_loops(I, d), lambda d: fmap.subset_loops(J, d)] + eyes)
+    sums = index_sums([fmap.subset_loops(I), fmap.subset_loops(J)] + eyes)
     return lhs, sums[0] + sums[1] - sum(sums[2:])
 
 

@@ -197,10 +197,14 @@ def shifted_crossings(param: TorusParametrization, base_s: float, base_st: float
 
 
 def index_via_torus(gmap: GraphMap, u: complex | None = None) -> int:
-    """Evaluate both variants of the torus index formula; they must agree.
+    """The torus index formula's down-count: the base windings, minus each
+    entering crossing (p) and plus each exiting one (pt) below the graph.
 
-    u defaults to the graph's base point.  The base point must be off the
-    other curve (and its image off this curve).
+    The up-count, which adds the p and subtracts the pt crossings above the
+    graph, differs from it by #pt - #p, which build_parametrization's
+    alternation check holds at 0, so it is not evaluated.  u defaults to the
+    graph's base point.  The base point must be off the other curve (and
+    its image off this curve).
     """
     param = gmap.param
     if u is None:
@@ -208,23 +212,11 @@ def index_via_torus(gmap: GraphMap, u: complex | None = None) -> int:
     else:
         x_u = (param.chain.param_of(u) - gmap.base_s) % 1.0
     y_u = gmap.eval_y(x_u)
-    w_total = _base_windings(param, x_u + gmap.base_s, y_u + gmap.base_st)
-    p_down = p_up = pt_down = pt_up = 0
+    eta = _base_windings(param, x_u + gmap.base_s, y_u + gmap.base_st)
     for kind, x, y in shifted_crossings(param, gmap.base_s, gmap.base_st):
-        xr = (x - x_u) % 1.0
-        yr = (y - y_u) % 1.0
-        below = yr < _eval_rebased(gmap, x_u, y_u, xr)
-        if kind == "p":
-            p_down += below
-            p_up += not below
-        else:
-            pt_down += below
-            pt_up += not below
-    eta_down = w_total - p_down + pt_down
-    eta_up = w_total + p_up - pt_up
-    if eta_down != eta_up:
-        raise AlternationViolated(f"formula variants disagree: {eta_down} vs {eta_up}")
-    return int(eta_down)
+        if (y - y_u) % 1.0 < _eval_rebased(gmap, x_u, y_u, (x - x_u) % 1.0):
+            eta += -1 if kind == "p" else 1
+    return int(eta)
 
 
 def _base_windings(param: TorusParametrization, s: float, s_t: float) -> int:

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from diskrig.boundary import build_faithful_map, fixed_point_index, loop_index
+from diskrig.boundary import build_faithful_map, fixed_point_index, loop_index, sample_loops
 from diskrig.config import DiskConfiguration, contact_graph, eye_of_pair
 from diskrig.errors import (
     CoincidentCorner,
@@ -277,7 +277,7 @@ def test_criterion_09_stability():
     # eta under x2 density and 1e-10 jitter (negative-index corpus)
     fmap = build_faithful_map(NEGIDX_C, NEGIDX_CT, pins=NEGIDX_PINS)
     base = fixed_point_index(fmap).eta
-    if sum(loop_index(l) for l in fmap.loops(density=2)) != base:
+    if sum(loop_index(l) for l in sample_loops(fmap.loops(), 2)) != base:
         problems.append("eta-density")
     jit = lambda d: Disk(d.center + complex(*rng.normal(0, 1e-10, 2)), d.radius * (1 + 1e-10))
     fmap_j = build_faithful_map(NEGIDX_C.transformed(jit), NEGIDX_CT.transformed(jit), pins=NEGIDX_PINS)

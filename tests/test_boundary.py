@@ -15,12 +15,15 @@ from diskrig.boundary import (
     BASE_STEP,
     CORNER_REFINE,
     CORNER_WINDOW,
+    CROSSING,
     PASS_SAMPLES,
+    REFUSED,
     CornerRef,
     FaithfulMap,
     SampledLoopMap,
     _arcs_offsets,
     _certify,
+    _classify_circle_pairs,
     _exact_windings,
     _grid_counts,
     _min_disp,
@@ -32,6 +35,7 @@ from diskrig.boundary import (
     fixed_point_index,
     index_sums,
     loop_index,
+    sample_loops,
     winding_number,
 )
 from diskrig import geom
@@ -45,7 +49,7 @@ from diskrig.errors import (
     NotTransverse,
     PointOnCurve,
 )
-from diskrig.geom import Disk, DiskRelation, circle_intersections, cyclic_spans, disk_relation, tangency_point
+from diskrig.geom import Disk, DiskRelation, circle_arrays, circle_intersections, cyclic_spans, disk_relation, tangency_point
 from diskrig.moebius import apply_disk, dilation_about
 
 from conftest import _reference_classify, random_monotone_pins, ring_of_twelve
@@ -88,7 +92,7 @@ def test_boundary_complex_shapes():
     ring = boundary_complex(ring_config)
     assert len(ring.curves) == 2
     ring_t = ring_config.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d))
-    windings = sorted(winding_number(loop.src, 0j) for loop in build_faithful_map(ring_config, ring_t).loops())
+    windings = sorted(winding_number(loop.src, 0j) for loop in sample_loops(build_faithful_map(ring_config, ring_t).loops(), 1))
     assert windings == [-1, 1]  # inner curve clockwise, outer counterclockwise
 
 
@@ -271,7 +275,7 @@ def test_metric_disk_index_nonnegative(rng):
 def test_index_stability_resample_and_jitter(rng):
     fmap = build_faithful_map(NEGIDX_C, NEGIDX_CT, pins=NEGIDX_PINS)
     base = fixed_point_index(fmap).eta
-    dense = [loop_index(l) for l in fmap.loops(density=2)]
+    dense = [loop_index(l) for l in sample_loops(fmap.loops(), 2)]
     assert sum(dense) == base
     jit = 1e-10
     c_j = NEGIDX_C.transformed(lambda d: Disk(d.center + complex(jit, -jit), d.radius + jit))
@@ -295,7 +299,7 @@ def test_tangency_packing_pair():
     assert len(rep.per_curve) == 7
     bound = index_lower_bound(c, ct)
     assert rep.eta >= bound
-    deltas = index_sums([lambda d, v=v: [fmap.disk_loop(v, d)] for v in c.labels])
+    deltas = index_sums([[fmap.disk_loop(v)] for v in c.labels])
     assert rep.eta == sum(deltas)
 
 
@@ -310,10 +314,10 @@ def test_multiply_connected_ring_pair(rng):
     assert rep.eta == sum(rep.per_curve)
     # the report against each curve's winding from the scalar count and
     # from loop_index, which samples
-    loops = fmap.loops(2)
+    loops = fmap.loops()
     exact = [_exact_index(loop.arcs, loop.table) for loop in loops]
     assert None not in exact
-    assert collections.Counter(exact) == collections.Counter(rep.per_curve) == collections.Counter(map(loop_index, loops))
+    assert collections.Counter(exact) == collections.Counter(rep.per_curve) == collections.Counter(map(loop_index, sample_loops(loops, 2)))
     assert sum(exact) == rep.eta
 
 
@@ -496,18 +500,20 @@ def test_loops_match_grouped_reference():
     fmaps = [build_faithful_map(NEGIDX_C, NEGIDX_CT, pins=NEGIDX_PINS), build_faithful_map(ring, ring_t)]
     for fmap in fmaps:
         for density in range(1, 17):
-            loops = fmap.loops(density)
+            loops = sample_loops(fmap.loops(), density)
             assert len(loops) == len(fmap.complex_src.curves)
             for loop, curve in zip(loops, fmap.complex_src.curves):
                 _assert_same_loop(loop, fmap.config, _piece_arcs(curve), fmap, density)
             for v, nodes in fmap.nodes.items():
-                _assert_same_loop(fmap.disk_loop(v, density), fmap.config, _disk_arcs(nodes, v), fmap, density)
+                (loop,) = sample_loops([fmap.disk_loop(v)], density)
+                _assert_same_loop(loop, fmap.config, _disk_arcs(nodes, v), fmap, density)
             for c in fmap.config.contacts().values():
-                _assert_same_loop(fmap.eye_loop(*c.pair, density), fmap.config, _eye_arcs(fmap.config, *c.pair), fmap, density)
+                (loop,) = sample_loops([fmap.eye_loop(*c.pair)], density)
+                _assert_same_loop(loop, fmap.config, _eye_arcs(fmap.config, *c.pair), fmap, density)
     for subset in ({0, 1, 2}, {1}):
         sub = ring.restricted(subset)
         for density in range(1, 17):
-            loops = fmaps[1].subset_loops(subset, density)
+            loops = sample_loops(fmaps[1].subset_loops(subset), density)
             curves = boundary_complex(sub).curves
             assert len(loops) == len(curves)
             for loop, curve in zip(loops, curves):
@@ -595,9 +601,9 @@ def test_certificate_of_faithful_maps_matches_loop_by_loop_reference(rng):
     fmaps = [build_faithful_map(NEGIDX_C, NEGIDX_CT, pins=NEGIDX_PINS), build_faithful_map(NEGIDX_C, NEGIDX_CT)]
     fmaps += [build_faithful_map(ring, ring.transformed(lambda d: Disk(d.center * 1.05 + 0.01j, d.radius * 1.05)))]
     fmaps += [build_faithful_map(ring, ring.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d)))]
-    loop_lists = [fmap.loops(density) for fmap in fmaps for density in (1, 2, 4, 16)]
-    failing = fmaps[1].loops(1)
-    loop_lists += [fmaps[2].loops(1) + failing, failing + fmaps[3].loops(2)]
+    loop_lists = [sample_loops(fmap.loops(), density) for fmap in fmaps for density in (1, 2, 4, 16)]
+    failing = sample_loops(fmaps[1].loops(), 1)
+    loop_lists += [sample_loops(fmaps[2].loops(), 1) + failing, failing + sample_loops(fmaps[3].loops(), 2)]
     outcomes = []
     for loops in loop_lists:
         want = _outcome(_reference_certify, loops)
@@ -669,7 +675,7 @@ def test_fixed_point_index_samples_each_map_once(monkeypatch):
     # new crossing table
     from diskrig import boundary, experiments, geom
 
-    want = _refine(lambda density: _reference_certify(_ring_map().loops(density)))
+    want = _refine(lambda density: _reference_certify(sample_loops(_ring_map().loops(), density)))
     calls = []  # (density, EPS_GEOM) of each sampling
     sample = boundary._sample_curves
     monkeypatch.setattr(boundary, "_sample_curves", lambda *args: calls.append((args[1], geom.EPS_GEOM)) or sample(*args))
@@ -714,7 +720,7 @@ def test_index_report_method_sampled(monkeypatch):
     folded = _folded_map()
     report = fixed_point_index(folded)
     assert report.method == "sampled"
-    per_curve, min_disp = _refine(lambda density: _certify(folded.loops(density)))
+    per_curve, min_disp = _refine(lambda density: _certify(sample_loops(folded.loops(), density)))
     assert (report.eta, report.per_curve) == (sum(per_curve), per_curve)
     monkeypatch.setattr(boundary, "_sample_curves", lambda *args: pytest.fail("sampled again"))
     assert report.min_displacement == min_disp
@@ -868,25 +874,25 @@ def _arcs_winding(arcs, p) -> int:
 
 
 
-def _sampled_windings(make):
-    """The windings of the loops make(density) builds, sampled and certified
-    at the first density whose certificate holds: the oracle of the exact
-    path."""
-    return _refine(lambda density: _certify(make(density))[0])
+def _sampled_windings(loops):
+    """The windings of the loops, sampled and certified at the first density
+    whose certificate holds: the oracle of the exact path."""
+    return _refine(lambda density: _certify(sample_loops(loops, density))[0])
 
 
 def _loop_sets(fmap, rng):
     """(name, make) for the loops of the whole map, of both parts of two
-    random bipartitions, of every disk and of every eye."""
+    random bipartitions, of every disk and of every eye: make() builds
+    them."""
     labels = list(fmap.config.labels)
     sets = [("loops", fmap.loops)]
     for _ in range(2 if len(labels) > 1 else 0):
         part = {labels[k] for k in rng.choice(len(labels), size=int(rng.integers(1, len(labels))), replace=False)}
         for sub in (part, set(labels) - part):
-            sets.append((f"subset {sorted(sub, key=str)}", lambda d, sub=sub: fmap.subset_loops(sub, d)))
-    sets += [(f"disk {v}", lambda d, v=v: [fmap.disk_loop(v, d)]) for v in labels]
+            sets.append((f"subset {sorted(sub, key=str)}", lambda sub=sub: fmap.subset_loops(sub)))
+    sets += [(f"disk {v}", lambda v=v: [fmap.disk_loop(v)]) for v in labels]
     sets += [
-        (f"eye {c.pair}", lambda d, c=c: [fmap.eye_loop(*c.pair, d)])
+        (f"eye {c.pair}", lambda c=c: [fmap.eye_loop(*c.pair)])
         for c in fmap.config.contacts().values()
         if c.relation is DiskRelation.OVERLAPPING
     ]
@@ -912,18 +918,18 @@ def test_exact_index_matches_sampling(rng):
     for k, fmap in enumerate(fmaps):
         for name, make in _loop_sets(fmap, rng):
             try:
-                loops = make(1)
+                loops = make()
             except CombinatoricsMismatch:  # a part whose union traces differently in C~
                 continue
             exact = _exact_windings(loops)
             assert exact == [_exact_index(loop.arcs, loop.table) for loop in loops], (k, name)
             undecided += exact.count(None)
             try:
-                want = _sampled_windings(make)
+                want = _sampled_windings(loops)
             except NearFixedPoint:
                 continue
             assert exact == want, (k, name)
-            assert index_sums([make]) == [sum(want)]
+            assert index_sums([loops]) == [sum(want)]
             compared += 1
     assert undecided == 0
     assert compared >= 400
@@ -949,23 +955,72 @@ def test_exact_index_falls_back_to_sampling():
     # returns the sum of the sampled, certified windings
     folded, fixed = _folded_map(), _fixed_circle_map()
     cases = [
-        folded.loops,
-        lambda d: [folded.disk_loop("k", d)],
-        fixed.loops,
-        lambda d: [fixed.disk_loop("b", d)],
-        lambda d: [fixed.eye_loop("a", "b", d)],
+        folded.loops(),
+        [folded.disk_loop("k")],
+        fixed.loops(),
+        [fixed.disk_loop("b")],
+        [fixed.eye_loop("a", "b")],
     ]
-    for make in cases:
-        loops = make(1)
+    for loops in cases:
         assert _exact_windings(loops) == [None] * len(loops)
         assert all(_exact_index(loop.arcs, loop.table) is None for loop in loops)
-        assert index_sums([make]) == [sum(_sampled_windings(make))]
+        assert index_sums([loops]) == [sum(_sampled_windings(loops))]
     # the disk of b alone has no target circle equal to its own: decided
     loop = fixed.disk_loop("a")
-    assert _exact_windings([loop]) == [_exact_index(loop.arcs, loop.table)] == [_certify([loop])[0][0]]
+    assert _exact_windings([loop]) == [_exact_index(loop.arcs, loop.table)] == [_certify(sample_loops([loop], 1))[0][0]]
     # undecided loops among decided ones of one run leave the others decided
     loops = [fixed.disk_loop("a"), fixed.disk_loop("b"), fixed.eye_loop("a", "b"), fixed.disk_loop("a")]
-    assert _exact_windings(loops) == [_certify([loops[0]])[0][0], None, None, _certify([loops[0]])[0][0]]
+    assert _exact_windings(loops) == [_certify(sample_loops(loops[:1], 1))[0][0], None, None, _certify(sample_loops(loops[:1], 1))[0][0]]
+
+
+def _scalar_kind(disk, disk_t):
+    """The crossing table's kind of a source and an image circle, from the
+    scalar predicates: REFUSED, CROSSING, or None for a pair it leaves out."""
+    if geom.circles_tangent(disk, disk_t):
+        return REFUSED
+    if disk_relation(disk, disk_t) is not DiskRelation.OVERLAPPING:
+        return None
+    try:
+        circle_intersections(disk, disk_t)
+    except NotTransverse:
+        return REFUSED
+    return CROSSING
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    scale=st.sampled_from([1e-3, 1.0, 1e3, 2.0**20, 1e7]),
+    center=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+    phi=st.floats(0, 2 * math.pi),
+    ratio=st.sampled_from([1e-9, 1e-6, 1e-3, 0.3, 0.9, 1.0, 1.7]),
+    place=st.sampled_from(["external", "internal", "inside", "near external", "near internal"]),
+    side=st.sampled_from([-1, 0, 1]),
+    ulps=st.integers(-4, 4),
+)
+def test_crossing_table_refuses_where_the_scalar_predicates_do(scale, center, phi, ratio, place, side, ulps):
+    # a source and an image circle whose centre distance lies within a few
+    # ulps of one of the table's thresholds: EPS_GEOM off external or
+    # internal tangency, or the near-tangent crossing height EPS_GEOM
+    # max(r, 1); the table classifies the pair as the scalar predicates do
+    eps = geom.EPS_GEOM
+    r = scale
+    r_t = max(ratio * r, 2 * eps * max(r, 1.0)) if place.startswith("near") else (1 + ratio) * r
+    if place == "external":
+        d = r + r_t + side * eps
+    elif place == "internal":
+        d = r_t - r + side * eps
+    elif place == "inside":
+        r_t = max(r * ratio, 1e-6)
+        d = r - r_t + side * eps
+    else:
+        h = eps * max(r, 1.0)
+        along, along_t = math.sqrt(r * r - h * h), math.sqrt(r_t * r_t - h * h)
+        d = along + along_t if place == "near external" else along - along_t
+    d = max(d + ulps * float(np.spacing(d)), 0.0)
+    c = complex(*center) * scale
+    disk, disk_t = Disk(c, r), Disk(c + d * complex(math.cos(phi), math.sin(phi)), r_t)
+    _v, _w, kind, _theta, _theta_t = _classify_circle_pairs(np.array([0]), np.array([0]), circle_arrays([disk]), circle_arrays([disk_t]))
+    assert kind.tolist() == [k for k in [_scalar_kind(disk, disk_t)] if k is not None]
 
 
 def _ring(n, rng):
@@ -996,7 +1051,7 @@ def test_exact_windings_on_a_ring_of_seventy(monkeypatch, pass_samples):
     exact = _exact_windings(loops)
     assert None not in exact
     assert exact == [_exact_index(loop.arcs, loop.table) for loop in loops]
-    assert exact[:2] == _sampled_windings(fmap.loops)
+    assert exact[:2] == _sampled_windings(curves)
 
 
 def _near_degenerate_maps(rng):
@@ -1088,37 +1143,37 @@ def test_near_tangent_crossing_is_undecided():
         _exact_index(loop.arcs, loop.table)
     assert _exact_windings([loop]) == _exact_windings([pinned.disk_loop("k")]) == [None]
     with pytest.raises(NearFixedPoint):
-        index_sums([lambda d: [fmap.disk_loop("k", d)]])
+        index_sums([[loop]])
 
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus")
 
 
 def _corpus_loop_sets():
-    """(name, map, make) of the benchmark corpora's loops: for each
+    """(name, map, loops) of the benchmark corpora's loops: for each
     index_theorem pair, the loops of the canonical and the variant map of the
     workload, and the canonical map's subset loops of its bipartitions, disk
     loops and eye loops; for each cli_pairs pair, its map's loops.  map is
-    the faithful map whose loops make builds, or None for its other loops."""
+    the faithful map whose loops these are, or None for its other loops."""
     for name in ("index_theorem", "cli_pairs"):
         with open(os.path.join(CORPUS, name, "manifest.json")) as fh:
             items = json.load(fh)["items"]
         for item in items:
             c, ct = (read_document(os.path.join(CORPUS, name, f)).to_configuration() for f in item["files"])
             fmap = build_faithful_map(c, ct)
-            yield f"{name} {item['id']}", fmap, fmap.loops
+            yield f"{name} {item['id']}", fmap, fmap.loops()
             if name == "cli_pairs":
                 continue
             variant = build_faithful_map(c, ct, rng=np.random.default_rng(item["variant_seed"]), n_random_pins=2)
-            yield f"{name} {item['id']} variant", variant, variant.loops
+            yield f"{name} {item['id']} variant", variant, variant.loops()
             for part in item["bipartitions"]:
                 for sub in (set(part), set(c.labels) - set(part)):
-                    yield f"{name} {item['id']} subset {sorted(sub)}", None, lambda d, sub=sub: fmap.subset_loops(sub, d)
+                    yield f"{name} {item['id']} subset {sorted(sub)}", None, fmap.subset_loops(sub)
             for v in c.labels:
-                yield f"{name} {item['id']} disk {v}", None, lambda d, v=v: [fmap.disk_loop(v, d)]
+                yield f"{name} {item['id']} disk {v}", None, [fmap.disk_loop(v)]
             for e in c.contacts().values():
                 if e.relation is DiskRelation.OVERLAPPING:
-                    yield f"{name} {item['id']} eye {e.pair}", None, lambda d, e=e: [fmap.eye_loop(*e.pair, d)]
+                    yield f"{name} {item['id']} eye {e.pair}", None, [fmap.eye_loop(*e.pair)]
 
 
 def test_exact_windings_match_sampling_on_the_corpora():
@@ -1127,12 +1182,11 @@ def test_exact_windings_match_sampling_on_the_corpora():
     # decides, the sum and fixed_point_index's report equal the certified
     # sampled ones
     sets = maps = 0
-    for name, fmap, make in _corpus_loop_sets():
-        loops = make(1)
+    for name, fmap, loops in _corpus_loop_sets():
         exact = _exact_windings(loops)
         assert exact == [_exact_index(loop.arcs, loop.table) for loop in loops], name
         assert None not in exact, name
-        assert exact == _sampled_windings(make), name
+        assert exact == _sampled_windings(loops), name
         if fmap is not None:
             report = fixed_point_index(fmap)
             assert (report.method, report.eta, report.per_curve) == ("exact", sum(exact), exact), name
@@ -1156,9 +1210,52 @@ def test_identities_sample_nothing_once_the_map_is_indexed(monkeypatch):
     assert experiments.obs_a_identity(fmap) == (eta, eta)
     assert experiments.main_b_identity(fmap, set(range(6))) == (eta, eta)
     assert calls == []
-    # the loops still sample when read
-    assert len(fmap.disk_loop(0).src) > 0
+    # the loops still sample when sampled
+    assert len(sample_loops([fmap.disk_loop(0)], 1)[0].src) > 0
     assert len(calls) == 1
+
+
+def test_index_sums_samples_only_the_undecided_loops(monkeypatch):
+    # one crossing count takes every list; the disk of b and the eye, which
+    # it leaves undecided, are sampled together, though they are in different
+    # lists, at each density the certificate tries, and nothing else is
+    from diskrig import boundary
+
+    fixed = _fixed_circle_map()
+    disk_a, disk_b, eye = fixed.disk_loop("a"), fixed.disk_loop("b"), fixed.eye_loop("a", "b")
+    calls = []  # (arcs, density) of each sampling
+    sample = boundary._sample_curves
+    monkeypatch.setattr(boundary, "_sample_curves", lambda *args: calls.append(args[:2]) or sample(*args))
+    (w_a,) = _exact_windings([disk_a])
+    w_b, w_eye = _sampled_windings([disk_b, eye])
+    want = calls[:]
+    assert want and all(arcs == [disk_b.arcs, eye.arcs] for arcs, _density in want)
+    calls.clear()
+    assert index_sums([[disk_a, disk_b], [eye], [disk_a]]) == [w_a + w_b, w_eye, w_a]
+    assert calls == want
+
+
+def test_index_theorem_corpus_samples_nothing(monkeypatch):
+    # on every index_theorem pair, the workload's fixed_point_index of the
+    # canonical and the variant map and its identities call sample_loops
+    # not once; reading min_displacement does
+    from diskrig import boundary, experiments
+
+    calls = []
+    sample = boundary.sample_loops
+    monkeypatch.setattr(boundary, "sample_loops", lambda *args: calls.append(args) or sample(*args))
+    with open(os.path.join(CORPUS, "index_theorem", "manifest.json")) as fh:
+        items = json.load(fh)["items"]
+    for item in items:
+        c, ct = (read_document(os.path.join(CORPUS, "index_theorem", f)).to_configuration() for f in item["files"])
+        fmap = build_faithful_map(c, ct)
+        fixed_point_index(fmap)
+        fixed_point_index(build_faithful_map(c, ct, rng=np.random.default_rng(item["variant_seed"]), n_random_pins=2))
+        experiments.obs_a_identity(fmap)
+        for part in item["bipartitions"]:
+            experiments.main_b_identity(fmap, set(part))
+    assert len(items) == 60 and calls == []
+    assert fixed_point_index(fmap).min_displacement > 0 and len(calls) == 1
 
 
 def test_random_pins_keep_every_variant_monotone():

@@ -152,6 +152,45 @@ def test_index_translated_copy(tmp_path, capsys):
     assert payload["eta"] >= payload["lower_bound"]
 
 
+# an 8-disk pair whose eta the crossing count decides, but whose samples fail
+# the certificate between samples at every density: (id, cx, cy, r)
+UNCERTIFIED_C = [
+    (0, 0.0, 0.0, 1.2851638703141361),
+    (1, 2.1811430280954376, 0.0, 1.0),
+    (2, 1.403833126723862, 1.6905912316020195, 1.0),
+    (3, -0.48639593620387411, 2.2314840351872807, 1.0),
+    (4, -1.9932185054131561, 0.97901540960821398, 1.0),
+    (5, -1.9578036507161316, -1.0011368200281479, 1.0),
+    (6, -0.62445754029457956, -2.1654688437865524, 1.0),
+    (7, 1.3304974225630699, -1.7478995865638298, 1.0),
+]
+UNCERTIFIED_CT = [
+    (0, 0.0, 0.0, 1.2871353227310465),
+    (1, 2.1872013251377744, 0.0, 1.0044156680111156),
+    (2, 1.3971401006803226, 1.6432499597579087, 0.95527207668008185),
+    (3, -0.35092283909994282, 2.1551133746604174, 0.89757038569079506),
+    (4, -1.8241208303348779, 1.1425875681734901, 0.92707525060521601),
+    (5, -2.1100932865754336, -0.80459488922144073, 1.0603151095678844),
+    (6, -0.82461900700418911, -2.106664981217671, 1.0067678984035475),
+    (7, 1.346269992676566, -1.9408697269947355, 1.17146842972857),
+]
+
+
+def test_index_reports_an_exact_eta_whose_samples_cannot_be_certified(tmp_path, capsys):
+    # the exact eta is reported with min_displacement null, and the exit code
+    # is the theorem check's, not the sampling's refusal
+    c, ct = (
+        _write(tmp_path / name, {"schema_version": 1, "disks": [{"id": i, "cx": x, "cy": y, "r": r} for i, x, y, r in disks]})
+        for name, disks in (("c.json", UNCERTIFIED_C), ("ct.json", UNCERTIFIED_CT))
+    )
+    assert main(["--json", "index", c, ct]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["eta"], payload["lower_bound"], payload["min_displacement"]) == (2, 1, None)
+    assert payload["per_curve"] == [0] * 7 + [2] and not payload["theorem_violated"]
+    assert main(["index", c, ct]) == 0
+    assert "min_displacement: None" in capsys.readouterr().out.splitlines()
+
+
 def test_solve_k4(tmp_path, capsys):
     doc = _write(
         tmp_path / "k4.json",

@@ -4,8 +4,9 @@ benchmark, or in the acceptance suite.  What only unit tests reach is deleted
 together with the tests that exist only for it, or listed in EXEMPT with the
 reason it stays.  Likewise every defaulted or keyword-only parameter is
 passed by some call from outside the unit tests, or listed in OPTION_EXEMPT.
-And every name that the package or the tests import is used where it is
-imported."""
+Every name in EXEMPT is defined in the package, and every key of
+OPTION_EXEMPT names a defaulted or keyword-only parameter of it.  And every
+name that the package or the tests import is used where it is imported."""
 import ast
 import re
 from collections import Counter
@@ -81,7 +82,6 @@ OPTION_EXEMPT = {
     "generate_finlandia.shrink": "the near-degenerate finlandia instances, as for meat",
     "generate_contained_loops.n": "contained loops of every length from 3 to 8, not only the lengths a draw picks",
     "resolve_pair.n_petals": "the 6-petal solver pair that the CLI's normalize test compares",
-    "_successor.out": "passed through the functools.partial that _certify calls as successor",
 }
 
 
@@ -128,6 +128,14 @@ def test_no_option_that_only_unit_tests_pass():
         and (name, arg) not in passed and (name, position) not in passed
     ]
     assert unpassed == []
+
+
+def test_no_stale_exemption():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    defined = {node.name for tree in trees for _qualname, node in _definitions(tree)}
+    options = {option for tree in trees for _name, option, _arg, _position in _options(tree)}
+    assert sorted(EXEMPT - defined) == []
+    assert sorted(set(OPTION_EXEMPT) - options) == []
 
 
 def _imported(tree):

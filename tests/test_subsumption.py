@@ -347,7 +347,7 @@ def test_excision_consequences_when_detected(rng):
             # eta excision: the full index equals the sub-configuration index
             try:
                 eta_full = fixed_point_index(fmap).eta
-                (eta_rest,) = index_sums([lambda d: fmap.subset_loops(rest, d)])
+                (eta_rest,) = index_sums([fmap.subset_loops(rest)])
             except DiskrigError:
                 continue
             assert eta_full == eta_rest
