@@ -29,7 +29,7 @@ from .errors import (
     NearFixedPoint,
     PointOnCurve,
 )
-from .geom import circle_arrays, cyclic_spans
+from .geom import RELATIONS, DiskRelation, circle_arrays, complex_abs, cyclic_spans
 
 TWO_PI = 2 * math.pi
 BASE_STEP = TWO_PI / 512
@@ -594,59 +594,40 @@ CROSSING, REFUSED = 1, 2
 IOTA = np.array([1, -1])  # the sign of a pair's crossings u and v
 
 
-def _classify_circle_pairs(v, w, circles, circles_t):
-    """(v, w, kind, angles of the crossings on the source circle, on the
-    image circle) of the pairs of source circle v and image circle w, given
-    as arrays of vertex codes, in one numpy pass: REFUSED where
-    circles_tangent holds (tangent or equal circles) or where
-    circle_intersections calls the crossings near-tangent, CROSSING where
-    disk_relation reads overlapping disks otherwise; pairs it reads as
-    disjoint or nested are left out.  A CROSSING row holds
-    circle_intersections' u (where the source circle enters the image disk,
-    iota = +1), then v (iota = -1); REFUSED rows hold zeros."""
-    eps = geom.EPS_GEOM
-    c, r, c_t, r_t = circles[0][v], circles[1][v], circles_t[0][w], circles_t[1][w]
-    gap = c - c_t
-    d = np.hypot(gap.real, gap.imag)  # Python's abs of a complex; np.abs can differ by an ulp
-    tangent = (np.abs(d - (r + r_t)) <= eps) | (np.abs(d - np.abs(r - r_t)) <= eps)
-    keep = np.flatnonzero(tangent | ((d <= r + r_t) & (d >= np.abs(r - r_t))))
-    v, w, tangent = v[keep], w[keep], tangent[keep]
-    kind = np.where(tangent, REFUSED, CROSSING)
-    k = np.flatnonzero(~tangent)
-    c, r, c_t, r_t, d = c[keep[k]], r[keep[k]], c_t[keep[k]], r_t[keep[k]], d[keep[k]]
-    along = (r**2 - r_t**2 + d * d) / (2 * d)
-    h2 = r**2 - along**2
-    near = h2 <= (eps * np.maximum(r, 1.0)) ** 2
-    kind[k[near]] = REFUSED
-    k, c, c_t, d, along, h = (x[~near] for x in (k, c, c_t, d, along, np.sqrt(np.maximum(h2, 0.0))))
-    axis = (c_t - c) / d
-    mid = c + along * axis
-    p, q = mid + 1j * axis * h, mid - 1j * axis * h
-    enters = (np.conj(1j * (p - c)) * (c_t - p)).real > 0
-    z = np.where(enters[:, None], np.stack([p, q], axis=1), np.stack([q, p], axis=1))
-    theta, theta_t = np.zeros((len(v), 2)), np.zeros((len(v), 2))
-    theta[k], theta_t[k] = np.angle(z - c[:, None]), np.angle(z - c_t[:, None])
-    return v, w, kind, theta, theta_t
-
-
 class _CrossingTable:
     """Every source circle v of a faithful map against every image circle w,
-    classified once under the EPS_GEOM it was built with
-    (_classify_circle_pairs), in passes of at most PASS_SAMPLES pairs, or of
-    one source circle's n pairs when n is larger.  The pairs it keeps are
-    sorted by v and then w, in the columns v, w, kind, theta and theta_t;
-    rows first[v]:first[v + 1] are source circle v's."""
+    classified once, by meeting_pairs, under the EPS_GEOM it was built with.
+    It keeps the pairs that meet without nesting, sorted by v and then w, in
+    the columns v, w, kind, theta and theta_t; rows first[v]:first[v + 1]
+    are source circle v's.  kind is REFUSED where circles_tangent holds
+    (tangent or equal circles) or where circle_intersections calls the
+    crossings near-tangent, and CROSSING otherwise.  A CROSSING row holds
+    the angles on the source and on the image circle of
+    circle_intersections' u (where the source circle enters the image disk,
+    iota = +1), then of its v (iota = -1); REFUSED rows hold zeros."""
 
     def __init__(self, circles, circles_t):
-        self.eps = geom.EPS_GEOM
-        n = len(circles[1])
-        step = max(1, PASS_SAMPLES // n)
-        parts = [
-            _classify_circle_pairs(np.repeat(np.arange(lo, min(lo + step, n)), n), np.tile(np.arange(n), min(step, n - lo)), circles, circles_t)
-            for lo in range(0, n, step)
-        ]
-        self.v, self.w, self.kind, self.theta, self.theta_t = (np.concatenate(c) for c in zip(*parts))
-        self.first = np.searchsorted(self.v, np.arange(n + 1))
+        self.eps = eps = geom.EPS_GEOM
+        v, w, code, d = geom.meeting_pairs(circles, circles_t)
+        meet = (code != RELATIONS.index(DiskRelation.FIRST_CONTAINS_SECOND)) & (code != RELATIONS.index(DiskRelation.SECOND_CONTAINS_FIRST))
+        v, w, code, d = (x[meet] for x in (v, w, code, d))
+        k = np.flatnonzero(code == RELATIONS.index(DiskRelation.OVERLAPPING))
+        kind = np.full(len(v), REFUSED)
+        c, r, c_t, r_t, d = circles[0][v[k]], circles[1][v[k]], circles_t[0][w[k]], circles_t[1][w[k]], d[k]
+        along = (r**2 - r_t**2 + d * d) / (2 * d)
+        h2 = r**2 - along**2
+        near = h2 <= (eps * np.maximum(r, 1.0)) ** 2
+        k, c, c_t, d, along, h = (x[~near] for x in (k, c, c_t, d, along, np.sqrt(np.maximum(h2, 0.0))))
+        kind[k] = CROSSING
+        axis = (c_t - c) / d
+        mid = c + along * axis
+        p, q = mid + 1j * axis * h, mid - 1j * axis * h
+        enters = (np.conj(1j * (p - c)) * (c_t - p)).real > 0
+        z = np.where(enters[:, None], np.stack([p, q], axis=1), np.stack([q, p], axis=1))
+        self.theta, self.theta_t = np.zeros((len(v), 2)), np.zeros((len(v), 2))
+        self.theta[k], self.theta_t[k] = np.angle(z - c[:, None]), np.angle(z - c_t[:, None])
+        self.v, self.w, self.kind = v, w, kind
+        self.first = np.searchsorted(v, np.arange(len(circles[1]) + 1))
 
 
 def _exact_windings(loops) -> list:
@@ -750,10 +731,10 @@ def _count_windings(curves, table: _NodeTable) -> list:
     start, end = center + radius * np.exp(1j * t0), center + radius * np.exp(1j * (t0 + span))
     base = np.concatenate([start[n_arcs + first][loop], start[first][loop]])
     rel = base - center
-    gap = np.minimum(np.abs(base - start), np.abs(base - end))
-    gap = np.where((np.angle(rel) - t0) % TWO_PI <= span, np.minimum(gap, np.abs(np.abs(rel) - radius)), gap)
+    gap = np.minimum(complex_abs(base - start), complex_abs(base - end))
+    gap = np.where((np.angle(rel) - t0) % TWO_PI <= span, np.minimum(gap, np.abs(complex_abs(rel) - radius)), gap)
     refused[side_loop[gap <= tol] % n_loops] = True
-    inside = np.abs(rel) < radius
+    inside = complex_abs(rel) < radius
     turn = np.angle((end - base) * np.conj(start - base))
     turn = np.where(span == TWO_PI, np.where(inside, TWO_PI, 0.0), np.where(inside & (turn < 0), turn + TWO_PI, turn))
     eta = np.round(np.bincount(side_loop, weights=turn, minlength=2 * n_loops) / TWO_PI).reshape(2, n_loops).sum(axis=0)

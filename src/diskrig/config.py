@@ -12,26 +12,18 @@ import numpy as np
 from . import geom
 from .errors import ContainmentViolation, HypothesesViolated, IncidenceMismatch, NotTransverse
 from .geom import (
+    RELATIONS,
     Disk,
     DiskRelation,
     Lens,
     circle_arrays,
     circle_intersections,
-    circles_tangent,
+    complex_abs,
     cyclic_spans,
     disk_relation,
-    overlap_cosine,
+    meeting_pairs,
     tangency_point,
 )
-
-
-def _prefilter_margin(scale):
-    """How far beyond a scalar test's bound the numpy prefilters of _classify
-    and is_general_position pass a pair whose distances are about scale:
-    2 EPS_GEOM, and a slack beyond any rounding of their numpy distances,
-    which may differ from Python's by an ulp of the distance, more than an
-    absolute 1e-9 once radii reach about 1e7."""
-    return 2 * geom.EPS_GEOM + 1e-9 + scale * 1e-15
 
 
 @dataclass(frozen=True)
@@ -83,34 +75,26 @@ class DiskConfiguration:
         """Classify every pair once: the contact table of the meeting pairs,
         raising ContainmentViolation where one disk contains another.
 
-        One numpy pass over all pairs picks the candidates, whose centres lie
-        within r_i + r_j + _prefilter_margin(r_i + r_j); every other pair is
-        disjoint.  disk_relation classifies the candidates in combinations
-        order of the str-sorted labels, as it would every pair, and one
-        arccos gives the overlap angles."""
+        meeting_pairs classifies every pair of the str-sorted labels in
+        numpy, as disk_relation would, and one arccos gives the overlap
+        angles; the pairs (i, j) with i before j are read in combinations
+        order, so the first containing pair raises."""
         labels = sorted(self.labels, key=str)
         disks = [self.disks[v] for v in labels]
-        c, r = circle_arrays(disks)
-        rsum = r[:, None] + r
-        near = np.abs(c[:, None] - c) <= rsum + _prefilter_margin(rsum)
-        meeting, cosines = [], []
-        for n, m in zip(*(k.tolist() for k in np.nonzero(near))):
+        circles = circle_arrays(disks)
+        v, w, code, d = meeting_pairs(circles, circles)
+        rv, rw = circles[1][v], circles[1][w]
+        cosine = np.minimum(np.maximum((d * d - rv * rv - rw * rw) / (2 * rv * rw), -1.0), 1.0)
+        theta = np.where(code == RELATIONS.index(DiskRelation.OVERLAPPING), np.arccos(cosine), 0.0)
+        table = {}
+        for n, m, k, t in zip(v.tolist(), w.tolist(), code.tolist(), theta.tolist()):
             if n >= m:
                 continue
-            a, b = disks[n], disks[m]
-            rel = disk_relation(a, b)
-            if rel is DiskRelation.OVERLAPPING:
-                cosines.append(overlap_cosine(a, b))
-            elif rel is DiskRelation.DISJOINT:
-                continue
-            elif rel is not DiskRelation.EXTERNALLY_TANGENT:
+            rel = RELATIONS[k]
+            if rel not in (DiskRelation.OVERLAPPING, DiskRelation.EXTERNALLY_TANGENT):
                 raise ContainmentViolation(f"disk {labels[n]} vs {labels[m]}: {rel.value}")
-            meeting.append((labels[n], labels[m], rel, a, b))
-        thetas = iter(np.arccos(cosines).tolist())
-        return {
-            frozenset((i, j)): Contact((i, j), rel, a, b, next(thetas) if rel is DiskRelation.OVERLAPPING else 0.0)
-            for i, j, rel, a, b in meeting
-        }
+            table[frozenset((labels[n], labels[m]))] = Contact((labels[n], labels[m]), rel, disks[n], disks[m], t)
+        return table
 
     def contacts(self) -> dict:
         """The contact table: frozenset pair -> Contact for every overlapping
@@ -226,34 +210,26 @@ def is_general_position(config: DiskConfiguration, config_tilde: DiskConfigurati
     no pair-intersection point of one configuration on a boundary circle of
     the other.
 
-    One numpy pass over all cross pairs, and one over all corner-circle
-    pairs, picks the candidates within _prefilter_margin of a test's bound;
-    the scalar tests run only on those, in the same order as over every
-    pair."""
+    meeting_pairs reads the tangent and equal cross pairs, in listing order;
+    each corner is tested against every circle of the other configuration
+    in one numpy pass, measured with complex_abs as Python's abs measures
+    it."""
     report = []
-    c, r = circle_arrays([config.disks[v] for v in config.labels])
-    ct, rt = circle_arrays([config_tilde.disks[v] for v in config_tilde.labels])
-    dist = np.abs(c[:, None] - ct[None, :])
-    # coincident circles are internally tangent too: |d - |r - rt|| <= max(d, |r - rt|)
-    candidates = np.minimum(np.abs(dist - (r[:, None] + rt[None, :])), np.abs(dist - np.abs(r[:, None] - rt[None, :])))
-    for n, m in zip(*np.nonzero(candidates <= _prefilter_margin(r[:, None] + rt[None, :]))):
-        i, j = config.labels[n], config_tilde.labels[m]
-        a, b = config.disks[i], config_tilde.disks[j]
-        if circles_tangent(a, b):
-            report.append(("tangential_cross_pair", i, j))
-        if abs(a.center - b.center) <= geom.EPS_GEOM and abs(a.radius - b.radius) <= geom.EPS_GEOM:
-            report.append(("coincident_boundaries", i, j))
+    circles = [circle_arrays([cfg.disks[v] for v in cfg.labels]) for cfg in (config, config_tilde)]
+    for n, m, k in zip(*(x.tolist() for x in meeting_pairs(*circles)[:3])):
+        # equal circles are internally tangent too
+        if RELATIONS[k] in (DiskRelation.EXTERNALLY_TANGENT, DiskRelation.INTERNALLY_TANGENT, DiskRelation.EQUAL):
+            report.append(("tangential_cross_pair", config.labels[n], config_tilde.labels[m]))
+        if RELATIONS[k] is DiskRelation.EQUAL:
+            report.append(("coincident_boundaries", config.labels[n], config_tilde.labels[m]))
     # the corners of each configuration's contact table against every circle
     # of the other
-    for cfg, other, (oc, orad) in ((config, config_tilde, (ct, rt)), (config_tilde, config, (c, r))):
+    for cfg, other, (oc, orad) in ((config, config_tilde, circles[1]), (config_tilde, config, circles[0])):
         corners = [(contact, kind, p) for contact in cfg.contacts().values() for kind, p in contact.named_corners()]
-        p = np.array([z for _c, _k, z in corners], dtype=complex)
-        off_circle = np.abs(np.abs(p[:, None] - oc[None, :]) - orad[None, :])
-        for n, m in zip(*np.nonzero(off_circle <= _prefilter_margin(orad[None, :]))):
-            (contact, kind, z), j = corners[n], other.labels[m]
-            d = other.disks[j]
-            if abs(abs(z - d.center) - d.radius) <= geom.EPS_GEOM:
-                report.append(("special_point_on_circle", (*contact.pair, kind), j))
+        dist = complex_abs(np.array([z for _c, _k, z in corners], dtype=complex)[:, None] - oc[None, :])
+        for n, m in zip(*np.nonzero(np.abs(dist - orad[None, :]) <= geom.EPS_GEOM)):
+            contact, kind, _z = corners[n]
+            report.append(("special_point_on_circle", (*contact.pair, kind), other.labels[m]))
     return (len(report) == 0), report
 
 

@@ -17,6 +17,7 @@ from .errors import AngleUndefined, DegenerateDisk, NotTransverse
 
 EPS_GEOM = 1e-9
 EPS_ANGLE = 1e-7
+PAIR_PASS = 4096  # circle pairs one meeting_pairs pass classifies, unless one circle's pairs are more
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,9 @@ class DiskRelation(enum.Enum):
     EQUAL = "Equal"
 
 
+RELATIONS = tuple(DiskRelation)  # the relation of each code that meeting_pairs gives
+
+
 def disk_relation(a: Disk, b: Disk) -> DiskRelation:
     """Classify the ordered pair by center distance vs radius sums/differences."""
     d = abs(a.center - b.center)
@@ -76,6 +80,44 @@ def disk_relation(a: Disk, b: Disk) -> DiskRelation:
             return DiskRelation.FIRST_CONTAINS_SECOND
         return DiskRelation.SECOND_CONTAINS_FIRST
     return DiskRelation.OVERLAPPING
+
+
+def complex_abs(z):
+    """The moduli of a complex array, rounded as Python's abs of a complex
+    rounds them: np.hypot of the parts (np.abs can differ by an ulp)."""
+    return np.hypot(z.real, z.imag)
+
+
+def meeting_pairs(circles, circles2):
+    """(v, w, code, d) of every pair of circle v of circles and circle w of
+    circles2, each a (centres, radii) pair of arrays as circle_arrays gives
+    them, that disk_relation does not read as disjoint, sorted by v and then
+    w: code indexes RELATIONS, and d is the centre distance, as
+    complex_abs measures it, so each code is disk_relation's, bit for bit.
+    The pairs are classified in passes of at most PAIR_PASS pairs, or of one
+    circle v's pairs when circles2 holds more."""
+    (c, r), (c2, r2) = circles, circles2
+    eps, R, code_of = EPS_GEOM, DiskRelation, RELATIONS.index
+    step = max(1, PAIR_PASS // max(len(r2), 1))
+    parts = []
+    for lo in range(0, max(len(r), 1), step):
+        d = complex_abs(c[lo : lo + step, None] - c2)
+        # however they round, the tests below, on this d, read a pair farther
+        # apart than r + r2 + 2 eps as disjoint: tangency within eps is nearer
+        v, w = np.nonzero(d <= r[lo : lo + step, None] + r2 + 2 * eps)
+        d, v = d[v, w], v + lo
+        rv, rw = r[v], r2[w]
+        rsum, rdiff = rv + rw, np.abs(rv - rw)
+        # disk_relation's tests, applied in reverse, so that where several
+        # hold the one it tries first decides
+        code = np.where(d < rdiff, np.where(rv > rw, code_of(R.FIRST_CONTAINS_SECOND), code_of(R.SECOND_CONTAINS_FIRST)), code_of(R.OVERLAPPING))
+        code[np.abs(d - rdiff) <= eps] = code_of(R.INTERNALLY_TANGENT)
+        code[d > rsum] = code_of(R.DISJOINT)
+        code[np.abs(d - rsum) <= eps] = code_of(R.EXTERNALLY_TANGENT)
+        code[(d <= eps) & (rdiff <= eps)] = code_of(R.EQUAL)
+        keep = np.flatnonzero(code != code_of(R.DISJOINT))
+        parts.append((v.take(keep), w.take(keep), code.take(keep), d.take(keep)))
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def circles_tangent(a: Disk, b: Disk) -> bool:
@@ -102,15 +144,9 @@ def overlap_angle(a: Disk, b: Disk) -> float:
         return 0.0
     if rel is not DiskRelation.OVERLAPPING:
         raise AngleUndefined(f"pair is {rel.value}; overlap angle needs contact")
-    return float(np.arccos(overlap_cosine(a, b)))
-
-
-def overlap_cosine(a: Disk, b: Disk) -> float:
-    """The cosine of the overlap angle of an overlapping pair, clamped to
-    [-1, 1]: what overlap_angle takes the arccos of."""
     d = abs(a.center - b.center)
     x = (d * d - a.radius * a.radius - b.radius * b.radius) / (2 * a.radius * b.radius)
-    return min(max(x, -1.0), 1.0)
+    return float(np.arccos(min(max(x, -1.0), 1.0)))
 
 
 def circle_intersections(a: Disk, b: Disk) -> tuple[complex, complex]:

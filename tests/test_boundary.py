@@ -15,15 +15,12 @@ from diskrig.boundary import (
     BASE_STEP,
     CORNER_REFINE,
     CORNER_WINDOW,
-    CROSSING,
     PASS_SAMPLES,
-    REFUSED,
     CornerRef,
     FaithfulMap,
     SampledLoopMap,
     _arcs_offsets,
     _certify,
-    _classify_circle_pairs,
     _exact_windings,
     _grid_counts,
     _min_disp,
@@ -49,7 +46,7 @@ from diskrig.errors import (
     NotTransverse,
     PointOnCurve,
 )
-from diskrig.geom import Disk, DiskRelation, circle_arrays, circle_intersections, cyclic_spans, disk_relation, tangency_point
+from diskrig.geom import Disk, DiskRelation, circle_intersections, cyclic_spans, disk_relation, tangency_point
 from diskrig.moebius import apply_disk, dilation_about
 
 from conftest import _reference_classify, random_monotone_pins, ring_of_twelve
@@ -145,7 +142,7 @@ def _count_disk_relation(monkeypatch):
 def test_faithful_map_reads_corners_from_its_complexes(monkeypatch, rng):
     # labels 0..11 list the pair (9, 10) against str order; a ring of
     # overlaps and a flower of tangencies
-    from diskrig.config import _prefilter_margin, contact_graph, eyes, is_general_position, is_thin
+    from diskrig.config import contact_graph, eyes, is_general_position, is_thin
     from diskrig.experiments import main_b_identity
     from diskrig.moebius import anchor_points
     from diskrig.solver import FixedBoundaryRadii, flower, layout, solve_radii
@@ -159,12 +156,8 @@ def test_faithful_map_reads_corners_from_its_complexes(monkeypatch, rng):
         c = DiskConfiguration(items)
         ct = c.transformed(lambda d: Disk(d.center * 1.05 + 0.01j, d.radius * 1.05))
         pairs = [(cfg, i, j) for cfg in (c, ct) for i, j in itertools.combinations(cfg.labels, 2)]
-        # building a configuration classifies once every pair within the
-        # prefilter's margin of meeting, and no pair twice ...
-        rsum = [cfg.disks[i].radius + cfg.disks[j].radius for cfg, i, j in pairs]
-        near = [abs(cfg.disks[i].center - cfg.disks[j].center) <= s + _prefilter_margin(s) for s, (cfg, i, j) in zip(rsum, pairs)]
-        assert [calls[frozenset((id(cfg.disks[i]), id(cfg.disks[j])))] for cfg, i, j in pairs] == [int(x) for x in near]
-        assert 0 < sum(near) < len(pairs)
+        # building a configuration calls disk_relation on no pair ...
+        assert not calls
         # ... into the table that classifying every pair gives ...
         for cfg in (c, ct):
             want = [(e, pair, rel, np.float64(theta).tobytes()) for e, pair, rel, theta in _reference_classify(cfg.items())]
@@ -974,56 +967,6 @@ def test_exact_index_falls_back_to_sampling():
     assert _exact_windings(loops) == [w_a, None, None, w_a]
 
 
-def _scalar_kind(disk, disk_t):
-    """The crossing table's kind of a source and an image circle, from the
-    scalar predicates: REFUSED, CROSSING, or None for a pair it leaves out."""
-    if geom.circles_tangent(disk, disk_t):
-        return REFUSED
-    if disk_relation(disk, disk_t) is not DiskRelation.OVERLAPPING:
-        return None
-    try:
-        circle_intersections(disk, disk_t)
-    except NotTransverse:
-        return REFUSED
-    return CROSSING
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(
-    scale=st.sampled_from([1e-3, 1.0, 1e3, 2.0**20, 1e7]),
-    center=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
-    phi=st.floats(0, 2 * math.pi),
-    ratio=st.sampled_from([1e-9, 1e-6, 1e-3, 0.3, 0.9, 1.0, 1.7]),
-    place=st.sampled_from(["external", "internal", "inside", "near external", "near internal"]),
-    side=st.sampled_from([-1, 0, 1]),
-    ulps=st.integers(-4, 4),
-)
-def test_crossing_table_refuses_where_the_scalar_predicates_do(scale, center, phi, ratio, place, side, ulps):
-    # a source and an image circle whose centre distance lies within a few
-    # ulps of one of the table's thresholds: EPS_GEOM off external or
-    # internal tangency, or the near-tangent crossing height EPS_GEOM
-    # max(r, 1); the table classifies the pair as the scalar predicates do
-    eps = geom.EPS_GEOM
-    r = scale
-    r_t = max(ratio * r, 2 * eps * max(r, 1.0)) if place.startswith("near") else (1 + ratio) * r
-    if place == "external":
-        d = r + r_t + side * eps
-    elif place == "internal":
-        d = r_t - r + side * eps
-    elif place == "inside":
-        r_t = max(r * ratio, 1e-6)
-        d = r - r_t + side * eps
-    else:
-        h = eps * max(r, 1.0)
-        along, along_t = math.sqrt(r * r - h * h), math.sqrt(r_t * r_t - h * h)
-        d = along + along_t if place == "near external" else along - along_t
-    d = max(d + ulps * float(np.spacing(d)), 0.0)
-    c = complex(*center) * scale
-    disk, disk_t = Disk(c, r), Disk(c + d * complex(math.cos(phi), math.sin(phi)), r_t)
-    _v, _w, kind, _theta, _theta_t = _classify_circle_pairs(np.array([0]), np.array([0]), circle_arrays([disk]), circle_arrays([disk_t]))
-    assert kind.tolist() == [k for k in [_scalar_kind(disk, disk_t)] if k is not None]
-
-
 def _ring(n, rng):
     """A closed ring of n overlapping disks, labelled 0..n-1, drawn as
     ring_of_twelve draws twelve, on a circle that keeps their gaps."""
@@ -1046,6 +989,7 @@ def test_exact_windings_on_a_ring_of_seventy(monkeypatch, pass_samples):
     ring = _ring(70, rng)
     fmap = build_faithful_map(ring, ring.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d)), rng=rng, n_random_pins=2)
     monkeypatch.setattr(boundary, "PASS_SAMPLES", pass_samples)
+    monkeypatch.setattr(geom, "PAIR_PASS", pass_samples)
     curves = fmap.loops()
     assert [len(loop.arcs) for loop in curves] == [70, 70]
     loops = curves + [fmap.disk_loop(v) for v in ring.labels] + [fmap.eye_loop(v, (v + 1) % 70) for v in ring.labels]
@@ -1126,6 +1070,29 @@ def test_exact_windings_refuse_where_the_scalar_count_does(rng):
         assert exact == [_exact_index(loop.arcs, loop.table) for loop in loops], kind
         seen[kind, None in exact] += 1
     assert all(seen[kind, refused] > 0 for kind, _ in seen for refused in (True, False)), seen
+
+
+def test_base_point_gap_rounds_as_the_scalar_count_does():
+    # single-disk maps from the unit circle, its base point at angle 0,
+    # pinned by the one node to a random image angle, whose image circle
+    # passes 10 EPS_GEOM +- 3 ulps from that base point: the count measures
+    # the gap as Python's abs does, so it refuses exactly where the scalar
+    # count does
+    rng = np.random.default_rng(5)
+    tol = _min_disp()
+    c = DiskConfiguration([("k", Disk(0j, 1.0))])
+    cx = boundary_complex(c)
+    seen = collections.Counter()
+    for _ in range(1000):
+        center = complex(*rng.uniform(-3, 3, 2))
+        r_t = abs(1 - center) + rng.choice([-1.0, 1.0]) * tol
+        r_t += int(rng.integers(-3, 4)) * float(np.spacing(r_t))
+        fmap = FaithfulMap(c, DiskConfiguration([("k", Disk(center, r_t))]), cx, {"k": [(0.0, float(rng.uniform(0, 2 * math.pi)))]})
+        loop = fmap.disk_loop("k")
+        exact = _exact_windings([loop])
+        assert exact == [_exact_index(loop.arcs, loop.table)]
+        seen[exact == [None]] += 1
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_near_tangent_crossing_is_undecided():

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diskrig import geom
+from diskrig.boundary import CROSSING, REFUSED, _CrossingTable
 from diskrig.errors import AngleUndefined, DegenerateTriple, NotTransverse
 from diskrig.geom import (
+    RELATIONS,
     Arc,
     Disk,
     DiskRelation,
@@ -12,10 +17,13 @@ from diskrig.geom import (
     Lune,
     arc_in_disk,
     boundary_crossings,
+    circle_arrays,
     circle_intersections,
+    circles_tangent,
     disk_relation,
     eye_nesting,
     lens_in_disk,
+    meeting_pairs,
     overlap_angle,
     regions_meet,
 )
@@ -40,6 +48,96 @@ def test_disk_relation_cases():
     assert disk_relation(Disk(0j, 1), Disk(1 + 0j, 1)) is DiskRelation.OVERLAPPING
     assert disk_relation(Disk(0j, 1), Disk(1 + 0j, 2)) is DiskRelation.INTERNALLY_TANGENT
     assert disk_relation(Disk(0j, 1), Disk(0j, 1)) is DiskRelation.EQUAL
+
+
+def _near_threshold_pair(scale, center, phi, ratio, place, side, ulps):
+    """Two disks whose centre distance lies within a few ulps of one of the
+    classifier's thresholds: EPS_GEOM off external or internal tangency
+    (the second disk containing the first, or the first the second),
+    EPS_GEOM off equal circles, or the near-tangent crossing height
+    EPS_GEOM max(r, 1) of circle_intersections; or a pair at a distance of
+    ratio times the radius sum."""
+    eps = geom.EPS_GEOM
+    r = scale
+    r_t = max(ratio * r, 2 * eps * max(r, 1.0)) if place.startswith("near") else (1 + ratio) * r
+    if place == "external":
+        d = r + r_t + side * eps
+    elif place == "internal":
+        d = r_t - r + side * eps
+    elif place == "inside":
+        r_t = max(r * ratio, 1e-6)
+        d = r - r_t + side * eps
+    elif place == "equal":
+        r_t, d = r + side * eps, abs(side) * eps
+    elif place == "random":
+        d = ratio * (r + r_t)
+    else:
+        h = eps * max(r, 1.0)
+        along, along_t = math.sqrt(r * r - h * h), math.sqrt(r_t * r_t - h * h)
+        d = along + along_t if place == "near external" else along - along_t
+    d = max(d + ulps * float(np.spacing(d)), 0.0)
+    c = complex(*center) * scale
+    return Disk(c, r), Disk(c + d * complex(math.cos(phi), math.sin(phi)), r_t)
+
+
+def _scalar_kind(disk, disk_t):
+    """The crossing table's kind of a source and an image circle, from the
+    scalar predicates: REFUSED, CROSSING, or None for a pair it leaves out."""
+    if circles_tangent(disk, disk_t):
+        return REFUSED
+    if disk_relation(disk, disk_t) is not DiskRelation.OVERLAPPING:
+        return None
+    try:
+        circle_intersections(disk, disk_t)
+    except NotTransverse:
+        return REFUSED
+    return CROSSING
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(
+    scale=st.sampled_from([1e-3, 1.0, 1e3, 2.0**20, 1e7, 1e8]),
+    center=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+    phi=st.floats(0, 2 * math.pi),
+    ratio=st.sampled_from([1e-9, 1e-6, 1e-3, 0.3, 0.9, 1.0, 1.7]),
+    place=st.sampled_from(["external", "internal", "inside", "equal", "near external", "near internal", "random"]),
+    side=st.sampled_from([-1, 0, 1]),
+    ulps=st.integers(-4, 4),
+    eps=st.sampled_from([None, 1e-7]),
+    pair_pass=st.sampled_from([geom.PAIR_PASS, 1]),
+)
+def test_meeting_pairs_classify_as_the_scalar_predicates_do(scale, center, phi, ratio, place, side, ulps, eps, pair_pass):
+    # differential oracle at every threshold of the bulk classifier, also
+    # under an EPS_GEOM override as --eps-geom sets it and in passes of one
+    # circle: each ordered pair of the two disks (and each disk with itself)
+    # that disk_relation does not read as disjoint is listed, by v and then
+    # w, with disk_relation's code, circles_tangent's tangency and Python's
+    # centre distance, bit for bit; and the crossing table refuses the pair
+    # where circle_intersections does, and otherwise places its crossings
+    # where circle_intersections does
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geom, "EPS_GEOM", eps or geom.EPS_GEOM)
+        patch.setattr(geom, "PAIR_PASS", pair_pass)
+        disks = _near_threshold_pair(scale, center, phi, ratio, place, side, ulps)
+        circles = circle_arrays(disks)
+        v, w, code, d = meeting_pairs(circles, circles)
+        want = [(n, m, disk_relation(a, b)) for n, a in enumerate(disks) for m, b in enumerate(disks)]
+        assert [(n, m, RELATIONS[k]) for n, m, k in zip(v.tolist(), w.tolist(), code.tolist())] == [x for x in want if x[2] is not DiskRelation.DISJOINT]
+        assert d.tolist() == [abs(disks[n].center - disks[m].center) for n, m in zip(v.tolist(), w.tolist())]
+        tangent = {DiskRelation.EXTERNALLY_TANGENT, DiskRelation.INTERNALLY_TANGENT, DiskRelation.EQUAL}
+        assert [rel in tangent for _n, _m, rel in want] == [circles_tangent(a, b) for a in disks for b in disks]
+        disk, disk_t = disks
+        table = _CrossingTable(circle_arrays([disk]), circle_arrays([disk_t]))
+        assert table.kind.tolist() == [k for k in [_scalar_kind(disk, disk_t)] if k is not None]
+        if table.kind.tolist() == [CROSSING] and abs(disk.center - disk_t.center) > 1e-6 * max(disk.radius, disk_t.radius):
+            # the angles of the same crossings u, then v, up to the
+            # rounding of the points' coordinates, seen from the centre;
+            # which crossing is u is ill-conditioned for circles whose
+            # centres lie much closer than their radii
+            z = np.array(circle_intersections(disk, disk_t))
+            for theta, e in ((table.theta, disk), (table.theta_t, disk_t)):
+                turn = np.abs(np.exp(1j * theta[0]) - np.exp(1j * np.angle(z - e.center)))
+                assert turn.max() <= 1e-12 * (abs(e.center) + e.radius) / e.radius
 
 
 def test_overlap_angle_values():
