@@ -276,6 +276,17 @@ def _pass_ends(sizes):
     yield len(sizes)
 
 
+def _grid_passes(spans, refine_start, refine_end, density):
+    """(arc, offset) of the arcs' grids at the density, in passes of whole
+    consecutive arcs that _pass_ends takes."""
+    counts = _grid_counts(spans, refine_start, refine_end, density)
+    lo = 0
+    for hi in _pass_ends(sum(counts).tolist()):
+        arc, off = _arcs_offsets(spans[lo:hi], [c[lo:hi] for c in counts], density)
+        yield arc + lo, off
+        lo = hi
+
+
 def _sample_curves(curves, density: int, code: dict, points):
     """The samples of closed curves, each a list of (vertex, a0, da,
     refine_start, refine_end) arcs, taken in passes over whole consecutive
@@ -289,12 +300,9 @@ def _sample_curves(curves, density: int, code: dict, points):
     a0, da, refine_start, refine_end = np.array([a[1:] for a in arcs], dtype=float).T
     refine_start, refine_end = refine_start != 0, refine_end != 0
     starts = list(itertools.accumulate((len(arcs) for arcs in curves[:-1]), initial=0))  # first arc of each curve
-    counts = _grid_counts(da, refine_start, refine_end, density)
     pieces = [[] for _ in curves]
-    lo = 0
-    for hi in _pass_ends(sum(counts).tolist()):
-        arc, off = _arcs_offsets(da[lo:hi], [c[lo:hi] for c in counts], density)
-        arc += lo
+    for arc, off in _grid_passes(da, refine_start, refine_end, density):
+        lo, hi = int(arc[0]), int(arc[-1]) + 1
         src, dst = points(codes[arc], a0[arc] + off)
         # cut the pass where each of its curves after the first starts: a
         # curve within one pass is a view of it, and only a curve that spans
@@ -303,7 +311,6 @@ def _sample_curves(curves, density: int, code: dict, points):
         cuts = [0, *(int(np.searchsorted(arc, k)) for k in starts[first + 1:end]), len(arc)]
         for c, a, b in zip(range(first, end), cuts, cuts[1:]):
             pieces[c].append((src[a:b], dst[a:b]))
-        lo = hi
     return [p[0] if len(p) == 1 else tuple(np.concatenate(s) for s in zip(*p)) for p in pieces]
 
 
@@ -344,6 +351,17 @@ class _NodeTable:
         self.arrays = [t0, t1, spans, spans_t]
         self.keys = vertex + 1j * t0
         self._crossings = None
+
+    @functools.cached_property
+    def slope(self):
+        """Each vertex map's steepest span_t / span over its node spans: 1
+        for a vertex without nodes, the identity in angle."""
+        _t0, _t1, spans, spans_t = self.arrays
+        slope = np.ones(len(self.first))
+        mapped = ~self.unmapped
+        if mapped.any():
+            slope[mapped] = np.maximum.reduceat(spans_t / spans, self.first[mapped])
+        return slope
 
     def crossings(self) -> _CrossingTable:
         """The map's crossing table under the current EPS_GEOM, built afresh
@@ -621,9 +639,8 @@ class _CrossingTable:
         kind[k] = CROSSING
         axis = (c_t - c) / d
         mid = c + along * axis
-        p, q = mid + 1j * axis * h, mid - 1j * axis * h
-        enters = (np.conj(1j * (p - c)) * (c_t - p)).real > 0
-        z = np.where(enters[:, None], np.stack([p, q], axis=1), np.stack([q, p], axis=1))
+        # u = mid - i*axis*h, as circle_intersections places it
+        z = np.stack([mid - 1j * axis * h, mid + 1j * axis * h], axis=1)
         self.theta, self.theta_t = np.zeros((len(v), 2)), np.zeros((len(v), 2))
         self.theta[k], self.theta_t[k] = np.angle(z - c[:, None]), np.angle(z - c_t[:, None])
         self.v, self.w, self.kind = v, w, kind
@@ -839,11 +856,139 @@ def fixed_point_index(fmap: FaithfulMap) -> IndexReport:
 def _sampled_min_displacement(loops, eps: float) -> float | None:
     """The smallest displacement of the loops' samples at the first density
     whose certificate holds, under the tolerance eps of their report, or
-    None when no density certifies them."""
+    None when no density certifies them: _certify's value on sample_loops,
+    bit for bit, found by _bounded_min_displacement."""
     saved, geom.EPS_GEOM = geom.EPS_GEOM, eps
     try:
-        return _refine(lambda density: _certify(sample_loops(loops, density))[1])
+        arcs = _LoopArcs(loops)
+        return _refine(functools.partial(_bounded_min_displacement, arcs))
     except NearFixedPoint:
         return None
     finally:
         geom.EPS_GEOM = saved
+
+
+# --- min_displacement, sampled only where an arc-length bound cannot settle it ---
+
+# The coarse pass samples each arc uniformly, without corner windows, at
+# 1/COARSE of the density: a step 8 times the fine one moves the displacement
+# by at most 8 fine steps' arc length, which on most arcs is still far below
+# the displacement, while the pass costs about a sixteenth of sampling every
+# arc, whose corner windows hold about half its points.
+COARSE = 8
+
+
+class _LoopArcs:
+    """The arcs of the loops of one faithful map as flat arrays, in loop and
+    then arc order: vertex code, a0, da, the refine flags and the next arc of
+    the same loop (cyclically).  Each arc's Lipschitz constant L = r + r~ s,
+    with s the steepest span_t / span of its vertex map, bounds how fast the
+    displacement moves with the source angle; margin exceeds the rounding of
+    a displacement, and of L times an angle, on the arc.  first holds the
+    source and image of each arc's first sample, at offset 0 of its grid at
+    every density, and rel their distance; jump, how far the next arc's
+    first sample lies from this arc's end, on the source and the image
+    (rounding at a crossing, up to the tangency tolerance at a tangency)."""
+
+    def __init__(self, loops):
+        self.table = table = loops[0].table
+        arcs = [arc for loop in loops for arc in loop.arcs]
+        sizes = np.array([len(loop.arcs) for loop in loops], dtype=np.intp)
+        self.code = code = np.array([table.code[arc[0]] for arc in arcs], dtype=np.intp)
+        self.a0, self.da, refine_start, refine_end = np.array([arc[1:] for arc in arcs], dtype=float).T
+        self.refine = (refine_start != 0, refine_end != 0)
+        first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        k = np.arange(len(arcs))
+        self.next = np.where(k == first + np.repeat(sizes, sizes) - 1, first, k + 1)
+        c, r = table.circles[0][code], table.circles[1][code]
+        c_t, r_t = table.circles_t[0][code], table.circles_t[1][code]
+        self.lipschitz = r + r_t * table.slope[code]
+        self.margin = 1e-12 * (np.abs(c) + r + np.abs(c_t) + r_t + self.lipschitz)
+        self.first = table.points(code, self.a0 + 0.0)
+        self.rel = np.abs(self.first[1] - self.first[0])
+        end_src, end_dst = table.points(code, self.a0 + self.da)
+        self.jump = np.abs(self.first[0][self.next] - end_src) + np.abs(self.first[1][self.next] - end_dst)
+
+    def grids(self, sel, density, windows=True):
+        """(arc, offset, source, image) of the grids of the arcs sel, in
+        order, at the density, in passes: each arc's points are those
+        _sample_curves gives it, or without windows its uniform points."""
+        for arc, off in _grid_passes(self.da[sel], self.refine[0][sel] & windows, self.refine[1][sel] & windows, density):
+            arc = sel[arc]
+            yield (arc, off, *self.table.points(self.code[arc], self.a0[arc] + off))
+
+
+def _arc_starts(arc):
+    """The position of each arc's first sample in a run sorted by arc."""
+    return np.flatnonzero(np.concatenate([[True], arc[1:] != arc[:-1]]))
+
+
+def _arc_bounds(arcs: _LoopArcs, density):
+    """The uniform coarse pass at density / COARSE: (a lower bound on each
+    arc's displacement, the smallest coarse displacement).  Between coarse
+    samples j and j + 1 an angle w_j apart the displacement is at least
+    (rel_j + rel_j+1 - L w_j) / 2, and after an arc's last sample at least
+    rel - L w to the arc's end."""
+    bound, least = np.empty(len(arcs.a0)), math.inf
+    for arc, off, src, dst in arcs.grids(np.arange(len(arcs.a0)), density / COARSE, windows=False):
+        rel = np.abs(dst - src)
+        starts = _arc_starts(arc)
+        ends = np.append(starts[1:], len(arc)) - 1
+        lip = arcs.lipschitz[arc]
+        low = np.empty(len(arc))
+        low[:-1] = (rel[:-1] + rel[1:] - lip[:-1] * (off[1:] - off[:-1])) / 2
+        low[ends] = rel[ends] - lip[ends] * (arcs.da[arc[ends]] - off[ends])
+        k = arc[starts]
+        bound[k] = np.minimum.reduceat(low, starts) - arcs.margin[k]
+        least = min(least, float(rel.min()))
+    return bound, least
+
+
+def _bounded_min_displacement(arcs: _LoopArcs, density: int) -> float:
+    """_certify(sample_loops(loops, density))[1] of the loops of arcs, bit
+    for bit, raising NearFixedPoint where that raises, while sampling on
+    the density's grid only the arcs the coarse bounds cannot settle.
+
+    A step of the grid moves along its arc by at most the arc's uniform
+    step, and a chord is no longer than its arc, so a step within an arc
+    has a chord of at most L times the uniform step, and a step out of it at
+    most that plus the jump to the next arc: its reach.  An arc is settled
+    when its bound and the next arc's first sample both exceed its reach,
+    so every step within and out of it passes the chord test, and when its
+    bound exceeds the smallest sample found, so no sample of it is smaller.
+    Every other arc is sampled and checked as _certify checks it, each step
+    out of it against the next arc's first sample.  Arcs whose bound the
+    smallest sample found comes down to are sampled in turn.
+
+    The winding residual needs no check: when every step passes the chord
+    test, |d_i+1 - d_i| < min(|d_i|, |d_i+1|), so each step turns the
+    displacement by less than pi / 3, every wrapped turn is the true one,
+    and their sum is a whole number of turns up to rounding."""
+    tol = _min_disp()
+    found = float(arcs.rel.min())
+    if found <= tol:
+        raise NearFixedPoint(f"min displacement {found:.3g}")
+    bound, least = _arc_bounds(arcs, density)
+    reach = arcs.lipschitz * arcs.da / _grid_counts(arcs.da, *arcs.refine, density)[0] + arcs.jump + arcs.margin
+    sampled = np.zeros(len(bound), dtype=bool)
+    # the arcs that cannot be settled, and first those whose bound is below
+    # the smallest coarse displacement, where the smallest sample likely lies
+    todo = (bound <= reach) | (arcs.rel[arcs.next] <= reach) | (bound <= least)
+    while todo.any():
+        for arc, _off, src, dst in arcs.grids(np.flatnonzero(todo), density):
+            # each sample's successor: the next of its arc, or the next arc's first
+            last = np.append(_arc_starts(arc)[1:], len(arc)) - 1
+            nxt = arcs.next[arc[last]]
+            rel = np.abs(dst - src)
+            succ_src, succ_dst, succ_rel = np.append(src[1:], 0j), np.append(dst[1:], 0j), np.append(rel[1:], 0.0)
+            succ_src[last], succ_dst[last], succ_rel[last] = arcs.first[0][nxt], arcs.first[1][nxt], arcs.rel[nxt]
+            low = float(rel.min())
+            if low <= tol:
+                raise NearFixedPoint(f"min displacement {low:.3g}")
+            chord = np.abs(succ_src - src) + np.abs(succ_dst - dst)
+            if (np.minimum(rel, succ_rel) - chord).min() <= 0:
+                raise NearFixedPoint("displacement certificate fails between samples")
+            found = min(found, low)
+        sampled |= todo
+        todo = ~sampled & (bound <= found)
+    return found

@@ -162,13 +162,10 @@ def circle_intersections(a: Disk, b: Disk) -> tuple[complex, complex]:
     h = math.sqrt(h2)
     axis = (b.center - a.center) / d
     mid = a.center + along * axis
-    p, q = mid + 1j * axis * h, mid - 1j * axis * h
-    # CCW tangent of circle a at z is i*(z - c_a); entering b means heading
-    # toward b's center.
-    tang = 1j * (p - a.center)
-    if (tang.conjugate() * (b.center - p)).real > 0:
-        return p, q
-    return q, p
+    # a's CCW tangent at p = mid + i*axis*h, i*(p - c_a), heads away from
+    # b's centre, Re(conj(i*(p - c_a))*(c_b - p)) = -h*d < 0, so a enters b
+    # at the other crossing
+    return mid - 1j * axis * h, mid + 1j * axis * h
 
 
 def tangency_point(a: Disk, b: Disk) -> complex:

@@ -15,17 +15,21 @@ from diskrig.boundary import (
     BASE_STEP,
     CORNER_REFINE,
     CORNER_WINDOW,
+    COARSE,
     PASS_SAMPLES,
     CornerRef,
     FaithfulMap,
     SampledLoopMap,
+    _arc_bounds,
     _arcs_offsets,
     _certify,
     _exact_windings,
     _grid_counts,
+    _LoopArcs,
     _min_disp,
     _refine,
     _sample_curves,
+    _sampled_min_displacement,
     _winding_of_closed,
     boundary_complex,
     build_faithful_map,
@@ -662,16 +666,19 @@ def _ring_map():
 
 def test_fixed_point_index_samples_each_map_once(monkeypatch):
     # a map the crossing count decides is indexed, and its identities checked,
-    # without sampling; reading min_displacement samples it once, at the
-    # density and with the value of the loop-by-loop certificate, under the
-    # tolerance of its report; a changed tolerance makes a new report and a
-    # new crossing table
+    # without sampling; reading min_displacement makes one bounded
+    # evaluation, at the density and with the value of the loop-by-loop
+    # certificate, under the tolerance of its report, and samples no loop
+    # whole; a changed tolerance makes a new report and a new crossing table
     from diskrig import boundary, experiments, geom
 
     want = _refine(lambda density: _reference_certify(sample_loops(_ring_map().loops(), density)))
-    calls = []  # (density, EPS_GEOM) of each sampling
+    sampled = []  # each sampling of whole loops
     sample = boundary._sample_curves
-    monkeypatch.setattr(boundary, "_sample_curves", lambda *args: calls.append((args[1], geom.EPS_GEOM)) or sample(*args))
+    monkeypatch.setattr(boundary, "_sample_curves", lambda *args: sampled.append(args) or sample(*args))
+    calls = []  # (density, EPS_GEOM) of each bounded evaluation
+    bounded = boundary._bounded_min_displacement
+    monkeypatch.setattr(boundary, "_bounded_min_displacement", lambda *args: calls.append((args[1], geom.EPS_GEOM)) or bounded(*args))
     fmap, other = _ring_map(), _ring_map()
     rep, rep_other = fixed_point_index(fmap), fixed_point_index(other)
     assert rep.method == "exact" and calls == []
@@ -679,9 +686,9 @@ def test_fixed_point_index_samples_each_map_once(monkeypatch):
     lhs_a, rhs_a = experiments.obs_a_identity(fmap)
     lhs_b, rhs_b = experiments.main_b_identity(fmap, {0, 1, 2})
     assert lhs_a == rhs_a == lhs_b == rhs_b == rep.eta
-    assert calls == []
+    assert calls == [] and sampled == []
     min_disp = rep.min_displacement
-    assert calls == [(1, 1e-9)]
+    assert calls == [(1, 1e-9)] and sampled == []
     assert rep.min_displacement == min_disp and len(calls) == 1
     assert (rep.per_curve, min_disp) == want
     assert fixed_point_index(fmap) is rep
@@ -694,7 +701,7 @@ def test_fixed_point_index_samples_each_map_once(monkeypatch):
     assert again.min_displacement == min_disp and calls[1:] == [(1, 2e-9)]
     # a report read after the tolerance changed samples under its own
     assert rep_other.min_displacement == min_disp and calls[2:] == [(1, 1e-9)]
-    assert geom.EPS_GEOM == 2e-9
+    assert geom.EPS_GEOM == 2e-9 and sampled == []
 
 
 def test_index_report_method_exact():
@@ -1206,8 +1213,9 @@ def test_index_sums_samples_only_the_undecided_loops(monkeypatch):
 def test_index_theorem_corpus_samples_nothing(monkeypatch):
     # on every index_theorem pair, the workload's fixed_point_index of the
     # canonical and the variant map and its identities call sample_loops
-    # not once; reading min_displacement does
-    from diskrig import boundary, experiments
+    # not once; reading min_displacement makes one bounded evaluation, under
+    # the report's EPS_GEOM, whose value is the sampled certificate's
+    from diskrig import boundary, experiments, geom
 
     calls = []
     sample = boundary.sample_loops
@@ -1223,7 +1231,93 @@ def test_index_theorem_corpus_samples_nothing(monkeypatch):
         for part in item["bipartitions"]:
             experiments.main_b_identity(fmap, set(part))
     assert len(items) == 60 and calls == []
-    assert fixed_point_index(fmap).min_displacement > 0 and len(calls) == 1
+    evaluations = []
+    bounded = boundary._bounded_min_displacement
+    monkeypatch.setattr(boundary, "_bounded_min_displacement", lambda *args: evaluations.append((args[1], geom.EPS_GEOM)) or bounded(*args))
+    min_disp = fixed_point_index(fmap).min_displacement
+    assert min_disp > 0 and evaluations == [(1, 1e-9)] and calls == []
+    assert min_disp == _certify(sample(fmap.loops(), 1))[1]
+
+
+def _full_min_displacement(loops):
+    """The smallest displacement of the loops' samples at the first density
+    whose certificate holds, or None: the oracle of the bounded one."""
+    try:
+        return _refine(lambda density: _certify(sample_loops(loops, density))[1])
+    except NearFixedPoint:
+        return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 1e3, 1e7]),
+    shift=st.sampled_from([0j, 10 - 20j]),
+    n_pins=st.integers(0, 6),
+    eps=st.sampled_from([None, 1e-7]),
+    density=st.sampled_from([1, 2, 8]),
+)
+def test_arc_bounds_are_sound_and_the_bounded_minimum_is_the_sampled_one(seed, scale, shift, n_pins, eps, density):
+    # on a random ring map, scaled and moved off the origin, with random pins
+    # and under an EPS_GEOM override as --eps-geom sets it: each arc's coarse
+    # bound is at most the smallest displacement of the arc's full grid, and
+    # the bounded min_displacement is full sampling's, bit for bit, or None
+    # on both sides
+    rng = np.random.default_rng(seed)
+    ring = ring_of_twelve(rng)
+    center, k = complex(*rng.normal(0, 0.1, 2)), float(rng.uniform(0.85, 1.15))
+    jitter = rng.normal(0, 0.01, (len(ring.labels), 3))
+    image = DiskConfiguration([
+        (v, Disk(center + k * (d.center - center) + complex(*jitter[n, :2]), d.radius * k * (1 + jitter[n, 2])))
+        for n, (v, d) in enumerate(ring.items())
+    ])
+    c, ct = (x.transformed(lambda d: Disk((d.center + shift) * scale, d.radius * scale)) for x in (ring, image))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geom, "EPS_GEOM", eps or geom.EPS_GEOM)
+        try:
+            fmap = build_faithful_map(c, ct, rng=rng, n_random_pins=n_pins)
+        except (CoincidentCorner, CombinatoricsMismatch):
+            return
+        loops = fmap.loops()
+        arcs = _LoopArcs(loops)
+        bound = _arc_bounds(arcs, density)[0]
+        table = loops[0].table
+        grids = _sample_curves([[arc] for loop in loops for arc in loop.arcs], density, table.code, table.points)
+        assert (bound <= [np.abs(dst - src).min() for src, dst in grids]).all()
+        got, want = _sampled_min_displacement(loops, geom.EPS_GEOM), _full_min_displacement(loops)
+        assert got == want
+
+
+def test_bounded_min_displacement_samples_a_quarter_on_the_cli_pairs(monkeypatch):
+    # on every cli_pairs map, reading min_displacement evaluates at most a
+    # quarter of the samples that full sampling does, in all, and on no map
+    # more than full sampling and one coarse pass at each density it tries,
+    # with full sampling's value
+    from diskrig import boundary
+
+    counted = [0]
+    points = boundary._NodeTable.points
+    monkeypatch.setattr(boundary._NodeTable, "points", lambda self, codes, thetas: counted.__setitem__(0, counted[0] + len(thetas)) or points(self, codes, thetas))
+
+    def samples(fn, *args):
+        counted[0] = 0
+        value = fn(*args)
+        return value, counted[0]
+
+    with open(os.path.join(CORPUS, "cli_pairs", "manifest.json")) as fh:
+        items = json.load(fh)["items"]
+    bounded_total = full_total = 0
+    for item in items:
+        c, ct = (read_document(os.path.join(CORPUS, "cli_pairs", f)).to_configuration() for f in item["files"])
+        loops = build_faithful_map(c, ct).loops()
+        tried = []
+        full, n_full = samples(lambda: _refine(lambda density: tried.append(density) or _certify(sample_loops(loops, density))[1]))
+        got, n_bounded = samples(_sampled_min_displacement, loops, geom.EPS_GEOM)
+        assert got == full, item["id"]
+        coarse = sum(len(loop.src) for density in tried for loop in sample_loops(loops, density / COARSE))
+        assert n_bounded <= n_full + coarse, item["id"]
+        bounded_total, full_total = bounded_total + n_bounded, full_total + n_full
+    assert len(items) == 40 and bounded_total <= 0.25 * full_total
 
 
 def test_random_pins_keep_every_variant_monotone():

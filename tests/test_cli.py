@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -569,3 +570,23 @@ def test_compare_is_stable_across_hash_seeds(tmp_path):
 def test_eps_angle_default_is_read_at_call_time(monkeypatch):
     monkeypatch.setattr(geom, "EPS_ANGLE", 0.25)
     assert build_parser().parse_args(["check", "x.json"]).eps_angle == 0.25
+
+
+CLI_PAIRS = Path(__file__).parent.parent / "bench" / "corpus" / "cli_pairs"
+
+
+def test_cli_pairs_output_is_pinned(capsys):
+    # the exit code and the sha256 of stdout of --json index, analyze and
+    # check on every cli_pairs pair, as recorded in cli_pairs_stdout.json
+    # when they were first pinned: any change of a printed byte shows here
+    with open(Path(__file__).parent / "cli_pairs_stdout.json") as fh:
+        pinned = json.load(fh)
+    with open(CLI_PAIRS / "manifest.json") as fh:
+        items = json.load(fh)["items"]
+    got = {}
+    for item in items:
+        paths = [str(CLI_PAIRS / f) for f in item["files"]]
+        for command in ("index", "analyze", "check"):
+            rc = main(["--json", command, *paths])
+            got.setdefault(item["files"][0][:3], {})[command] = [rc, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()]
+    assert len(got) == 40 and got == pinned

@@ -129,15 +129,28 @@ def test_meeting_pairs_classify_as_the_scalar_predicates_do(scale, center, phi, 
         disk, disk_t = disks
         table = _CrossingTable(circle_arrays([disk]), circle_arrays([disk_t]))
         assert table.kind.tolist() == [k for k in [_scalar_kind(disk, disk_t)] if k is not None]
-        if table.kind.tolist() == [CROSSING] and abs(disk.center - disk_t.center) > 1e-6 * max(disk.radius, disk_t.radius):
+        if table.kind.tolist() == [CROSSING]:
             # the angles of the same crossings u, then v, up to the
-            # rounding of the points' coordinates, seen from the centre;
-            # which crossing is u is ill-conditioned for circles whose
-            # centres lie much closer than their radii
+            # rounding of the points' coordinates, seen from the centre
             z = np.array(circle_intersections(disk, disk_t))
             for theta, e in ((table.theta, disk), (table.theta_t, disk_t)):
                 turn = np.abs(np.exp(1j * theta[0]) - np.exp(1j * np.angle(z - e.center)))
                 assert turn.max() <= 1e-12 * (abs(e.center) + e.radius) / e.radius
+
+
+def test_crossings_of_near_concentric_circles_keep_their_order():
+    # circles whose centres lie far closer than their radii: a enters b at
+    # u = mid - i*axis*h, in the scalar and in the crossing table alike,
+    # where a side test that cancels terms of size r^2 picked either point
+    a = Disk(0j, 1e8)
+    b = Disk(math.nextafter(1e-9, 1.0) * complex(math.cos(1.0), math.sin(1.0)), 1e8)
+    assert disk_relation(a, b) is DiskRelation.OVERLAPPING
+    u, v = circle_intersections(a, b)
+    want = [1.0 - math.pi / 2, 1.0 + math.pi / 2]
+    assert np.allclose([np.angle(u - a.center), np.angle(v - a.center)], want, atol=1e-9)
+    table = _CrossingTable(circle_arrays([a]), circle_arrays([b]))
+    assert table.kind.tolist() == [CROSSING]
+    assert np.allclose(table.theta[0], want, atol=1e-9) and np.allclose(table.theta_t[0], want, atol=1e-6)
 
 
 def test_overlap_angle_values():
