@@ -12,7 +12,6 @@ additivity identities are then exact.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -276,44 +275,6 @@ def _pass_ends(sizes):
     yield len(sizes)
 
 
-def _grid_passes(spans, refine_start, refine_end, density):
-    """(arc, offset) of the arcs' grids at the density, in passes of whole
-    consecutive arcs that _pass_ends takes."""
-    counts = _grid_counts(spans, refine_start, refine_end, density)
-    lo = 0
-    for hi in _pass_ends(sum(counts).tolist()):
-        arc, off = _arcs_offsets(spans[lo:hi], [c[lo:hi] for c in counts], density)
-        yield arc + lo, off
-        lo = hi
-
-
-def _sample_curves(curves, density: int, code: dict, points):
-    """The samples of closed curves, each a list of (vertex, a0, da,
-    refine_start, refine_end) arcs, taken in passes over whole consecutive
-    arcs of all the curves: points(codes, thetas) returns the (source, image)
-    samples of one pass at the angles thetas on the circles of vertex codes
-    code[vertex].  Returns each curve's (source, image) samples, in arc order."""
-    if not curves:
-        return []
-    arcs = [a for arcs in curves for a in arcs]
-    codes = np.array([code[a[0]] for a in arcs], dtype=np.intp)
-    a0, da, refine_start, refine_end = np.array([a[1:] for a in arcs], dtype=float).T
-    refine_start, refine_end = refine_start != 0, refine_end != 0
-    starts = list(itertools.accumulate((len(arcs) for arcs in curves[:-1]), initial=0))  # first arc of each curve
-    pieces = [[] for _ in curves]
-    for arc, off in _grid_passes(da, refine_start, refine_end, density):
-        lo, hi = int(arc[0]), int(arc[-1]) + 1
-        src, dst = points(codes[arc], a0[arc] + off)
-        # cut the pass where each of its curves after the first starts: a
-        # curve within one pass is a view of it, and only a curve that spans
-        # passes is copied
-        first, end = bisect.bisect_right(starts, lo) - 1, bisect.bisect_left(starts, hi)
-        cuts = [0, *(int(np.searchsorted(arc, k)) for k in starts[first + 1:end]), len(arc)]
-        for c, a, b in zip(range(first, end), cuts, cuts[1:]):
-            pieces[c].append((src[a:b], dst[a:b]))
-    return [p[0] if len(p) == 1 else tuple(np.concatenate(s) for s in zip(*p)) for p in pieces]
-
-
 def _on_circles(center, radius, codes, thetas):
     return center[codes] + radius[codes] * np.exp(1j * thetas)
 
@@ -409,21 +370,103 @@ class ArcLoopMap:
     table: _NodeTable
 
 
+class _LoopArcs:
+    """The arcs of a list of loops of one faithful map as flat arrays, in
+    loop and then arc order: each arc's vertex code, a0, da and loop, and
+    each loop's first arc.  The rest is built when it is first read: for
+    sampling, the refine flags and the next arc of the same loop
+    (cyclically); for the bounded min_displacement, each arc's Lipschitz
+    constant L = r + r~ s, with s the steepest span_t / span of its vertex
+    map, which bounds how fast the displacement moves with the source angle,
+    and margin, which exceeds the rounding of a displacement, and of L times
+    an angle, on the arc.  first_sample holds the source and image of each
+    arc's first sample, at offset 0 of its grid at every density, and their
+    distance; jump, how far the next arc's first sample lies from this
+    arc's end, on the source and the image (rounding at a crossing, up to
+    the tangency tolerance at a tangency)."""
+
+    def __init__(self, loops):
+        self.table = table = loops[0].table
+        self.arcs = arcs = [arc for loop in loops for arc in loop.arcs]
+        n = len(arcs)
+        sizes = np.fromiter((len(loop.arcs) for loop in loops), np.intp, len(loops))
+        self.code = np.fromiter((table.code[arc[0]] for arc in arcs), np.intp, n)
+        self.a0 = np.fromiter((arc[1] for arc in arcs), float, n)
+        self.da = np.fromiter((arc[2] for arc in arcs), float, n)
+        self.loop = np.repeat(np.arange(len(loops)), sizes)
+        self.first = np.cumsum(sizes) - sizes
+
+    @functools.cached_property
+    def refine(self):
+        return tuple(np.fromiter((arc[k] for arc in self.arcs), bool, len(self.arcs)) for k in (3, 4))
+
+    @functools.cached_property
+    def next(self):
+        nxt = np.arange(1, len(self.arcs) + 1)
+        nxt[np.append(self.first[1:], len(self.arcs)) - 1] = self.first
+        return nxt
+
+    @functools.cached_property
+    def lipschitz(self):
+        table, code = self.table, self.code
+        return table.circles[1][code] + table.circles_t[1][code] * table.slope[code]
+
+    @functools.cached_property
+    def margin(self):
+        c, r, c_t, r_t = (x[self.code] for x in (*self.table.circles, *self.table.circles_t))
+        return 1e-12 * (np.abs(c) + r + np.abs(c_t) + r_t + self.lipschitz)
+
+    @functools.cached_property
+    def first_sample(self):
+        src, dst = self.table.points(self.code, self.a0 + 0.0)
+        return src, dst, np.abs(dst - src)
+
+    @functools.cached_property
+    def jump(self):
+        (src, dst, _rel), nxt = self.first_sample, self.next
+        end_src, end_dst = self.table.points(self.code, self.a0 + self.da)
+        return np.abs(src[nxt] - end_src) + np.abs(dst[nxt] - end_dst)
+
+    def grids(self, sel, density, windows=True):
+        """(arc, offset, source, image) of the grids of the arcs sel, in
+        order, at the density, in passes of whole consecutive arcs that
+        _pass_ends takes: each arc's points are those sample_loops gives it,
+        or without windows its uniform points."""
+        spans = self.da[sel]
+        counts = _grid_counts(spans, self.refine[0][sel] & windows, self.refine[1][sel] & windows, density)
+        lo = 0
+        for hi in _pass_ends(sum(counts).tolist()):
+            arc, off = _arcs_offsets(spans[lo:hi], [c[lo:hi] for c in counts], density)
+            arc = sel[arc + lo]
+            yield (arc, off, *self.table.points(self.code[arc], self.a0[arc] + off))
+            lo = hi
+
+
 def sample_loops(loops, density: int) -> list:
     """The SampledLoopMap of each loop of one faithful map at the sampling
-    density, all in one _sample_curves call."""
-    table = loops[0].table
-    return [SampledLoopMap(src, dst) for src, dst in _sample_curves([loop.arcs for loop in loops], density, table.code, table.points)]
+    density, in arc order, taken in passes over whole consecutive arcs of
+    all the loops."""
+    arcs = _LoopArcs(loops)
+    pieces = [[] for _ in loops]
+    for arc, _off, src, dst in arcs.grids(np.arange(len(arcs.arcs)), density):
+        # cut the pass where each of its loops after the first starts: a loop
+        # within one pass is a view of it, and only a loop that spans passes
+        # is copied
+        first, last = arcs.loop[arc[[0, -1]]].tolist()
+        cuts = [0, *np.searchsorted(arc, arcs.first[first + 1 : last + 1]).tolist(), len(arc)]
+        for c, a, b in zip(range(first, last + 1), cuts, cuts[1:]):
+            pieces[c].append((src[a:b], dst[a:b]))
+    return [SampledLoopMap(*(p[0] if len(p) == 1 else (np.concatenate(s) for s in zip(*p)))) for p in pieces]
 
 
 @dataclass
 class IndexReport:
     """eta, each curve's winding, and how they were found: method "exact"
-    when the crossing count decided every curve, "sampled" when they come
-    from certified samples.  min_displacement, the smallest displacement of
-    the certified samples, is sampled for an exact report only when it is
-    first read (sample_min), at the density the certificate first holds, and
-    is None when no density certifies them."""
+    when the crossing count decided every curve, "sampled" when the curves
+    it left undecided come from certified samples.  min_displacement, the
+    smallest displacement of all the curves' samples at the first density
+    whose certificate holds for all of them, is found only when it is first
+    read (sample_min), and is None when no density certifies them."""
 
     eta: int
     per_curve: list
@@ -590,19 +633,23 @@ def loop_index(loop: SampledLoopMap) -> int:
     return _certify([loop])[0][0]
 
 
-def index_sums(groups) -> list:
-    """For each list of loops of one faithful map, the sum of the loops'
-    displacement windings: exact for each loop the crossing count decides.
-    One crossing count takes the loops of every list; the loops it leaves
-    undecided are sampled together and certified at the first density whose
-    certificate holds for all of them."""
-    loops = [loop for group in groups for loop in group]
+def _windings(loops):
+    """(each loop's displacement winding, "exact" or "sampled") for loops of
+    one faithful map: exact for each loop the crossing count decides.  The
+    loops it leaves undecided, if any, are sampled together and certified at
+    the first density whose certificate holds for all of them."""
     windings = _exact_windings(loops)
     undecided = [loop for loop, w in zip(loops, windings) if w is None]
-    if undecided:
-        sampled = iter(_refine(lambda density: _certify(sample_loops(undecided, density))[0]))
-        windings = [next(sampled) if w is None else w for w in windings]
-    windings = iter(windings)
+    if not undecided:
+        return windings, "exact"
+    sampled = iter(_refine(lambda density: _certify(sample_loops(undecided, density))[0]))
+    return [next(sampled) if w is None else w for w in windings], "sampled"
+
+
+def index_sums(groups) -> list:
+    """For each list of loops of one faithful map, the sum of the loops'
+    displacement windings, all found by one _windings call."""
+    windings = iter(_windings([loop for group in groups for loop in group])[0])
     return [sum(itertools.islice(windings, len(group))) for group in groups]
 
 
@@ -672,22 +719,16 @@ def _exact_windings(loops) -> list:
         return []
     out, lo = [], 0
     for hi in _pass_ends([len(loop.arcs) for loop in loops]):
-        out += _count_windings([loop.arcs for loop in loops[lo:hi]], loops[lo].table)
+        out += _count_windings(_LoopArcs(loops[lo:hi]))
         lo = hi
     return out
 
 
-def _count_windings(curves, table: _NodeTable) -> list:
-    """_exact_windings of the closed arc lists of one run, in one pass."""
+def _count_windings(arcs: _LoopArcs) -> list:
+    """_exact_windings of the loops of one run, in one pass."""
+    table, code, a0, da, loop, first = arcs.table, arcs.code, arcs.a0, arcs.da, arcs.loop, arcs.first
     tol, n = _min_disp(), len(table.code)
-    arcs = [arc for arcs in curves for arc in arcs]
-    n_loops, n_arcs = len(curves), len(arcs)
-    sizes = np.array([len(arcs) for arcs in curves], dtype=np.intp)
-    loop = np.repeat(np.arange(n_loops), sizes)
-    first = np.cumsum(sizes) - sizes
-    code = np.fromiter((table.code[arc[0]] for arc in arcs), np.intp, n_arcs)
-    a0 = np.fromiter((arc[1] for arc in arcs), float, n_arcs)
-    da = np.fromiter((arc[2] for arc in arcs), float, n_arcs)
+    n_loops, n_arcs = len(first), len(code)
     refused = np.bincount(loop[~table.degree_one[code]], minlength=n_loops) > 0
     # the arcs of a loop on one of its circles, a group keyed loop * n +
     # code, which do not overlap, sorted by group and then start angle
@@ -834,21 +875,15 @@ def _certify(loops):
 
 
 def fixed_point_index(fmap: FaithfulMap) -> IndexReport:
-    """Per-curve displacement winding and the multiply-connected sum: exact
-    when the crossing count decides every curve, otherwise sampled and
-    certified, refining the sampling on NearFixedPoint up to the densest
-    grid.  The report is kept on the map and returned again while EPS_GEOM
-    is unchanged."""
+    """Per-curve displacement winding and the multiply-connected sum, from
+    _windings.  The report is kept on the map and returned again while
+    EPS_GEOM is unchanged."""
     eps = geom.EPS_GEOM
     if fmap._index is not None and fmap._index[0] == eps:
         return fmap._index[1]
     loops = fmap.loops()
-    per_curve = _exact_windings(loops)
-    if None in per_curve:
-        per_curve, min_disp = _refine(lambda density: _certify(sample_loops(loops, density)))
-        report = IndexReport(sum(per_curve), per_curve, "sampled", lambda: min_disp)
-    else:
-        report = IndexReport(sum(per_curve), per_curve, "exact", functools.partial(_sampled_min_displacement, loops, eps))
+    per_curve, method = _windings(loops)
+    report = IndexReport(sum(per_curve), per_curve, method, functools.partial(_sampled_min_displacement, loops, eps))
     fmap._index = (eps, report)
     return report
 
@@ -876,46 +911,6 @@ def _sampled_min_displacement(loops, eps: float) -> float | None:
 # the displacement, while the pass costs about a sixteenth of sampling every
 # arc, whose corner windows hold about half its points.
 COARSE = 8
-
-
-class _LoopArcs:
-    """The arcs of the loops of one faithful map as flat arrays, in loop and
-    then arc order: vertex code, a0, da, the refine flags and the next arc of
-    the same loop (cyclically).  Each arc's Lipschitz constant L = r + r~ s,
-    with s the steepest span_t / span of its vertex map, bounds how fast the
-    displacement moves with the source angle; margin exceeds the rounding of
-    a displacement, and of L times an angle, on the arc.  first holds the
-    source and image of each arc's first sample, at offset 0 of its grid at
-    every density, and rel their distance; jump, how far the next arc's
-    first sample lies from this arc's end, on the source and the image
-    (rounding at a crossing, up to the tangency tolerance at a tangency)."""
-
-    def __init__(self, loops):
-        self.table = table = loops[0].table
-        arcs = [arc for loop in loops for arc in loop.arcs]
-        sizes = np.array([len(loop.arcs) for loop in loops], dtype=np.intp)
-        self.code = code = np.array([table.code[arc[0]] for arc in arcs], dtype=np.intp)
-        self.a0, self.da, refine_start, refine_end = np.array([arc[1:] for arc in arcs], dtype=float).T
-        self.refine = (refine_start != 0, refine_end != 0)
-        first = np.repeat(np.cumsum(sizes) - sizes, sizes)
-        k = np.arange(len(arcs))
-        self.next = np.where(k == first + np.repeat(sizes, sizes) - 1, first, k + 1)
-        c, r = table.circles[0][code], table.circles[1][code]
-        c_t, r_t = table.circles_t[0][code], table.circles_t[1][code]
-        self.lipschitz = r + r_t * table.slope[code]
-        self.margin = 1e-12 * (np.abs(c) + r + np.abs(c_t) + r_t + self.lipschitz)
-        self.first = table.points(code, self.a0 + 0.0)
-        self.rel = np.abs(self.first[1] - self.first[0])
-        end_src, end_dst = table.points(code, self.a0 + self.da)
-        self.jump = np.abs(self.first[0][self.next] - end_src) + np.abs(self.first[1][self.next] - end_dst)
-
-    def grids(self, sel, density, windows=True):
-        """(arc, offset, source, image) of the grids of the arcs sel, in
-        order, at the density, in passes: each arc's points are those
-        _sample_curves gives it, or without windows its uniform points."""
-        for arc, off in _grid_passes(self.da[sel], self.refine[0][sel] & windows, self.refine[1][sel] & windows, density):
-            arc = sel[arc]
-            yield (arc, off, *self.table.points(self.code[arc], self.a0[arc] + off))
 
 
 def _arc_starts(arc):
@@ -965,7 +960,8 @@ def _bounded_min_displacement(arcs: _LoopArcs, density: int) -> float:
     displacement by less than pi / 3, every wrapped turn is the true one,
     and their sum is a whole number of turns up to rounding."""
     tol = _min_disp()
-    found = float(arcs.rel.min())
+    first_src, first_dst, first_rel = arcs.first_sample
+    found = float(first_rel.min())
     if found <= tol:
         raise NearFixedPoint(f"min displacement {found:.3g}")
     bound, least = _arc_bounds(arcs, density)
@@ -973,7 +969,7 @@ def _bounded_min_displacement(arcs: _LoopArcs, density: int) -> float:
     sampled = np.zeros(len(bound), dtype=bool)
     # the arcs that cannot be settled, and first those whose bound is below
     # the smallest coarse displacement, where the smallest sample likely lies
-    todo = (bound <= reach) | (arcs.rel[arcs.next] <= reach) | (bound <= least)
+    todo = (bound <= reach) | (first_rel[arcs.next] <= reach) | (bound <= least)
     while todo.any():
         for arc, _off, src, dst in arcs.grids(np.flatnonzero(todo), density):
             # each sample's successor: the next of its arc, or the next arc's first
@@ -981,7 +977,7 @@ def _bounded_min_displacement(arcs: _LoopArcs, density: int) -> float:
             nxt = arcs.next[arc[last]]
             rel = np.abs(dst - src)
             succ_src, succ_dst, succ_rel = np.append(src[1:], 0j), np.append(dst[1:], 0j), np.append(rel[1:], 0.0)
-            succ_src[last], succ_dst[last], succ_rel[last] = arcs.first[0][nxt], arcs.first[1][nxt], arcs.rel[nxt]
+            succ_src[last], succ_dst[last], succ_rel[last] = first_src[nxt], first_dst[nxt], first_rel[nxt]
             low = float(rel.min())
             if low <= tol:
                 raise NearFixedPoint(f"min displacement {low:.3g}")

@@ -102,6 +102,9 @@ def document_from_obj(raw) -> ConfigDocument:
         doc.boundary_radii = {k: float(v) for k, v in _section(tri, "boundary_radii", dict).items()}
     except (TypeError, ValueError) as exc:
         raise SchemaError("boundary_radii values must be numbers") from exc
+    for k, r in doc.boundary_radii.items():
+        if not (r > 0) or not math.isfinite(r):
+            raise SchemaError(f"boundary radius of vertex {k} must be finite and positive")
     return doc
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import types
 import weakref
 
 import numpy as np
@@ -17,6 +18,7 @@ from diskrig.boundary import (
     CORNER_WINDOW,
     COARSE,
     PASS_SAMPLES,
+    ArcLoopMap,
     CornerRef,
     FaithfulMap,
     SampledLoopMap,
@@ -28,7 +30,6 @@ from diskrig.boundary import (
     _LoopArcs,
     _min_disp,
     _refine,
-    _sample_curves,
     _sampled_min_displacement,
     _winding_of_closed,
     boundary_complex,
@@ -380,6 +381,16 @@ def _piece_arcs(curve):
     return [(p.vertex, p.a0, p.da, p.start is not None, p.end is not None) for p in curve.pieces]
 
 
+def _reference_grid(loops, density):
+    """The bytes of the vertex codes and the angles of the loops' samples,
+    in arc order, from the set-based grid."""
+    arcs = [arc for loop in loops for arc in loop.arcs]
+    code = loops[0].table.code
+    thetas = [a0 + _reference_arc_offsets(da, rs, re, density) for _v, a0, da, rs, re in arcs]
+    codes = np.concatenate([np.full(len(t), code[arc[0]], dtype=np.intp) for arc, t in zip(arcs, thetas)])
+    return codes.tobytes(), np.concatenate(thetas).tobytes()
+
+
 def _assert_same_loop(loop, config, arcs, fmap, density):
     src, dst = _reference_loop(config, arcs, fmap, density)
     assert loop.src.tobytes() == src.tobytes() and loop.dst.tobytes() == dst.tobytes()
@@ -432,7 +443,9 @@ def test_sampling_passes_split_between_arcs(arcs, a0, density, cuts):
         passes.append(np.unique(codes))
         return codes, thetas
 
-    got = _sample_curves(curves, density, {k: k for k in range(len(arcs))}, points)
+    # a node table whose points are the samples' vertex codes and angles
+    table = types.SimpleNamespace(code={k: k for k in range(len(arcs))}, points=points)
+    got = [(loop.src, loop.dst) for loop in sample_loops([ArcLoopMap(curve, table) for curve in curves], density)]
     assert len(got) == len(curves)
     for (codes, thetas), curve in zip(got, curves):
         want = [(v, a + _reference_arc_offsets(da, rs, re, density)) for v, a, da, rs, re in curve]
@@ -664,18 +677,36 @@ def _ring_map():
     return build_faithful_map(c, c.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d)))
 
 
+def _sampled_points(monkeypatch):
+    """A list to which each evaluation of a faithful map's points, where
+    every sampling happens, appends its (vertex codes, angles)."""
+    from diskrig import boundary
+
+    sampled = []
+    points = boundary._NodeTable.points
+    monkeypatch.setattr(boundary._NodeTable, "points", lambda self, codes, thetas: sampled.append((codes, thetas)) or points(self, codes, thetas))
+    return sampled
+
+
+def _samples(sampled):
+    """The number of samples the evaluations of points took, which it clears."""
+    n = sum(len(thetas) for _codes, thetas in sampled)
+    sampled.clear()
+    return n
+
+
 def test_fixed_point_index_samples_each_map_once(monkeypatch):
     # a map the crossing count decides is indexed, and its identities checked,
     # without sampling; reading min_displacement makes one bounded
     # evaluation, at the density and with the value of the loop-by-loop
-    # certificate, under the tolerance of its report, and samples no loop
-    # whole; a changed tolerance makes a new report and a new crossing table
+    # certificate, under the tolerance of its report, and takes at most the
+    # samples of full sampling and of one coarse pass at that density; a
+    # changed tolerance makes a new report and a new crossing table
     from diskrig import boundary, experiments, geom
 
     want = _refine(lambda density: _reference_certify(sample_loops(_ring_map().loops(), density)))
-    sampled = []  # each sampling of whole loops
-    sample = boundary._sample_curves
-    monkeypatch.setattr(boundary, "_sample_curves", lambda *args: sampled.append(args) or sample(*args))
+    most = sum(len(loop.src) for density in (1, 1 / COARSE) for loop in sample_loops(_ring_map().loops(), density))
+    sampled = _sampled_points(monkeypatch)
     calls = []  # (density, EPS_GEOM) of each bounded evaluation
     bounded = boundary._bounded_min_displacement
     monkeypatch.setattr(boundary, "_bounded_min_displacement", lambda *args: calls.append((args[1], geom.EPS_GEOM)) or bounded(*args))
@@ -688,8 +719,8 @@ def test_fixed_point_index_samples_each_map_once(monkeypatch):
     assert lhs_a == rhs_a == lhs_b == rhs_b == rep.eta
     assert calls == [] and sampled == []
     min_disp = rep.min_displacement
-    assert calls == [(1, 1e-9)] and sampled == []
-    assert rep.min_displacement == min_disp and len(calls) == 1
+    assert calls == [(1, 1e-9)] and 0 < _samples(sampled) <= most
+    assert rep.min_displacement == min_disp and len(calls) == 1 and sampled == []
     assert (rep.per_curve, min_disp) == want
     assert fixed_point_index(fmap) is rep
     table = fmap._table.crossings()
@@ -698,10 +729,10 @@ def test_fixed_point_index_samples_each_map_once(monkeypatch):
     assert again is not rep and (again.eta, again.per_curve, again.method) == (rep.eta, rep.per_curve, "exact")
     assert fmap._table.crossings() is not table
     assert fixed_point_index(fmap) is again
-    assert again.min_displacement == min_disp and calls[1:] == [(1, 2e-9)]
+    assert again.min_displacement == min_disp and calls[1:] == [(1, 2e-9)] and 0 < _samples(sampled) <= most
     # a report read after the tolerance changed samples under its own
-    assert rep_other.min_displacement == min_disp and calls[2:] == [(1, 1e-9)]
-    assert geom.EPS_GEOM == 2e-9 and sampled == []
+    assert rep_other.min_displacement == min_disp and calls[2:] == [(1, 1e-9)] and 0 < _samples(sampled) <= most
+    assert geom.EPS_GEOM == 2e-9
 
 
 def test_index_report_method_exact():
@@ -712,18 +743,16 @@ def test_index_report_method_exact():
     assert report.per_curve == _exact_windings(fmap.loops()) and report.eta == sum(report.per_curve)
 
 
-def test_index_report_method_sampled(monkeypatch):
+def test_index_report_method_sampled():
     # a vertex map that folds leaves the count undecided, and the sampled
-    # certificate gives the whole report, min_displacement included
-    from diskrig import boundary
-
+    # certificate gives the whole report; min_displacement is found when it
+    # is read, as for an exact report, with full sampling's value
     folded = _folded_map()
     report = fixed_point_index(folded)
     assert report.method == "sampled"
     per_curve, min_disp = _refine(lambda density: _certify(sample_loops(folded.loops(), density)))
     assert (report.eta, report.per_curve) == (sum(per_curve), per_curve)
-    monkeypatch.setattr(boundary, "_sample_curves", lambda *args: pytest.fail("sampled again"))
-    assert report.min_displacement == min_disp
+    assert report.min_displacement == _full_min_displacement(folded.loops()) == min_disp
 
 
 def test_main_theorem_trials_refine_nothing_the_count_decides(monkeypatch):
@@ -1174,14 +1203,12 @@ def test_exact_windings_match_sampling_on_the_corpora():
 def test_identities_sample_nothing_once_the_map_is_indexed(monkeypatch):
     # the additivity identities read every disk, eye and sub-union loop from
     # the crossing count; only fixed_point_index samples
-    from diskrig import boundary, experiments
+    from diskrig import experiments
 
     ring = ring_of_twelve(np.random.default_rng(3))
     fmap = build_faithful_map(ring, ring.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d)))
     eta = fixed_point_index(fmap).eta
-    calls = []
-    sample = boundary._sample_curves
-    monkeypatch.setattr(boundary, "_sample_curves", lambda *args: calls.append(args) or sample(*args))
+    calls = _sampled_points(monkeypatch)
     assert experiments.obs_a_identity(fmap) == (eta, eta)
     assert experiments.main_b_identity(fmap, set(range(6))) == (eta, eta)
     assert calls == []
@@ -1193,21 +1220,44 @@ def test_identities_sample_nothing_once_the_map_is_indexed(monkeypatch):
 def test_index_sums_samples_only_the_undecided_loops(monkeypatch):
     # one crossing count takes every list; the disk of b and the eye, which
     # it leaves undecided, are sampled together, though they are in different
-    # lists, at each density the certificate tries, and nothing else is
-    from diskrig import boundary
-
+    # lists, at each density the certificate tries, and nothing else is: here
+    # at density 1 only, in one pass
     fixed = _fixed_circle_map()
     disk_a, disk_b, eye = fixed.disk_loop("a"), fixed.disk_loop("b"), fixed.eye_loop("a", "b")
-    calls = []  # (arcs, density) of each sampling
-    sample = boundary._sample_curves
-    monkeypatch.setattr(boundary, "_sample_curves", lambda *args: calls.append(args[:2]) or sample(*args))
+    calls = _sampled_points(monkeypatch)
     (w_a,) = _exact_windings([disk_a])
     w_b, w_eye = _sampled_windings([disk_b, eye])
-    want = calls[:]
-    assert want and all(arcs == [disk_b.arcs, eye.arcs] for arcs, _density in want)
+    want = [(codes.tobytes(), thetas.tobytes()) for codes, thetas in calls]
+    assert want == [_reference_grid([disk_b, eye], 1)]
     calls.clear()
     assert index_sums([[disk_a, disk_b], [eye], [disk_a]]) == [w_a + w_b, w_eye, w_a]
-    assert calls == want
+    assert [(codes.tobytes(), thetas.tobytes()) for codes, thetas in calls] == want
+
+
+def _half_fixed_map():
+    """Two disjoint disks: disk a moves, and disk b is the same disk in C and
+    C~, turned a quarter turn by a pin, so the crossing count decides the
+    curve of a and leaves that of b undecided."""
+    c = DiskConfiguration([("a", Disk(0j, 1.0)), ("b", Disk(5 + 0j, 1.0))])
+    ct = DiskConfiguration([("a", Disk(0.1 + 0.3j, 1.0)), ("b", Disk(5 + 0j, 1.0))])
+    return build_faithful_map(c, ct, pins={"b": [(6 + 0j, 5 + 1j)]})
+
+
+def test_fixed_point_index_samples_only_the_undecided_curves(monkeypatch):
+    # fixed_point_index takes the windings the count decides from the count,
+    # and samples only the curves it leaves undecided, here at density 1 in
+    # one pass; min_displacement is full sampling's over every curve
+    fmap = _half_fixed_map()
+    loops = fmap.loops()
+    exact = _exact_windings(loops)
+    assert exact == [0, None]
+    calls = _sampled_points(monkeypatch)
+    report = fixed_point_index(fmap)
+    assert [(codes.tobytes(), thetas.tobytes()) for codes, thetas in calls] == [_reference_grid(loops[1:], 1)]
+    assert report.method == "sampled"
+    assert report.per_curve == [exact[0], *_sampled_windings(loops[1:])] == [0, 1]
+    assert report.eta == 1
+    assert report.min_displacement == _full_min_displacement(loops) > 0
 
 
 def test_index_theorem_corpus_samples_nothing(monkeypatch):
@@ -1281,9 +1331,8 @@ def test_arc_bounds_are_sound_and_the_bounded_minimum_is_the_sampled_one(seed, s
         loops = fmap.loops()
         arcs = _LoopArcs(loops)
         bound = _arc_bounds(arcs, density)[0]
-        table = loops[0].table
-        grids = _sample_curves([[arc] for loop in loops for arc in loop.arcs], density, table.code, table.points)
-        assert (bound <= [np.abs(dst - src).min() for src, dst in grids]).all()
+        grids = sample_loops([ArcLoopMap([arc], loops[0].table) for loop in loops for arc in loop.arcs], density)
+        assert (bound <= [np.abs(grid.dst - grid.src).min() for grid in grids]).all()
         got, want = _sampled_min_displacement(loops, geom.EPS_GEOM), _full_min_displacement(loops)
         assert got == want
 

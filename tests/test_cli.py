@@ -508,6 +508,8 @@ def test_schema_errors(tmp_path):
         read_document(bad)
     with pytest.raises(SchemaError):
         document_from_obj({"schema_version": 1, "disks": [{"id": "a", "cx": 0, "cy": 0, "r": -1}]})
+    with pytest.raises(SchemaError, match="vertex 7 "):
+        document_from_obj({"schema_version": 1, "disks": [], "triangulation": {"boundary_radii": {"7": float("nan")}}})
     nojson = tmp_path / "no.json"
     nojson.write_text("{nope")
     assert main(["check", str(nojson)]) == 2
@@ -525,6 +527,11 @@ def test_schema_errors(tmp_path):
         {"triangulation": {"faces": [[0, 1, {"a": 2}]]}},
         {"triangulation": {"boundary_radii": {"0": "abc"}}},
         {"triangulation": {"boundary_radii": [1.0]}},
+        {"triangulation": {"boundary_radii": {"0": float("nan")}}},
+        {"triangulation": {"boundary_radii": {"0": float("inf")}}},
+        {"triangulation": {"boundary_radii": {"0": float("-inf")}}},
+        {"triangulation": {"boundary_radii": {"0": 0.0}}},
+        {"triangulation": {"boundary_radii": {"0": -1.0}}},
         {"triangulation": "faces"},
         {"disks": [*disks, {"id": [1], "cx": 3, "cy": 0, "r": 1}]},
         {"disks": 5},
