@@ -167,99 +167,116 @@ class BoundaryComplex:
 
 def boundary_complex(config: DiskConfiguration) -> BoundaryComplex:
     """Trace the union boundary into positively oriented curves with arcs
-    labeled by owning disk and corners at pair-intersection points."""
-    covered = {i: [] for i in config.labels}  # (start_angle, end_angle, start_ref, end_ref)
-    markers = {i: [] for i in config.labels}  # tangency splits: (angle, ref)
-    named = [(e, c, list(c.named_corners())) for e, c in config.contacts().items()]
-    # every corner's angle on both circles of its pair, in one numpy pass
-    angles = iter(np.angle(np.array(
-        [z - d.center for _e, c, points in named for _k, z in points for d in (c.disk_i, c.disk_j)], dtype=complex
-    )).tolist())
-    corners = {}
-    for e, c, points in named:
-        refs = tuple(CornerRef(c.pair, kind, z, (next(angles), next(angles))) for kind, z in points)
-        corners[e] = refs
-        if len(refs) == 1:
-            (tref,) = refs
-            for v, t in zip(c.pair, tref.angles):
-                markers[v].append((t, tref))
-            continue
-        uref, vref = refs
-        si, sj = c.pair
-        # boundary of disk si inside disk sj runs u -> v; of sj inside si runs v -> u
-        covered[si].append((uref.angles[0], vref.angles[0], uref, vref))
-        covered[sj].append((vref.angles[1], uref.angles[1], vref, uref))
-    free = {}
-    for i in config.labels:
-        free[i] = _free_arcs(config.disks[i], i, covered[i], markers[i])
-    # successor index: free arc starting at a given corner ref on a given disk
-    start_index = {}
-    for i, arcs in free.items():
-        for a in arcs:
-            if a.start is not None:
-                start_index[(i, a.start.pair, a.start.kind)] = a
-    curves = []
-    unused = {id(a): a for arcs in free.values() for a in arcs}
-    # curves are traced in str order of the labels, whatever the listing order
-    for i in sorted(config.labels, key=str):
-        for a in free[i]:
-            if id(a) not in unused:
-                continue
-            piece = a
-            cycle = []
-            while id(piece) in unused:
-                del unused[id(piece)]
-                cycle.append(piece)
-                if piece.end is None:
-                    break
-                other = piece.end.pair[0] if piece.end.pair[1] == piece.vertex else piece.end.pair[1]
-                key = (other, piece.end.pair, piece.end.kind)
-                if key not in start_index:
-                    raise DegenerateContact(f"no continuation at corner {piece.end}")
-                piece = start_index[key]
-            curves.append(BoundaryCurve(cycle))
+    labeled by owning disk and corners at pair-intersection points, by one
+    interval pass over the contact table's corners: sorted by disk, start
+    (mod 2 pi) and length, each covered interval is followed by a free arc
+    from its end, (a0 + da) mod 2 pi, to the disk's next one, cut at the
+    tangency points inside it, and each arc's end corner names the arc of
+    the pair's other disk that follows it.  Raises DegenerateContact at the
+    first disk, in listing order, with no free boundary, with overlapping
+    intervals (three disks share a point) or with an empty free arc."""
+    labels, n = config.labels, len(config.labels)
+    code = {v: k for k, v in enumerate(labels)}
+    # the covered intervals (disk, a0, a1, start ref, end ref), the tangency
+    # points (disk, angle, ref), and the second disk of each ref's pair
+    corners, refs, second, covers, marks = {}, [], [], [], []
+    for e, c in config.contacts().items():
+        corners[e] = pair_refs = tuple(CornerRef(c.pair, k, z, a) for k, z, a in zip(c.kinds, c.corners, c.angles))
+        i, j, r = code[c.pair[0]], code[c.pair[1]], len(refs)
+        refs += pair_refs
+        second += [j] * len(pair_refs)
+        if len(pair_refs) == 2:
+            (ui, uj), (vi, vj) = c.angles
+            covers += (i, ui, vi, r, r + 1, j, vj, uj, r + 1, r)
+        else:
+            ((ti, tj),) = c.angles
+            marks += (i, ti, r, j, tj, r)
+    covers = np.array(covers, dtype=float).reshape(-1, 5)
+    start, length = covers[:, 1] % TWO_PI, (covers[:, 2] - covers[:, 1]) % TWO_PI
+    order = np.lexsort((length, start, covers[:, 0]))
+    start, length = start[order], length[order]
+    disk, start_ref, end_ref = covers[order][:, [0, 3, 4]].astype(np.intp).T
+    count, nxt = np.bincount(disk, minlength=n), _cyclic_next(disk)
+    covered, start_next, end = np.bincount(disk, length, n), start[nxt], start + length
+    # disjoint cyclically ordered intervals tile the circle together with
+    # their end-to-next-start gaps; an overlap makes a gap wrap a full turn
+    walked = covered + np.bincount(disk, (start_next - end) % TWO_PI, n)
+    free_start = end % TWO_PI
+    span = (start_next - free_start) % TWO_PI
+    full, overlap = covered >= TWO_PI - geom.EPS_GEOM, (count > 0) & (np.abs(walked - TWO_PI) > 1e-9)
+    bad = full | overlap | (np.bincount(disk, span <= 1e-12, n) > 0)
+    if bad.any():
+        b = int(np.argmax(bad))
+        if full[b]:
+            raise DegenerateContact(f"disk {labels[b]} has no free boundary")
+        if overlap[b]:
+            # the first interval whose successor starts inside it
+            k = np.flatnonzero((disk == b) & ((start_next - start) % TWO_PI < length))[0]
+            j, m = (p for r in (start_ref[k], start_ref[nxt[k]]) for p in refs[r].pair if code[p] != b)
+            raise DegenerateContact(f"not thin: disks {labels[b]}, {j}, {m} share a point")
+        raise DegenerateContact(f"zero-length free arc on disk {labels[b]}")
+    # the arcs: disk, a0, da, start ref and end ref
+    arcs = [disk, free_start, span, end_ref, start_ref[nxt]]
+    if marks:
+        marks = np.array(marks, dtype=float).reshape(-1, 3)
+        at, (mark_disk, mark_ref) = marks[:, 1], marks[:, [0, 2]].astype(np.intp).T
+        # a point on a disk with intervals lies in the free arc after the
+        # last interval starting at or before it, or in none
+        split = np.flatnonzero(count[mark_disk] > 0)
+        gap = np.searchsorted(disk + 1j * start, mark_disk[split] + 1j * (at[split] % TWO_PI), side="right") - 1
+        gap = np.where(disk[gap] == mark_disk[split], gap, np.searchsorted(disk, mark_disk[split], side="right") - 1)
+        offset = (at[split] - free_start[gap]) % TWO_PI
+        inside = (0 < offset) & (offset < span[gap])
+        # an arc runs from an interval's end or a point to the next point of
+        # its free arc, or to the free arc's end
+        g = np.concatenate([np.arange(len(disk)), gap[inside]])
+        offset = np.concatenate([np.zeros(len(disk)), offset[inside]])
+        order = np.lexsort((offset, g))
+        g, offset, ref = g[order], offset[order], np.concatenate([end_ref, mark_ref[split[inside]]])[order]
+        more, after = np.concatenate([g[1:] == g[:-1], [False]]), np.minimum(np.arange(1, len(g) + 1), len(g) - 1)
+        stop, stop_ref = np.where(more, offset[after], span[g]), np.where(more, ref[after], start_ref[nxt[g]])
+        arcs = [disk[g], (free_start[g] + offset) % TWO_PI, stop - offset, ref, stop_ref]
+        # a disk with tangency points only is cut at their raw angles
+        lone = np.flatnonzero(count[mark_disk] == 0)
+        lone = lone[np.lexsort((at[lone], mark_disk[lone]))]
+        after = lone[_cyclic_next(mark_disk[lone])]
+        da = (at[after] - at[lone]) % TWO_PI
+        cuts = (mark_disk[lone], at[lone], np.where(da == 0, TWO_PI, da), mark_ref[lone], mark_ref[after])
+        order = np.argsort(np.concatenate([arcs[0], cuts[0]]), kind="stable")
+        arcs = [np.concatenate(x)[order] for x in zip(arcs, cuts)]
+    vertex, a0, da, begin, end = arcs
+    # the arc starting at ref r has the key 2 r on the first disk of r's pair
+    # and 2 r + 1 on the second; an arc's successor starts at its end ref on
+    # the other disk
+    second = np.array(second, dtype=np.intp)
+    arc_at = np.full(2 * len(refs), -1)
+    arc_at[2 * begin + (second[begin] == vertex)] = np.arange(len(vertex))
+    succ = arc_at[2 * end + (second[end] != vertex)].tolist()
+    pieces = [BoundaryArc(labels[x], t0, span, refs[s], refs[f]) for x, t0, span, s, f in zip(*(x.tolist() for x in arcs))]
+    bounds, used, curves = np.searchsorted(vertex, np.arange(n + 1)).tolist(), [False] * len(pieces), []
+    # curves are traced in str order of the labels, whatever the listing
+    # order; a disk that meets no other is a whole circle from angle 0
+    for x in sorted(range(n), key=lambda k: str(labels[k])):
+        if bounds[x] == bounds[x + 1]:
+            curves.append(BoundaryCurve([BoundaryArc(labels[x], 0.0, TWO_PI, None, None)]))
+        for first in range(bounds[x], bounds[x + 1]):
+            cycle, k = [], first
+            while not used[k]:
+                used[k] = True
+                cycle.append(pieces[k])
+                if succ[k] < 0:
+                    raise DegenerateContact(f"no continuation at corner {pieces[k].end}")
+                k = succ[k]
+            if cycle:
+                curves.append(BoundaryCurve(cycle))
     return BoundaryComplex(config, curves, corners)
 
 
-def _free_arcs(disk, vertex, intervals, marks):
-    """Complement of the covered intervals on one circle, split at tangency
-    marks, as BoundaryArc pieces."""
-    if not intervals and not marks:
-        return [BoundaryArc(vertex, 0.0, TWO_PI, None, None)]
-    if not intervals:
-        marks = sorted(marks)
-        spans = cyclic_spans([t for t, _ref in marks])
-        return [
-            BoundaryArc(vertex, t0, span, ref0, marks[(k + 1) % len(marks)][1])
-            for k, ((t0, ref0), span) in enumerate(zip(marks, spans))
-        ]
-    events = sorted(((a0 % TWO_PI, (a1 - a0) % TWO_PI, s, e) for a0, a1, s, e in intervals))
-    if sum(iv[1] for iv in events) >= TWO_PI - geom.EPS_GEOM:
-        raise DegenerateContact(f"disk {vertex} has no free boundary")
-    # disjoint cyclically ordered intervals tile the circle together with
-    # their end-to-next-start gaps; an overlap makes a gap wrap a full turn
-    walked = sum(iv[1] for iv in events) + sum(
-        ((b0 - (a0 + da)) % TWO_PI)
-        for (a0, da, _s, _e), (b0, _db, _s2, _e2) in zip(events, events[1:] + events[:1])
-    )
-    if abs(walked - TWO_PI) > 1e-9:
-        raise DegenerateContact(f"covered intervals overlap on disk {vertex}")
-    arcs = []
-    for k, (a0, da, _, eref_prev) in enumerate(events):
-        b0, _, sref_next, _ = events[(k + 1) % len(events)]
-        start_angle = (a0 + da) % TWO_PI
-        span = (b0 - start_angle) % TWO_PI
-        if span <= 1e-12:
-            raise DegenerateContact(f"zero-length free arc on disk {vertex}")
-        sub_marks = sorted(
-            ((t - start_angle) % TWO_PI, ref) for t, ref in marks if 0 < (t - start_angle) % TWO_PI < span
-        )
-        prev_off, prev_ref = 0.0, eref_prev
-        for off, mref in sub_marks:
-            arcs.append(BoundaryArc(vertex, (start_angle + prev_off) % TWO_PI, off - prev_off, prev_ref, mref))
-            prev_off, prev_ref = off, mref
-        arcs.append(BoundaryArc(vertex, (start_angle + prev_off) % TWO_PI, span - prev_off, prev_ref, sref_next))
-    return arcs
+def _cyclic_next(group):
+    """The next row of each row's group, cyclically, for rows sorted by
+    group."""
+    last = np.concatenate([group[1:] != group[:-1], [True]])
+    return np.where(last, np.searchsorted(group, group), np.arange(1, len(group) + 1))
 
 
 def _pass_ends(sizes):
@@ -665,32 +682,24 @@ class _CrossingTable:
     It keeps the pairs that meet without nesting, sorted by v and then w, in
     the columns v, w, kind, theta and theta_t; rows first[v]:first[v + 1]
     are source circle v's.  kind is REFUSED where circles_tangent holds
-    (tangent or equal circles) or where circle_intersections calls the
-    crossings near-tangent, and CROSSING otherwise.  A CROSSING row holds
-    the angles on the source and on the image circle of
-    circle_intersections' u (where the source circle enters the image disk,
-    iota = +1), then of its v (iota = -1); REFUSED rows hold zeros."""
+    (tangent or equal circles) or where place_crossings finds the crossings
+    near-tangent, and CROSSING otherwise.  A CROSSING row holds the angles,
+    on the source and on the image circle, of place_crossings' u (where the
+    source circle enters the image disk, iota = +1), then of its v (iota =
+    -1); REFUSED rows hold zeros."""
 
     def __init__(self, circles, circles_t):
-        self.eps = eps = geom.EPS_GEOM
+        self.eps = geom.EPS_GEOM
         v, w, code, d = geom.meeting_pairs(circles, circles_t)
         meet = (code != RELATIONS.index(DiskRelation.FIRST_CONTAINS_SECOND)) & (code != RELATIONS.index(DiskRelation.SECOND_CONTAINS_FIRST))
         v, w, code, d = (x[meet] for x in (v, w, code, d))
         k = np.flatnonzero(code == RELATIONS.index(DiskRelation.OVERLAPPING))
-        kind = np.full(len(v), REFUSED)
-        c, r, c_t, r_t, d = circles[0][v[k]], circles[1][v[k]], circles_t[0][w[k]], circles_t[1][w[k]], d[k]
-        along = (r**2 - r_t**2 + d * d) / (2 * d)
-        h2 = r**2 - along**2
-        near = h2 <= (eps * np.maximum(r, 1.0)) ** 2
-        k, c, c_t, d, along, h = (x[~near] for x in (k, c, c_t, d, along, np.sqrt(np.maximum(h2, 0.0))))
-        kind[k] = CROSSING
-        axis = (c_t - c) / d
-        mid = c + along * axis
-        # u = mid - i*axis*h, as circle_intersections places it
-        z = np.stack([mid - 1j * axis * h, mid + 1j * axis * h], axis=1)
+        _z, theta, theta_t, near = geom.place_crossings(circles[0][v[k]], circles[1][v[k]], circles_t[0][w[k]], circles_t[1][w[k]], d[k])
+        k, theta, theta_t = k[~near], theta[~near], theta_t[~near]
+        self.v, self.w, self.kind = v, w, np.full(len(v), REFUSED)
+        self.kind[k] = CROSSING
         self.theta, self.theta_t = np.zeros((len(v), 2)), np.zeros((len(v), 2))
-        self.theta[k], self.theta_t[k] = np.angle(z - c[:, None]), np.angle(z - c_t[:, None])
-        self.v, self.w, self.kind = v, w, kind
+        self.theta[k], self.theta_t[k] = theta, theta_t
         self.first = np.searchsorted(v, np.arange(len(circles[1]) + 1))
 
 

@@ -26,8 +26,6 @@ from .solver import FixedBoundaryRadii, Triangulation, layout, solve_radii
 from .subsumption import index_lower_bound
 from .torus import build_parametrization, random_monotone_graph
 
-log = logging.getLogger("diskrig")
-
 
 def _setup_logging():
     level = os.environ.get("DISKRIG_LOG", "warning").upper()

@@ -22,7 +22,7 @@ from .geom import (
     cyclic_spans,
     disk_relation,
     meeting_pairs,
-    tangency_point,
+    place_crossings,
 )
 
 
@@ -35,28 +35,30 @@ class Contact:
     relation: DiskRelation  # OVERLAPPING or EXTERNALLY_TANGENT
     disk_i: Disk = field(repr=False)
     disk_j: Disk = field(repr=False)
-    # overlap_angle of the pair, exactly 0 for a tangency; computed with the
-    # table
+    # computed with the table: overlap_angle of the pair, exactly 0 for a
+    # tangency, and the corners, circle_intersections' (u, v) or the point
+    # where a tangent pair touches, with their angles on the circles of
+    # disk_i and disk_j (None where circle_intersections refuses the pair)
     theta: float = field(repr=False, compare=False)
+    points: tuple | None = field(repr=False, compare=False)
+    angles: tuple | None = field(repr=False, compare=False)
+
+    @property
+    def corners(self) -> tuple:
+        """The points, raising NotTransverse where there are none."""
+        if self.points is None:
+            raise NotTransverse("near-tangent crossing")
+        return self.points
+
+    @property
+    def kinds(self) -> str:
+        """Each corner's name: 'u' and 'v' of an overlap, 't' of a tangency."""
+        return "uv" if self.relation is DiskRelation.OVERLAPPING else "t"
 
     @functools.cached_property
     def lens(self) -> Lens:
         """The eye Lens(disk_i, disk_j) of an overlap: one per contact."""
-        return Lens(self.disk_i, self.disk_j)
-
-    @functools.cached_property
-    def corners(self) -> tuple:
-        """The lens's corners (u, v) of an overlap, or the tangency point.
-        Computed once, when first read, not with the table, so that a
-        near-tangent overlap whose corners nothing reads does not fail."""
-        if self.relation is DiskRelation.OVERLAPPING:
-            return self.lens.corners
-        return (tangency_point(self.disk_i, self.disk_j),)
-
-    def named_corners(self):
-        """(kind, point) of each corner: 'u' and 'v' of an overlap, 't' of a
-        tangency."""
-        return zip("uv" if self.relation is DiskRelation.OVERLAPPING else "t", self.corners)
+        return Lens(self.disk_i, self.disk_j, self.points)
 
 
 class DiskConfiguration:
@@ -76,24 +78,34 @@ class DiskConfiguration:
         raising ContainmentViolation where one disk contains another.
 
         meeting_pairs classifies every pair of the str-sorted labels in
-        numpy, as disk_relation would, and one arccos gives the overlap
-        angles; the pairs (i, j) with i before j are read in combinations
-        order, so the first containing pair raises."""
+        numpy, as disk_relation would, and numpy places their corners; the
+        pairs (i, j) with i before j are read in combinations order, so the
+        first containing pair raises."""
         labels = sorted(self.labels, key=str)
         disks = [self.disks[v] for v in labels]
-        circles = circle_arrays(disks)
-        v, w, code, d = meeting_pairs(circles, circles)
-        rv, rw = circles[1][v], circles[1][w]
+        c, r = circle_arrays(disks)
+        v, w, code, d = meeting_pairs((c, r), (c, r))
+        v, w, code, d = (x[v < w] for x in (v, w, code, d))
+        cv, cw, rv, rw = c[v], c[w], r[v], r[w]
+        overlap, tangent = code == RELATIONS.index(DiskRelation.OVERLAPPING), code == RELATIONS.index(DiskRelation.EXTERNALLY_TANGENT)
         cosine = np.minimum(np.maximum((d * d - rv * rv - rw * rw) / (2 * rv * rw), -1.0), 1.0)
-        theta = np.where(code == RELATIONS.index(DiskRelation.OVERLAPPING), np.arccos(cosine), 0.0)
+        theta = np.where(overlap, np.arccos(cosine), 0.0)
+        # each pair's corners, with their angles on the circles of v and w
+        points, angles, near = np.zeros((len(v), 2), complex), np.zeros((len(v), 2, 2)), np.zeros(len(v), bool)
+        crossings = place_crossings(cv[overlap], rv[overlap], cw[overlap], rw[overlap], d[overlap])
+        points[overlap], angles[overlap, :, 0], angles[overlap, :, 1], near[overlap] = crossings
+        if tangent.any():
+            cv, cw = cv[tangent], cw[tangent]
+            points[tangent, 0] = touch = cv + (cw - cv) * (rv[tangent] / d[tangent])
+            angles[tangent, 0, 0], angles[tangent, 0, 1] = (np.arctan2(z.imag, z.real) for z in (touch - cv, touch - cw))
         table = {}
-        for n, m, k, t in zip(v.tolist(), w.tolist(), code.tolist(), theta.tolist()):
-            if n >= m:
-                continue
+        for n, m, k, t, p, a, x in zip(v.tolist(), w.tolist(), code.tolist(), theta.tolist(), points.tolist(), angles.tolist(), near.tolist()):
             rel = RELATIONS[k]
             if rel not in (DiskRelation.OVERLAPPING, DiskRelation.EXTERNALLY_TANGENT):
                 raise ContainmentViolation(f"disk {labels[n]} vs {labels[m]}: {rel.value}")
-            table[frozenset((labels[n], labels[m]))] = Contact((labels[n], labels[m]), rel, disks[n], disks[m], t)
+            count = 2 if rel is DiskRelation.OVERLAPPING else 1
+            corners = (None, None) if x else (tuple(p[:count]), tuple(map(tuple, a[:count])))
+            table[frozenset((labels[n], labels[m]))] = Contact((labels[n], labels[m]), rel, disks[n], disks[m], t, *corners)
         return table
 
     def contacts(self) -> dict:
@@ -225,7 +237,7 @@ def is_general_position(config: DiskConfiguration, config_tilde: DiskConfigurati
     # the corners of each configuration's contact table against every circle
     # of the other
     for cfg, other, (oc, orad) in ((config, config_tilde, circles[1]), (config_tilde, config, circles[0])):
-        corners = [(contact, kind, p) for contact in cfg.contacts().values() for kind, p in contact.named_corners()]
+        corners = [(contact, kind, p) for contact in cfg.contacts().values() for kind, p in zip(contact.kinds, contact.corners)]
         dist = complex_abs(np.array([z for _c, _k, z in corners], dtype=complex)[:, None] - oc[None, :])
         for n, m in zip(*np.nonzero(np.abs(dist - orad[None, :]) <= geom.EPS_GEOM)):
             contact, kind, _z = corners[n]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,11 +168,25 @@ def circle_intersections(a: Disk, b: Disk) -> tuple[complex, complex]:
     return mid - 1j * axis * h, mid + 1j * axis * h
 
 
-def tangency_point(a: Disk, b: Disk) -> complex:
-    d = abs(b.center - a.center)
-    if abs(d - (a.radius + b.radius)) > 10 * EPS_GEOM * max(1.0, d):
-        raise NotTransverse("disks are not externally tangent")
-    return a.center + (b.center - a.center) * (a.radius / d)
+def place_crossings(c, r, c2, r2, d):
+    """circle_intersections' (u, v), bit for bit, as the columns of z, of
+    each overlapping pair of circle k of (c, r) and of (c2, r2) at centre
+    distance d[k], their angles on either circle, and near, true where it
+    refuses the pair as near-tangent."""
+    # float_power is libm's pow, as Python's x**2, not numpy's x*x; numpy
+    # divides a complex by a real through its reciprocal, Python each part
+    r_sq = np.float_power(r, 2)
+    along = (r_sq - np.float_power(r2, 2) + d * d) / (2 * d)
+    h2 = r_sq - np.float_power(along, 2)
+    near = h2 <= np.float_power(EPS_GEOM * np.maximum(r, 1.0), 2)
+    diff = c2 - c
+    axis = np.empty_like(diff)
+    axis.real, axis.imag = (diff.real + diff.imag * 0.0) / d, (diff.imag - diff.real * 0.0) / d
+    mid, turn = c + along * axis, 1j * axis * np.sqrt(np.maximum(h2, 0.0))
+    z = np.empty((len(d), 2), dtype=complex)
+    z[:, 0], z[:, 1] = mid - turn, mid + turn
+    rel, rel2 = z - c[:, None], z - c2[:, None]
+    return z, np.arctan2(rel.imag, rel.real), np.arctan2(rel2.imag, rel2.real), near
 
 
 # --- circular arcs and two-disk regions -------------------------------------
@@ -264,12 +278,14 @@ class _TwoDiskRegion:
 
     a: Disk
     b: Disk
+    # circle_intersections' (u, v), where the caller has placed them already
+    placed: tuple | None = field(default=None, repr=False, compare=False)
 
     @functools.cached_property
     def corners(self) -> tuple[complex, complex]:
         """circle_intersections' (u, v): the boundary of a enters b at u.
-        Computed once per object, when first read."""
-        return circle_intersections(self.a, self.b)
+        The placed corners, or computed once per object, when first read."""
+        return self.placed or circle_intersections(self.a, self.b)
 
 
 class Lens(_TwoDiskRegion):

@@ -183,12 +183,6 @@ class GraphMap:
             parts.append(np.arange(max(0.0, x - 0.01), min(1.0 - 1e-12, x + 0.01), fine))
         return np.unique(np.concatenate(parts))
 
-    def source_point(self, x: float) -> complex:
-        return complex(self.param.chain.point((x + self.base_s) % 1.0))
-
-    def image_point(self, x: float) -> complex:
-        return complex(self.param.chain_t.point((self.eval_y(x) + self.base_st) % 1.0))
-
 
 def shifted_crossings(param: TorusParametrization, base_s: float, base_st: float):
     return [
@@ -462,22 +456,3 @@ def graph_eta(gmap: GraphMap) -> int:
     of index_via_torus."""
     return _refine(lambda d: loop_index(gmap.loop(4096 * d)))
 
-
-def three_point_map(k_obj, kt_obj, zs, zts) -> tuple[GraphMap, int]:
-    """Indexable homeomorphism with eta >= 0 through the three prescriptions
-    z_i -> z~_i (points in positively oriented order, off the other curve)."""
-    param = build_parametrization(k_obj, kt_obj)
-    s = [param.chain.param_of(z) for z in zs]
-    st = [param.chain_t.param_of(z) for z in zts]
-    base_s, base_st = s[0], st[0]
-    xs = [(x - base_s) % 1.0 for x in s]
-    ys = [(y - base_st) % 1.0 for y in st]
-    if not (0 == xs[0] < xs[1] < xs[2] and 0 == ys[0] < ys[1] < ys[2]):
-        raise DegenerateInput("prescription points are not in positive cyclic order")
-    waypoints = [(xs[1], ys[1]), (xs[2], ys[2])]
-    w_total = _base_windings(param, base_s, base_st)
-    for target in range(0, w_total + param.M + 1):
-        for gmap in _route_search(param, base_s, base_st, waypoints, w_total, target):
-            if index_via_torus(gmap) == target:
-                return gmap, target
-    raise NoNonnegativeRoute("no nonnegative-index route through the prescriptions")

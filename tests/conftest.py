@@ -41,7 +41,7 @@ def triple_intersection_nonempty(a: Disk, b: Disk, c: Disk) -> bool:
     contains another.  Tangency points count as witnesses.
     """
     from diskrig.errors import DegenerateTriple
-    from diskrig.geom import DiskRelation, circle_intersections, disk_relation, tangency_point
+    from diskrig.geom import DiskRelation, circle_intersections, disk_relation
 
     disks = (a, b, c)
     for i in range(3):
@@ -66,6 +66,19 @@ def triple_intersection_nonempty(a: Disk, b: Disk, c: Disk) -> bool:
         if any(dk.contains(w) for w in witnesses):
             return True
     return False
+
+
+def tangency_point(a: Disk, b: Disk) -> complex:
+    """The point where two externally tangent disks touch, computed as the
+    scalar geometry computed it: the oracle of the contact table's tangency
+    corners."""
+    from diskrig import geom
+    from diskrig.errors import NotTransverse
+
+    d = abs(b.center - a.center)
+    if abs(d - (a.radius + b.radius)) > 10 * geom.EPS_GEOM * max(1.0, d):
+        raise NotTransverse("disks are not externally tangent")
+    return a.center + (b.center - a.center) * (a.radius / d)
 
 
 def random_disk(rng, center_scale=2.0, r_lo=0.4, r_hi=1.6) -> Disk:

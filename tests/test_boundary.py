@@ -18,7 +18,11 @@ from diskrig.boundary import (
     CORNER_WINDOW,
     COARSE,
     PASS_SAMPLES,
+    TWO_PI,
     ArcLoopMap,
+    BoundaryArc,
+    BoundaryComplex,
+    BoundaryCurve,
     CornerRef,
     FaithfulMap,
     SampledLoopMap,
@@ -41,20 +45,22 @@ from diskrig.boundary import (
     winding_number,
 )
 from diskrig import geom
-from diskrig.config import DiskConfiguration, eye_of_pair
+from diskrig.config import DiskConfiguration, eye_of_pair, is_thin
 from diskrig.docio import read_document
 from diskrig.errors import (
     CoincidentCorner,
     CombinatoricsMismatch,
+    ContainmentViolation,
+    DegenerateContact,
     DiskrigError,
     NearFixedPoint,
     NotTransverse,
     PointOnCurve,
 )
-from diskrig.geom import Disk, DiskRelation, circle_intersections, cyclic_spans, disk_relation, tangency_point
+from diskrig.geom import Disk, DiskRelation, circle_intersections, cyclic_spans, disk_relation
 from diskrig.moebius import apply_disk, dilation_about
 
-from conftest import _reference_classify, random_monotone_pins, ring_of_twelve
+from conftest import _reference_classify, random_monotone_pins, ring_of_twelve, tangency_point
 
 NEGIDX_C = DiskConfiguration([(1, Disk(3.18 - 0.05j, 1.51)), (2, Disk(5.02 + 0.05j, 1.43))])
 NEGIDX_CT = DiskConfiguration([(1, Disk(2.85 - 0.02j, 1.46)), (2, Disk(5.54 + 0.05j, 1.57))])
@@ -97,6 +103,228 @@ def test_boundary_complex_shapes():
     windings = sorted(winding_number(loop.src, 0j) for loop in sample_loops(build_faithful_map(ring_config, ring_t).loops(), 1))
     assert windings == [-1, 1]  # inner curve clockwise, outer counterclockwise
 
+
+def _reference_boundary_complex(config):
+    """The scalar tracer, the bit-for-bit oracle of boundary_complex: each
+    contact's corners with their angles taken afresh, _reference_free_arcs
+    per disk, then a dict walk."""
+    covered = {i: [] for i in config.labels}  # (start_angle, end_angle, start_ref, end_ref)
+    markers = {i: [] for i in config.labels}  # tangency splits: (angle, ref)
+    named = [(e, c, list(zip(c.kinds, c.corners))) for e, c in config.contacts().items()]
+    # every corner's angle on both circles of its pair, in one numpy pass
+    angles = iter(np.angle(np.array(
+        [z - d.center for _e, c, points in named for _k, z in points for d in (c.disk_i, c.disk_j)], dtype=complex
+    )).tolist())
+    corners = {}
+    for e, c, points in named:
+        refs = tuple(CornerRef(c.pair, kind, z, (next(angles), next(angles))) for kind, z in points)
+        corners[e] = refs
+        if len(refs) == 1:
+            (tref,) = refs
+            for v, t in zip(c.pair, tref.angles):
+                markers[v].append((t, tref))
+            continue
+        uref, vref = refs
+        si, sj = c.pair
+        # boundary of disk si inside disk sj runs u -> v; of sj inside si runs v -> u
+        covered[si].append((uref.angles[0], vref.angles[0], uref, vref))
+        covered[sj].append((vref.angles[1], uref.angles[1], vref, uref))
+    free = {}
+    for i in config.labels:
+        free[i] = _reference_free_arcs(config.disks[i], i, covered[i], markers[i])
+    # successor index: free arc starting at a given corner ref on a given disk
+    start_index = {}
+    for i, arcs in free.items():
+        for a in arcs:
+            if a.start is not None:
+                start_index[(i, a.start.pair, a.start.kind)] = a
+    curves = []
+    unused = {id(a): a for arcs in free.values() for a in arcs}
+    # curves are traced in str order of the labels, whatever the listing order
+    for i in sorted(config.labels, key=str):
+        for a in free[i]:
+            if id(a) not in unused:
+                continue
+            piece = a
+            cycle = []
+            while id(piece) in unused:
+                del unused[id(piece)]
+                cycle.append(piece)
+                if piece.end is None:
+                    break
+                other = piece.end.pair[0] if piece.end.pair[1] == piece.vertex else piece.end.pair[1]
+                key = (other, piece.end.pair, piece.end.kind)
+                if key not in start_index:
+                    raise DegenerateContact(f"no continuation at corner {piece.end}")
+                piece = start_index[key]
+            curves.append(BoundaryCurve(cycle))
+    return BoundaryComplex(config, curves, corners)
+
+
+def _reference_free_arcs(disk, vertex, intervals, marks):
+    """Complement of the covered intervals on one circle, split at tangency
+    marks, as BoundaryArc pieces."""
+    if not intervals and not marks:
+        return [BoundaryArc(vertex, 0.0, TWO_PI, None, None)]
+    if not intervals:
+        marks = sorted(marks)
+        spans = cyclic_spans([t for t, _ref in marks])
+        return [
+            BoundaryArc(vertex, t0, span, ref0, marks[(k + 1) % len(marks)][1])
+            for k, ((t0, ref0), span) in enumerate(zip(marks, spans))
+        ]
+    events = sorted(((a0 % TWO_PI, (a1 - a0) % TWO_PI, s, e) for a0, a1, s, e in intervals))
+    if sum(iv[1] for iv in events) >= TWO_PI - geom.EPS_GEOM:
+        raise DegenerateContact(f"disk {vertex} has no free boundary")
+    # disjoint cyclically ordered intervals tile the circle together with
+    # their end-to-next-start gaps; an overlap makes a gap wrap a full turn
+    walked = sum(iv[1] for iv in events) + sum(
+        ((b0 - (a0 + da)) % TWO_PI)
+        for (a0, da, _s, _e), (b0, _db, _s2, _e2) in zip(events, events[1:] + events[:1])
+    )
+    if abs(walked - TWO_PI) > 1e-9:
+        raise DegenerateContact(f"covered intervals overlap on disk {vertex}")
+    arcs = []
+    for k, (a0, da, _, eref_prev) in enumerate(events):
+        b0, _, sref_next, _ = events[(k + 1) % len(events)]
+        start_angle = (a0 + da) % TWO_PI
+        span = (b0 - start_angle) % TWO_PI
+        if span <= 1e-12:
+            raise DegenerateContact(f"zero-length free arc on disk {vertex}")
+        sub_marks = sorted(
+            ((t - start_angle) % TWO_PI, ref) for t, ref in marks if 0 < (t - start_angle) % TWO_PI < span
+        )
+        prev_off, prev_ref = 0.0, eref_prev
+        for off, mref in sub_marks:
+            arcs.append(BoundaryArc(vertex, (start_angle + prev_off) % TWO_PI, off - prev_off, prev_ref, mref))
+            prev_off, prev_ref = off, mref
+        arcs.append(BoundaryArc(vertex, (start_angle + prev_off) % TWO_PI, span - prev_off, prev_ref, sref_next))
+    return arcs
+
+
+def _ref_bits(ref):
+    return None if ref is None else (ref.pair, ref.kind, np.array(ref.point).tobytes(), np.array(ref.angles).tobytes())
+
+
+def _complex_bits(cx):
+    """A boundary complex as bits: each curve's arcs, in order, with the
+    bits of a0, da and of their corner refs' points and angles, and each
+    pair's corner refs, in table order."""
+    curves = [[(p.vertex, np.array([p.a0, p.da]).tobytes(), _ref_bits(p.start), _ref_bits(p.end)) for p in c.pieces] for c in cx.curves]
+    return curves, [(e, [_ref_bits(r) for r in refs]) for e, refs in cx.corners.items()]
+
+
+def _traced(trace, config):
+    """The bits of trace(config), or the class of the DiskrigError it raises."""
+    try:
+        return _complex_bits(trace(config))
+    except DiskrigError as exc:
+        return type(exc)
+
+
+def _assert_traces_as_oracle(monkeypatch):
+    """Make every boundary_complex call, through any binding, check itself
+    against the oracle; returns the list of configurations checked."""
+    import sys
+
+    from diskrig import boundary
+
+    seen, original = [], boundary.boundary_complex
+
+    def checked(config):
+        seen.append(config)
+        assert _traced(original, config) == _traced(_reference_boundary_complex, config)
+        return original(config)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("diskrig") and getattr(mod, "boundary_complex", None) is original:
+            monkeypatch.setattr(mod, "boundary_complex", checked)
+    return seen
+
+
+def test_boundary_complex_refuses_overlapping_cover():
+    # three unit disks through one point: the arcs of disk 0 inside 1 and
+    # inside 2 overlap
+    tight = DiskConfiguration([(0, Disk(0j, 1)), (1, Disk(1 + 0j, 1)), (2, Disk(0.5 + math.sqrt(3) / 2 * 1j, 1))])
+    with pytest.raises(DegenerateContact, match="^not thin: disks 0, 1, 2 share a point$"):
+        boundary_complex(tight)
+    assert _traced(_reference_boundary_complex, tight) is DegenerateContact
+
+
+def test_boundary_complex_refuses_fully_covered_disk():
+    covered = DiskConfiguration([(0, Disk(0j, 1))] + [(k, Disk(0.9 * np.exp(2j * math.pi * k / 3), 1)) for k in (1, 2, 3)])
+    with pytest.raises(DegenerateContact, match="disk 0 has no free boundary"):
+        boundary_complex(covered)
+    assert _traced(_reference_boundary_complex, covered) is DegenerateContact
+
+
+def test_boundary_complex_refuses_zero_length_free_arc():
+    # disks 1 and 2 are tangent at i, where each crosses disk 0: the free arc
+    # of disk 0 between them is 1e-13 long
+    turn = np.exp(1e-13j)
+    abut = DiskConfiguration([(0, Disk(0j, 1)), (1, Disk(1 + 1j, 1)), (2, Disk((-1 + 1j) * turn, 1))])
+    assert abut.contacts()[frozenset((1, 2))].relation is DiskRelation.EXTERNALLY_TANGENT
+    with pytest.raises(DegenerateContact, match="zero-length free arc on disk 0"):
+        boundary_complex(abut)
+    assert _traced(_reference_boundary_complex, abut) is DegenerateContact
+
+
+
+def test_boundary_complex_matches_oracle_on_the_corpora(monkeypatch):
+    # every configuration that the corpora's maps trace, their restrictions
+    # to the sub-unions included, and those of the first 50 pairs of
+    # criterion 5, trace as the oracle traces them, bit for bit
+    from diskrig.experiments import run_main_theorem_trial
+
+    seen = _assert_traces_as_oracle(monkeypatch)
+    for _set in _corpus_loop_sets():
+        pass
+    assert len(seen) == 60 * 8 + 40 * 2
+    rng = np.random.default_rng(505)
+    for _ in range(50):
+        run_main_theorem_trial(rng)
+    assert len(seen) == 560 + 50 * 8
+
+
+def _grown_config(rng, n, thin):
+    """Up to n disks, each new one tangent to or overlapping a random earlier
+    one, labelled in an order that str order does not keep; with thin, a
+    disk that would make three disks share a point is drawn again."""
+    disks = [Disk(0j, rng.uniform(0.5, 1.5))]
+    for _ in range(8 * n):
+        if len(disks) == n:
+            break
+        d = disks[int(rng.integers(len(disks)))]
+        r = rng.uniform(0.3, 1.5)
+        depth = 0.0 if rng.random() < 0.5 else rng.uniform(0.05, 0.6) * min(r, d.radius)
+        new = Disk(d.center + (d.radius + r - depth) * np.exp(1j * rng.uniform(0, 2 * math.pi)), r)
+        try:
+            cfg = DiskConfiguration(list(zip(rng.permutation(12)[: len(disks) + 1].tolist(), disks + [new])))
+        except ContainmentViolation:
+            continue
+        if not thin or is_thin(cfg)[0]:
+            disks.append(new)
+    return DiskConfiguration(list(zip(rng.permutation(12)[: len(disks)].tolist(), disks)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), thin=st.booleans(), flower=st.booleans())
+def test_boundary_complex_matches_oracle_with_tangencies(seed, n, thin, flower):
+    # differential oracle: thin configurations with tangencies, grown at
+    # random or the tangency flower's two realizations, and random
+    # restrictions of them, trace as the oracle traces them, bit for bit;
+    # configurations that are not thin raise DegenerateContact as it does
+    from conftest import tangency_flower_pair
+
+    rng = np.random.default_rng(seed)
+    configs = list(tangency_flower_pair()) if flower else [_grown_config(rng, n, thin)]
+    for cfg in configs:
+        subsets = [set(cfg.labels)] + [{v for v in cfg.labels if rng.random() < 0.6} for _ in range(3)]
+        for sub in subsets:
+            restricted = cfg.restricted(sub)
+            assert _traced(boundary_complex, restricted) == _traced(_reference_boundary_complex, restricted)
+            if thin or flower:
+                assert isinstance(_traced(boundary_complex, restricted), tuple)
 
 def test_faithful_map_translation():
     c = DiskConfiguration([("a", Disk(0j, 1.0)), ("b", Disk(1 + 0j, 1.0))])

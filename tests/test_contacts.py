@@ -15,11 +15,11 @@ from diskrig.config import DiskConfiguration, contact_graph, eyes
 from diskrig.docio import read_document
 from diskrig.errors import ContainmentViolation, NotTransverse, UnboundedImage
 from diskrig.experiments import random_bounded_moebius, random_chain_config
-from diskrig.geom import Disk, DiskRelation, circle_intersections, tangency_point
+from diskrig.geom import Disk, DiskRelation, circle_intersections
 from diskrig.moebius import apply_disk
 from diskrig.subsumption import index_lower_bound
 
-from conftest import _reference_classify
+from conftest import _reference_classify, tangency_point
 
 CLI_PAIRS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus", "cli_pairs")
 N_PAIRS = 40

@@ -21,10 +21,6 @@ READERS = [*sorted((ROOT / "bench").glob("*.py")), *sorted((ROOT / "bench" / "te
 
 # reached only from the unit tests, and kept
 EXEMPT = {
-    # the only check of the torus parametrization's three-point prescriptions
-    "three_point_map",
-    "source_point",
-    "image_point",
     # the strict check of the observations on the shift graph H, which
     # subsumptive_subsets reports without raising
     "build_H",
