@@ -122,70 +122,31 @@ def _arcs_offsets(spans, counts, density: int):
 # --- boundary complexes ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CornerRef:
-    """Identity of a corner: the pair, oriented as its Contact in the
-    configuration's contact table (str order of the labels), and which
-    intersection point: 'u' and 'v' are circle_intersections' corners for
-    that orientation, 't' marks a tangency.  angles holds the point's angle
-    on the circle of each disk of the pair, in pair order."""
-
-    pair: tuple
-    kind: str
-    point: complex
-    angles: tuple = field(default=(), repr=False, compare=False)
-
-
-@dataclass
-class BoundaryArc:
-    vertex: object
-    a0: float
-    da: float
-    start: CornerRef | None
-    end: CornerRef | None
-
-
-@dataclass
-class BoundaryCurve:
-    pieces: list
-
-    def signature(self):
-        return [(p.vertex, p.end.pair if p.end else None) for p in self.pieces]
-
-    def arcs(self):
-        """The pieces as (vertex, a0, da, refine_start, refine_end) arcs,
-        refined at their corners."""
-        return [(p.vertex, p.a0, p.da, p.start is not None, p.end is not None) for p in self.pieces]
-
-
-@dataclass
-class BoundaryComplex:
-    config: DiskConfiguration
-    curves: list
-    corners: dict  # frozenset pair -> its CornerRefs, for every meeting pair
-
-
-def boundary_complex(config: DiskConfiguration) -> BoundaryComplex:
-    """Trace the union boundary into positively oriented curves with arcs
-    labeled by owning disk and corners at pair-intersection points, by one
-    interval pass over the contact table's corners: sorted by disk, start
-    (mod 2 pi) and length, each covered interval is followed by a free arc
-    from its end, (a0 + da) mod 2 pi, to the disk's next one, cut at the
-    tangency points inside it, and each arc's end corner names the arc of
-    the pair's other disk that follows it.  Raises DegenerateContact at the
-    first disk, in listing order, with no free boundary, with overlapping
-    intervals (three disks share a point) or with an empty free arc."""
+def boundary_complex(config: DiskConfiguration) -> list:
+    """Trace the union boundary into positively oriented curves, each a list
+    of (vertex, a0, da, start, end) arcs of the owning disk's circle, whose
+    start and end corners are keys (pair, kind) into the contact table: the
+    Contact's pair and its corner 'u', 'v' or 't'; a disk that meets no
+    other is one arc with neither.  One interval pass over the table's
+    corner angles: sorted by disk, start (mod 2 pi) and length, each covered
+    interval is followed by a free arc from its end, (a0 + da) mod 2 pi, to
+    the disk's next one, cut at the tangency points inside it, and each
+    arc's end corner names the arc of the pair's other disk that follows it.
+    Raises DegenerateContact at the first disk, in listing order, with no
+    free boundary, with overlapping intervals (three disks share a point) or
+    with an empty free arc."""
     labels, n = config.labels, len(config.labels)
     code = {v: k for k, v in enumerate(labels)}
-    # the covered intervals (disk, a0, a1, start ref, end ref), the tangency
-    # points (disk, angle, ref), and the second disk of each ref's pair
-    corners, refs, second, covers, marks = {}, [], [], [], []
-    for e, c in config.contacts().items():
-        corners[e] = pair_refs = tuple(CornerRef(c.pair, k, z, a) for k, z, a in zip(c.kinds, c.corners, c.angles))
+    # refs: each corner's key, in table order; the covered intervals (disk,
+    # a0, a1, start ref, end ref), the tangency points (disk, angle, ref),
+    # and the second disk of each ref's pair, a ref being an index into refs
+    refs, second, covers, marks = [], [], [], []
+    for c in config.contacts().values():
         i, j, r = code[c.pair[0]], code[c.pair[1]], len(refs)
-        refs += pair_refs
-        second += [j] * len(pair_refs)
-        if len(pair_refs) == 2:
+        refs += [(c.pair, k) for k in c.kinds]
+        second += [j] * len(c.kinds)
+        # reading the corners refuses a near-tangent crossing
+        if len(c.corners) == 2:
             (ui, uj), (vi, vj) = c.angles
             covers += (i, ui, vi, r, r + 1, j, vj, uj, r + 1, r)
         else:
@@ -212,7 +173,7 @@ def boundary_complex(config: DiskConfiguration) -> BoundaryComplex:
         if overlap[b]:
             # the first interval whose successor starts inside it
             k = np.flatnonzero((disk == b) & ((start_next - start) % TWO_PI < length))[0]
-            j, m = (p for r in (start_ref[k], start_ref[nxt[k]]) for p in refs[r].pair if code[p] != b)
+            j, m = (p for r in (start_ref[k], start_ref[nxt[k]]) for p in refs[r][0] if code[p] != b)
             raise DegenerateContact(f"not thin: disks {labels[b]}, {j}, {m} share a point")
         raise DegenerateContact(f"zero-length free arc on disk {labels[b]}")
     # the arcs: disk, a0, da, start ref and end ref
@@ -252,24 +213,25 @@ def boundary_complex(config: DiskConfiguration) -> BoundaryComplex:
     arc_at = np.full(2 * len(refs), -1)
     arc_at[2 * begin + (second[begin] == vertex)] = np.arange(len(vertex))
     succ = arc_at[2 * end + (second[end] != vertex)].tolist()
-    pieces = [BoundaryArc(labels[x], t0, span, refs[s], refs[f]) for x, t0, span, s, f in zip(*(x.tolist() for x in arcs))]
+    pieces = [(labels[x], t0, span, refs[s], refs[f]) for x, t0, span, s, f in zip(*(x.tolist() for x in arcs))]
     bounds, used, curves = np.searchsorted(vertex, np.arange(n + 1)).tolist(), [False] * len(pieces), []
     # curves are traced in str order of the labels, whatever the listing
     # order; a disk that meets no other is a whole circle from angle 0
     for x in sorted(range(n), key=lambda k: str(labels[k])):
         if bounds[x] == bounds[x + 1]:
-            curves.append(BoundaryCurve([BoundaryArc(labels[x], 0.0, TWO_PI, None, None)]))
+            curves.append([(labels[x], 0.0, TWO_PI, None, None)])
         for first in range(bounds[x], bounds[x + 1]):
             cycle, k = [], first
             while not used[k]:
                 used[k] = True
                 cycle.append(pieces[k])
                 if succ[k] < 0:
-                    raise DegenerateContact(f"no continuation at corner {pieces[k].end}")
+                    pair, kind = pieces[k][4]
+                    raise DegenerateContact(f"no continuation at corner {kind} of pair {pair}")
                 k = succ[k]
             if cycle:
-                curves.append(BoundaryCurve(cycle))
-    return BoundaryComplex(config, curves, corners)
+                curves.append(cycle)
+    return curves
 
 
 def _cyclic_next(group):
@@ -503,7 +465,7 @@ class FaithfulMap:
 
     config: DiskConfiguration
     config_t: DiskConfiguration
-    complex_src: BoundaryComplex
+    curves: list  # boundary_complex(config)
     nodes: dict
     # (EPS_GEOM, IndexReport) of the last fixed_point_index; nothing changes a
     # map after build_faithful_map, so the report holds while EPS_GEOM does
@@ -514,13 +476,18 @@ class FaithfulMap:
         return _NodeTable(self.config, self.config_t, self.nodes)
 
     def loops(self) -> list:
-        return [ArcLoopMap(c.arcs(), self._table) for c in self.complex_src.curves]
+        return self._arc_loops(self.curves)
 
     def subset_loops(self, subset) -> list:
         """The loops of the faithful map restricted to the union of the given
         vertex subset (uses the same vertex maps, so additivity identities
         are exact)."""
-        return [ArcLoopMap(c.arcs(), self._table) for c in boundary_complex(self.config.restricted(subset)).curves]
+        return self._arc_loops(boundary_complex(self.config.restricted(subset)))
+
+    def _arc_loops(self, curves) -> list:
+        """The traced curves as loops of (vertex, a0, da, refine_start,
+        refine_end) arcs, refined where an arc ends at a corner."""
+        return [ArcLoopMap([(v, a0, da, s is not None, e is not None) for v, a0, da, s, e in c], self._table) for c in curves]
 
     def disk_loop(self, vertex) -> ArcLoopMap:
         """delta_v: the induced map on the full circle of one disk."""
@@ -534,21 +501,23 @@ class FaithfulMap:
         return ArcLoopMap([(k, arc.a0, arc.da, True, True) for k, arc in zip(c.pair, c.lens.boundary_arcs())], self._table)
 
 
-def _match_curves(cx_src: BoundaryComplex, cx_dst: BoundaryComplex):
+def _match_curves(curves, curves_t):
     """Raise CombinatoricsMismatch unless each source curve, in order, takes
-    the first target curve not yet taken with the same arc labels up to
-    rotation."""
-    if len(cx_src.curves) != len(cx_dst.curves):
-        raise CombinatoricsMismatch(
-            f"{len(cx_src.curves)} vs {len(cx_dst.curves)} boundary curves"
-        )
-    free = [c.signature() for c in cx_dst.curves]
-    for c in cx_src.curves:
-        sig = c.signature()
+    the first target curve not yet taken with the same arc labels, (vertex,
+    end pair or None), up to rotation."""
+    if len(curves) != len(curves_t):
+        raise CombinatoricsMismatch(f"{len(curves)} vs {len(curves_t)} boundary curves")
+    free = [_signature(c) for c in curves_t]
+    for c in curves:
+        sig = _signature(c)
         found = next((k for k, sig_t in enumerate(free) if len(sig) == len(sig_t) and _cyclic_equal(sig, sig_t)), None)
         if found is None:
             raise CombinatoricsMismatch(f"no matching curve for signature {sig}")
         del free[found]
+
+
+def _signature(curve):
+    return [(v, e[0] if e else None) for v, _a0, _da, _s, e in curve]
 
 
 def _cyclic_equal(a, b):
@@ -568,19 +537,20 @@ def build_faithful_map(config, config_tilde, *, pins=None, rng=None, n_random_pi
     """
     if not contact_graph(config).same_combinatorics(contact_graph(config_tilde)):
         raise CombinatoricsMismatch("contact graphs differ")
-    cx = boundary_complex(config)
-    cx_t = boundary_complex(config_tilde)
-    _match_curves(cx, cx_t)
+    curves = boundary_complex(config)
+    _match_curves(curves, boundary_complex(config_tilde))
 
     # each corner pins its angle on both disks of its pair
     nodes = {v: [] for v in config.labels}
-    for e, refs in cx.corners.items():
-        if len(refs) != len(cx_t.corners[e]):
-            raise CombinatoricsMismatch(f"pair {refs[0].pair} differs in contact type")
-        for ref, ref_t in zip(refs, cx_t.corners[e]):
-            if abs(ref.point - ref_t.point) <= _min_disp():
-                raise CoincidentCorner(f"corner of pair {ref.pair} is fixed")
-            for v, t, t_t in zip(ref.pair, ref.angles, ref_t.angles):
+    contacts_t = config_tilde.contacts()
+    for e, c in config.contacts().items():
+        c_t = contacts_t[e]
+        if c.relation is not c_t.relation:
+            raise CombinatoricsMismatch(f"pair {c.pair} differs in contact type")
+        for z, z_t, angles, angles_t in zip(c.corners, c_t.corners, c.angles, c_t.angles):
+            if abs(z - z_t) <= _min_disp():
+                raise CoincidentCorner(f"corner of pair {c.pair} is fixed")
+            for v, t, t_t in zip(c.pair, angles, angles_t):
                 nodes[v].append((t % TWO_PI, t_t % TWO_PI))
     for v in config.labels:
         d, dt = config.disks[v], config_tilde.disks[v]
@@ -590,7 +560,7 @@ def build_faithful_map(config, config_tilde, *, pins=None, rng=None, n_random_pi
         _check_monotone(nodes[v], v)
         if rng is not None and n_random_pins and nodes[v]:
             nodes[v] = _randomize_vmap(nodes[v], rng, n_random_pins, v)
-    return FaithfulMap(config, config_tilde, cx, nodes)
+    return FaithfulMap(config, config_tilde, curves, nodes)
 
 
 def _project(disk, z):
@@ -902,14 +872,12 @@ def _sampled_min_displacement(loops, eps: float) -> float | None:
     whose certificate holds, under the tolerance eps of their report, or
     None when no density certifies them: _certify's value on sample_loops,
     bit for bit, found by _bounded_min_displacement."""
-    saved, geom.EPS_GEOM = geom.EPS_GEOM, eps
-    try:
-        arcs = _LoopArcs(loops)
-        return _refine(functools.partial(_bounded_min_displacement, arcs))
-    except NearFixedPoint:
-        return None
-    finally:
-        geom.EPS_GEOM = saved
+    with geom.tolerance(eps):
+        try:
+            arcs = _LoopArcs(loops)
+            return _refine(functools.partial(_bounded_min_displacement, arcs))
+        except NearFixedPoint:
+            return None
 
 
 # --- min_displacement, sampled only where an arc-length bound cannot settle it ---

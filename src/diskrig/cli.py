@@ -286,16 +286,12 @@ def main(argv=None) -> int:
     _setup_logging()
     ap = build_parser()
     args = ap.parse_args(argv)
-    saved_eps = geom.EPS_GEOM
-    if args.eps_geom is not None:
-        geom.EPS_GEOM = args.eps_geom
-    try:
-        return args.fn(args)
-    except DiskrigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        geom.EPS_GEOM = saved_eps
+    with geom.tolerance(geom.EPS_GEOM if args.eps_geom is None else args.eps_geom):
+        try:
+            return args.fn(args)
+        except DiskrigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -29,7 +29,8 @@ from .geom import (
 @dataclass(frozen=True)
 class Contact:
     """A meeting pair of a configuration, oriented by str of its labels: the
-    convention of every pair-indexed corner (CornerRef, eyes, anchors)."""
+    convention of every pair-indexed corner (a boundary trace's corner keys,
+    eyes, anchors)."""
 
     pair: tuple  # (i, j) with i before j in str order
     relation: DiskRelation  # OVERLAPPING or EXTERNALLY_TANGENT

@@ -6,6 +6,7 @@ analysis is stable.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import math
@@ -18,6 +19,18 @@ from .errors import AngleUndefined, DegenerateDisk, NotTransverse
 EPS_GEOM = 1e-9
 EPS_ANGLE = 1e-7
 PAIR_PASS = 4096  # circle pairs one meeting_pairs pass classifies, unless one circle's pairs are more
+
+
+@contextlib.contextmanager
+def tolerance(eps: float):
+    """Classify with EPS_GEOM = eps inside the with block, and restore the
+    tolerance on leaving it, also when the block raises."""
+    global EPS_GEOM
+    saved, EPS_GEOM = EPS_GEOM, eps
+    try:
+        yield
+    finally:
+        EPS_GEOM = saved
 
 
 @dataclass(frozen=True)

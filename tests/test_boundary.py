@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import types
 import weakref
 
@@ -20,10 +21,6 @@ from diskrig.boundary import (
     PASS_SAMPLES,
     TWO_PI,
     ArcLoopMap,
-    BoundaryArc,
-    BoundaryComplex,
-    BoundaryCurve,
-    CornerRef,
     FaithfulMap,
     SampledLoopMap,
     _arc_bounds,
@@ -45,7 +42,7 @@ from diskrig.boundary import (
     winding_number,
 )
 from diskrig import geom
-from diskrig.config import DiskConfiguration, eye_of_pair, is_thin
+from diskrig.config import DiskConfiguration, contact_graph, eye_of_pair, is_thin
 from diskrig.docio import read_document
 from diskrig.errors import (
     CoincidentCorner,
@@ -85,12 +82,11 @@ def test_winding_number_cases():
 
 def test_boundary_complex_shapes():
     single = boundary_complex(DiskConfiguration([("a", Disk(0j, 1.0))]))
-    assert len(single.curves) == 1
-    assert len(single.curves[0].pieces) == 1
+    assert single == [[("a", 0.0, TWO_PI, None, None)]]
 
     two = boundary_complex(DiskConfiguration([("a", Disk(0j, 1.0)), ("b", Disk(1 + 0j, 1.0))]))
-    assert len(two.curves) == 1
-    assert [p.vertex for p in two.curves[0].pieces] in (["a", "b"], ["b", "a"])
+    assert len(two) == 1
+    assert [arc[0] for arc in two[0]] in (["a", "b"], ["b", "a"])
 
     ring_items = []
     n = 6
@@ -98,7 +94,7 @@ def test_boundary_complex_shapes():
         ring_items.append((k, Disk(2 * np.exp(2j * math.pi * k / n), 1.2)))
     ring_config = DiskConfiguration(ring_items)
     ring = boundary_complex(ring_config)
-    assert len(ring.curves) == 2
+    assert len(ring) == 2
     ring_t = ring_config.transformed(lambda d: apply_disk(dilation_about(0.1 + 0.05j, 0.93), d))
     windings = sorted(winding_number(loop.src, 0j) for loop in sample_loops(build_faithful_map(ring_config, ring_t).loops(), 1))
     assert windings == [-1, 1]  # inner curve clockwise, outer counterclockwise
@@ -108,72 +104,74 @@ def _reference_boundary_complex(config):
     """The scalar tracer, the bit-for-bit oracle of boundary_complex: each
     contact's corners with their angles taken afresh, _reference_free_arcs
     per disk, then a dict walk."""
-    covered = {i: [] for i in config.labels}  # (start_angle, end_angle, start_ref, end_ref)
-    markers = {i: [] for i in config.labels}  # tangency splits: (angle, ref)
-    named = [(e, c, list(zip(c.kinds, c.corners))) for e, c in config.contacts().items()]
+    covered = {i: [] for i in config.labels}  # (start_angle, end_angle, start_key, end_key)
+    markers = {i: [] for i in config.labels}  # tangency splits: (angle, key)
+    named = [(c, list(zip(c.kinds, c.corners))) for c in config.contacts().values()]
     # every corner's angle on both circles of its pair, in one numpy pass
     angles = iter(np.angle(np.array(
-        [z - d.center for _e, c, points in named for _k, z in points for d in (c.disk_i, c.disk_j)], dtype=complex
+        [z - d.center for c, points in named for _k, z in points for d in (c.disk_i, c.disk_j)], dtype=complex
     )).tolist())
-    corners = {}
-    for e, c, points in named:
-        refs = tuple(CornerRef(c.pair, kind, z, (next(angles), next(angles))) for kind, z in points)
-        corners[e] = refs
-        if len(refs) == 1:
-            (tref,) = refs
-            for v, t in zip(c.pair, tref.angles):
-                markers[v].append((t, tref))
+    for c, points in named:
+        corners = [((c.pair, kind), next(angles), next(angles)) for kind, _z in points]
+        if len(corners) == 1:
+            ((key, ti, tj),) = corners
+            for v, t in zip(c.pair, (ti, tj)):
+                markers[v].append((t, key))
             continue
-        uref, vref = refs
+        (ukey, ui, uj), (vkey, vi, vj) = corners
         si, sj = c.pair
         # boundary of disk si inside disk sj runs u -> v; of sj inside si runs v -> u
-        covered[si].append((uref.angles[0], vref.angles[0], uref, vref))
-        covered[sj].append((vref.angles[1], uref.angles[1], vref, uref))
+        covered[si].append((ui, vi, ukey, vkey))
+        covered[sj].append((vj, uj, vkey, ukey))
     free = {}
     for i in config.labels:
         free[i] = _reference_free_arcs(config.disks[i], i, covered[i], markers[i])
-    # successor index: free arc starting at a given corner ref on a given disk
+    # successor index: free arc starting at a given corner key on a given disk
     start_index = {}
     for i, arcs in free.items():
-        for a in arcs:
-            if a.start is not None:
-                start_index[(i, a.start.pair, a.start.kind)] = a
+        for k, a in enumerate(arcs):
+            if a[3] is not None:
+                start_index[(i, a[3])] = (i, k)
     curves = []
-    unused = {id(a): a for arcs in free.values() for a in arcs}
+    unused = {(i, k) for i, arcs in free.items() for k in range(len(arcs))}
     # curves are traced in str order of the labels, whatever the listing order
     for i in sorted(config.labels, key=str):
-        for a in free[i]:
-            if id(a) not in unused:
+        for k in range(len(free[i])):
+            if (i, k) not in unused:
                 continue
-            piece = a
+            at = (i, k)
             cycle = []
-            while id(piece) in unused:
-                del unused[id(piece)]
+            while at in unused:
+                unused.remove(at)
+                piece = free[at[0]][at[1]]
                 cycle.append(piece)
-                if piece.end is None:
+                vertex, _a0, _da, _start, end = piece
+                if end is None:
                     break
-                other = piece.end.pair[0] if piece.end.pair[1] == piece.vertex else piece.end.pair[1]
-                key = (other, piece.end.pair, piece.end.kind)
-                if key not in start_index:
-                    raise DegenerateContact(f"no continuation at corner {piece.end}")
-                piece = start_index[key]
-            curves.append(BoundaryCurve(cycle))
-    return BoundaryComplex(config, curves, corners)
+                pair = end[0]
+                other = pair[0] if pair[1] == vertex else pair[1]
+                if (other, end) not in start_index:
+                    raise DegenerateContact(f"no continuation at corner {end}")
+                at = start_index[(other, end)]
+            curves.append(cycle)
+    return curves
 
 
 def _reference_free_arcs(disk, vertex, intervals, marks):
     """Complement of the covered intervals on one circle, split at tangency
-    marks, as BoundaryArc pieces."""
+    marks, as (vertex, a0, da, start key, end key) arcs.  Intervals sort on
+    (start, length) and marks on their angle only, each stably, as the
+    production pass's lexsorts do."""
     if not intervals and not marks:
-        return [BoundaryArc(vertex, 0.0, TWO_PI, None, None)]
+        return [(vertex, 0.0, TWO_PI, None, None)]
     if not intervals:
-        marks = sorted(marks)
-        spans = cyclic_spans([t for t, _ref in marks])
+        marks = sorted(marks, key=lambda m: m[0])
+        spans = cyclic_spans([t for t, _key in marks])
         return [
-            BoundaryArc(vertex, t0, span, ref0, marks[(k + 1) % len(marks)][1])
-            for k, ((t0, ref0), span) in enumerate(zip(marks, spans))
+            (vertex, t0, span, key0, marks[(k + 1) % len(marks)][1])
+            for k, ((t0, key0), span) in enumerate(zip(marks, spans))
         ]
-    events = sorted(((a0 % TWO_PI, (a1 - a0) % TWO_PI, s, e) for a0, a1, s, e in intervals))
+    events = sorted(((a0 % TWO_PI, (a1 - a0) % TWO_PI, s, e) for a0, a1, s, e in intervals), key=lambda iv: iv[:2])
     if sum(iv[1] for iv in events) >= TWO_PI - geom.EPS_GEOM:
         raise DegenerateContact(f"disk {vertex} has no free boundary")
     # disjoint cyclically ordered intervals tile the circle together with
@@ -185,39 +183,52 @@ def _reference_free_arcs(disk, vertex, intervals, marks):
     if abs(walked - TWO_PI) > 1e-9:
         raise DegenerateContact(f"covered intervals overlap on disk {vertex}")
     arcs = []
-    for k, (a0, da, _, eref_prev) in enumerate(events):
-        b0, _, sref_next, _ = events[(k + 1) % len(events)]
+    for k, (a0, da, _, ekey_prev) in enumerate(events):
+        b0, _, skey_next, _ = events[(k + 1) % len(events)]
         start_angle = (a0 + da) % TWO_PI
         span = (b0 - start_angle) % TWO_PI
         if span <= 1e-12:
             raise DegenerateContact(f"zero-length free arc on disk {vertex}")
         sub_marks = sorted(
-            ((t - start_angle) % TWO_PI, ref) for t, ref in marks if 0 < (t - start_angle) % TWO_PI < span
+            (((t - start_angle) % TWO_PI, key) for t, key in marks if 0 < (t - start_angle) % TWO_PI < span),
+            key=lambda m: m[0],
         )
-        prev_off, prev_ref = 0.0, eref_prev
-        for off, mref in sub_marks:
-            arcs.append(BoundaryArc(vertex, (start_angle + prev_off) % TWO_PI, off - prev_off, prev_ref, mref))
-            prev_off, prev_ref = off, mref
-        arcs.append(BoundaryArc(vertex, (start_angle + prev_off) % TWO_PI, span - prev_off, prev_ref, sref_next))
+        prev_off, prev_key = 0.0, ekey_prev
+        for off, mkey in sub_marks:
+            arcs.append((vertex, (start_angle + prev_off) % TWO_PI, off - prev_off, prev_key, mkey))
+            prev_off, prev_key = off, mkey
+        arcs.append((vertex, (start_angle + prev_off) % TWO_PI, span - prev_off, prev_key, skey_next))
     return arcs
 
 
-def _ref_bits(ref):
-    return None if ref is None else (ref.pair, ref.kind, np.array(ref.point).tobytes(), np.array(ref.angles).tobytes())
-
-
-def _complex_bits(cx):
-    """A boundary complex as bits: each curve's arcs, in order, with the
-    bits of a0, da and of their corner refs' points and angles, and each
-    pair's corner refs, in table order."""
-    curves = [[(p.vertex, np.array([p.a0, p.da]).tobytes(), _ref_bits(p.start), _ref_bits(p.end)) for p in c.pieces] for c in cx.curves]
-    return curves, [(e, [_ref_bits(r) for r in refs]) for e, refs in cx.corners.items()]
-
-
 def _traced(trace, config):
-    """The bits of trace(config), or the class of the DiskrigError it raises."""
+    """The bits of trace(config), or the class of the DiskrigError it
+    raises: each curve's arcs, in order, with their vertex, the bits of a0
+    and da, and their start and end corner keys."""
     try:
-        return _complex_bits(trace(config))
+        return [[(v, np.array([a0, da]).tobytes(), start, end) for v, a0, da, start, end in curve] for curve in trace(config)]
+    except DiskrigError as exc:
+        return type(exc)
+
+
+def _table_corners(config):
+    """Each pair's corners as the contact table holds them, in its order:
+    (pair, kind, point, angles on the pair's two circles)."""
+    return [(e, [(c.pair, k, z, a) for k, z, a in zip(c.kinds, c.corners, c.angles)]) for e, c in config.contacts().items()]
+
+
+def _reference_corners(config):
+    """_table_corners placed afresh by _pair_corners, for every meeting pair
+    in combinations order of the str-sorted labels."""
+    pairs = itertools.combinations(sorted(config.labels, key=str), 2)
+    return [(frozenset(p), corners) for p in pairs if (corners := _pair_corners(config, *p))]
+
+
+def _corner_bits(read, config):
+    """The bits of read(config)'s corners, points and angles, or the class
+    of the DiskrigError it raises."""
+    try:
+        return [(e, [(pair, kind, np.array(z).tobytes(), np.array(a).tobytes()) for pair, kind, z, a in cs]) for e, cs in read(config)]
     except DiskrigError as exc:
         return type(exc)
 
@@ -234,6 +245,7 @@ def _assert_traces_as_oracle(monkeypatch):
     def checked(config):
         seen.append(config)
         assert _traced(original, config) == _traced(_reference_boundary_complex, config)
+        assert _corner_bits(_table_corners, config) == _corner_bits(_reference_corners, config)
         return original(config)
 
     for name, mod in list(sys.modules.items()):
@@ -249,6 +261,17 @@ def test_boundary_complex_refuses_overlapping_cover():
     with pytest.raises(DegenerateContact, match="^not thin: disks 0, 1, 2 share a point$"):
         boundary_complex(tight)
     assert _traced(_reference_boundary_complex, tight) is DegenerateContact
+    # disks 1 and 2 both through e^(+-0.3i): their arcs inside disk 0 tie
+    # exactly in start and length, which the oracle's sort must not compare
+    # beyond
+    p = np.exp(0.3j)
+    tie = DiskConfiguration([(0, Disk(0j, 1)), (1, Disk(2.0 + 0j, abs(2.0 - p))), (2, Disk(1.25 + 0j, abs(1.25 - p)))])
+    contacts = tie.contacts()
+    (u1, v1), (u2, v2) = (contacts[frozenset((0, k))].angles for k in (1, 2))
+    assert np.array([u1[0], v1[0]]).tobytes() == np.array([u2[0], v2[0]]).tobytes()
+    with pytest.raises(DegenerateContact, match="^not thin: disks 0, 1, 2 share a point$"):
+        boundary_complex(tie)
+    assert _traced(_reference_boundary_complex, tie) is DegenerateContact
 
 
 def test_boundary_complex_refuses_fully_covered_disk():
@@ -323,8 +346,9 @@ def test_boundary_complex_matches_oracle_with_tangencies(seed, n, thin, flower):
         for sub in subsets:
             restricted = cfg.restricted(sub)
             assert _traced(boundary_complex, restricted) == _traced(_reference_boundary_complex, restricted)
+            assert _corner_bits(_table_corners, restricted) == _corner_bits(_reference_corners, restricted)
             if thin or flower:
-                assert isinstance(_traced(boundary_complex, restricted), tuple)
+                assert isinstance(_traced(boundary_complex, restricted), list)
 
 def test_faithful_map_translation():
     c = DiskConfiguration([("a", Disk(0j, 1.0)), ("b", Disk(1 + 0j, 1.0))])
@@ -336,19 +360,21 @@ def test_faithful_map_translation():
 
 
 def _pair_corners(config, i, j):
-    """Corner refs of the pair {i, j} for sorted label order, classified
-    afresh: how boundary_complex traced each pair before the contact table,
-    kept as the oracle for the table's corners."""
+    """The corners (pair, kind, point, angles) of the pair {i, j} for sorted
+    label order, classified and placed afresh, with each point's angles on
+    the circles of the pair: how boundary_complex traced each pair before
+    the contact table, kept as the oracle for the table's corners."""
     si, sj = sorted((i, j), key=str)
     a, b = config.disks[si], config.disks[sj]
     rel = disk_relation(a, b)
     if rel is DiskRelation.OVERLAPPING:
-        u, v = circle_intersections(a, b)
-        return (CornerRef((si, sj), "u", u), CornerRef((si, sj), "v", v))
-    if rel is DiskRelation.EXTERNALLY_TANGENT:
-        t = tangency_point(a, b)
-        return (CornerRef((si, sj), "t", t),)
-    return ()
+        points = tuple(zip("uv", circle_intersections(a, b)))
+    elif rel is DiskRelation.EXTERNALLY_TANGENT:
+        points = (("t", tangency_point(a, b)),)
+    else:
+        return []
+    angles = np.angle(np.array([z - d.center for _k, z in points for d in (a, b)], dtype=complex)).reshape(-1, 2).tolist()
+    return [((si, sj), kind, z, tuple(t)) for (kind, z), t in zip(points, angles)]
 
 
 def _count_disk_relation(monkeypatch):
@@ -408,14 +434,16 @@ def test_faithful_map_reads_corners_from_its_complexes(monkeypatch, rng):
         lhs, rhs = main_b_identity(fmap, set(c.labels[:5]))
         assert lhs == rhs
         assert not any(calls[frozenset((id(cfg.disks[i]), id(cfg.disks[j])))] for cfg, i, j in pairs)
-        # the table's corners and the complexes' corner refs match the oracle
-        for cx in (fmap.complex_src, boundary_complex(fmap.config_t)):
-            contacts = cx.config.contacts()
-            for i, j in itertools.combinations(cx.config.labels, 2):
-                want = _pair_corners(cx.config, i, j)
-                assert cx.corners.get(frozenset((i, j)), ()) == want
+        # the table's corners match the oracle, and the traces' corner keys
+        # name every corner of the table
+        for cfg, curves in ((c, fmap.curves), (ct, boundary_complex(ct))):
+            contacts = cfg.contacts()
+            for i, j in itertools.combinations(cfg.labels, 2):
+                want = _pair_corners(cfg, i, j)
                 got = contacts.get(frozenset((i, j)))
-                assert (got.pair, got.corners) == (want[0].pair, tuple(r.point for r in want)) if want else got is None
+                assert [(got.pair, k, z, a) for k, z, a in zip(got.kinds, got.corners, got.angles)] == want if want else got is None
+            keys = {key for curve in curves for arc in curve for key in arc[3:]}
+            assert keys == {(x.pair, k) for x in contacts.values() for k in x.kinds}
     assert any(str(i) > str(j) for cfg, i, j in pairs if frozenset((i, j)) in cfg.contacts())
 
 
@@ -430,6 +458,23 @@ def test_faithful_map_combinatorics_mismatch():
     far = DiskConfiguration([("a", Disk(0j, 1.0)), ("b", Disk(5 + 0j, 1.0))])
     with pytest.raises(CombinatoricsMismatch):
         build_faithful_map(c, far)
+    # overlapping in C and tangent in C~: the same contact graph and curve
+    # signature, refused for the pair's contact type
+    tangent = DiskConfiguration([("a", Disk(0j, 1.0)), ("b", Disk(2 + 0j, 1.0))])
+    assert contact_graph(c).same_combinatorics(contact_graph(tangent))
+    with pytest.raises(CombinatoricsMismatch, match=r"^pair \('a', 'b'\) differs in contact type$"):
+        build_faithful_map(c, tangent)
+    # two rings of three sharing disk c, and their mirror image: the same
+    # contact graph, but the outer curve runs the other way round, so no
+    # curve of the mirror has its (vertex, end pair) signature
+    h = math.sqrt(3)
+    centres = {"a": 0j, "b": 2 + 0j, "c": complex(1, h), "d": complex(0, 2 * h), "e": complex(2, 2 * h)}
+    eight = DiskConfiguration([(k, Disk(z, 1.1)) for k, z in centres.items()])
+    mirror = DiskConfiguration([(k, Disk(z.conjugate(), 1.1)) for k, z in centres.items()])
+    assert contact_graph(eight).same_combinatorics(contact_graph(mirror))
+    outer = "[('a', ('a', 'b')), ('b', ('b', 'c')), ('c', ('c', 'e')), ('e', ('d', 'e')), ('d', ('c', 'd')), ('c', ('a', 'c'))]"
+    with pytest.raises(CombinatoricsMismatch, match=f"^no matching curve for signature {re.escape(outer)}$"):
+        build_faithful_map(eight, mirror)
 
 
 def test_fixed_point_index_radial():
@@ -605,8 +650,8 @@ def _reference_loop(config, arcs, fmap, density):
 
 
 def _piece_arcs(curve):
-    """A curve's arcs read from its pieces, refined where a piece ends at a corner."""
-    return [(p.vertex, p.a0, p.da, p.start is not None, p.end is not None) for p in curve.pieces]
+    """A traced curve's arcs, refined where an arc ends at a corner."""
+    return [(v, a0, da, start is not None, end is not None) for v, a0, da, start, end in curve]
 
 
 def _reference_grid(loops, density):
@@ -739,8 +784,8 @@ def test_loops_match_grouped_reference():
     for fmap in fmaps:
         for density in range(1, 17):
             loops = sample_loops(fmap.loops(), density)
-            assert len(loops) == len(fmap.complex_src.curves)
-            for loop, curve in zip(loops, fmap.complex_src.curves):
+            assert len(loops) == len(fmap.curves)
+            for loop, curve in zip(loops, fmap.curves):
                 _assert_same_loop(loop, fmap.config, _piece_arcs(curve), fmap, density)
             for v, nodes in fmap.nodes.items():
                 (loop,) = sample_loops([fmap.disk_loop(v)], density)
@@ -752,7 +797,7 @@ def test_loops_match_grouped_reference():
         sub = ring.restricted(subset)
         for density in range(1, 17):
             loops = sample_loops(fmaps[1].subset_loops(subset), density)
-            curves = boundary_complex(sub).curves
+            curves = boundary_complex(sub)
             assert len(loops) == len(curves)
             for loop, curve in zip(loops, curves):
                 _assert_same_loop(loop, sub, _piece_arcs(curve), fmaps[1], density)
@@ -1308,7 +1353,7 @@ def _near_degenerate_maps(rng):
     # crossings with it lie far from the corner
     disks = {"k": Disk(0j, 1.0), "a": Disk(1 + 0j, 0.3), "b": Disk(-1 + 0j, 0.3)}
     c3 = DiskConfiguration(list(disks.items()))
-    arcs = [arc for arc in boundary_complex(c3).curves[0].arcs() if arc[0] == "k"]
+    arcs = [arc for arc in boundary_complex(c3)[0] if arc[0] == "k"]
     assert len(arcs) == 2
     for _vertex, start, *_ in arcs * 2:
         for off in (0.5 * tol, 3 * tol, 1e-3):

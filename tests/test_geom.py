@@ -40,6 +40,19 @@ def test_disk_numpy_center_is_complex():
     assert d == Disk(0.5 + 0.25j, 1.0)
 
 
+def test_tolerance_restores_eps_geom_after_a_raising_body():
+    before = geom.EPS_GEOM
+    with geom.tolerance(1e-5):
+        assert geom.EPS_GEOM == 1e-5
+    assert geom.EPS_GEOM == before
+    with pytest.raises(NotTransverse):
+        with geom.tolerance(1e-5):
+            # a pair 1e-6 from tangency reads as tangent under the override
+            assert disk_relation(Disk(0j, 1.0), Disk(2 - 1e-6 + 0j, 1.0)) is DiskRelation.EXTERNALLY_TANGENT
+            raise NotTransverse("raised inside the block")
+    assert geom.EPS_GEOM == before
+
+
 def test_disk_relation_cases():
     assert disk_relation(Disk(0j, 1), Disk(3 + 0j, 1)) is DiskRelation.DISJOINT
     assert disk_relation(Disk(0j, 1), Disk(2 + 0j, 1)) is DiskRelation.EXTERNALLY_TANGENT
